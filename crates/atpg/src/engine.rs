@@ -346,7 +346,6 @@ fn run_atpg_uncached(
 
     // --- compaction -----------------------------------------------------------------
     if options.compact && !tests.is_empty() {
-        let _span = rsyn_observe::span("atpg.compact");
         compact_with_arena(&arena, view, faults, &statuses, &mut tests);
     }
 
@@ -742,6 +741,18 @@ pub(crate) fn compact(
 }
 
 /// [`compact`] over a prebuilt (possibly shared) arena.
+///
+/// The reverse walk claims every Detected fault with the *last* test that
+/// detects it, so the kept set is that test for each fault, plus its
+/// predecessor when the fault is a transition. The last detecting test is
+/// found by reverse-order fault simulation with fault dropping: window
+/// blocks are simulated from the last to the first, and a fault leaves the
+/// pending list at its first hit. Windows advance by 63 so that every
+/// consecutive pattern pair sits fully inside some window (transition
+/// faults need their predecessor); four windows ride in each 256-lane
+/// simulation call. Lane 0 of a window is lane 63 of the one before it,
+/// and a transition fault's lane 0 is masked as having no predecessor, so
+/// the highest detecting lane is the last detecting test.
 fn compact_with_arena(
     arena: &Arc<SimArena>,
     view: &CombView,
@@ -749,73 +760,45 @@ fn compact_with_arena(
     statuses: &[FaultStatus],
     tests: &mut TestSet,
 ) {
-    let npis = view.pis.len();
-    let detected: Vec<usize> = statuses
+    let _span = rsyn_observe::span("atpg.compact");
+    let mut pending: Vec<usize> = statuses
         .iter()
         .enumerate()
         .filter(|(_, s)| **s == FaultStatus::Detected)
         .map(|(i, _)| i)
         .collect();
-    if detected.is_empty() {
+    if pending.is_empty() {
         tests.retain_indices(&[]);
         return;
     }
-    // Detection lists per test: test index -> fault indices it detects.
-    // Windows advance by 63 so that every consecutive pattern pair sits
-    // fully inside some window (transition faults need their predecessor);
-    // four windows ride in each 256-lane simulation call. Per-test push
-    // order matches the historical one-window loop because every detection
-    // at a test surfaces in the first window containing it (a window-k+1
-    // lane-0 detection is either alignment-independent or, for transition
-    // faults, masked as having no predecessor).
     let mut sim = FaultSim::with_arena(Arc::clone(arena));
     let n_tests = tests.len();
-    let mut detects_by_test: Vec<Vec<usize>> = vec![Vec::new(); n_tests];
-    for windows in window_offsets(n_tests).chunks(LANE_WORDS) {
-        let lanes = tests.lane_blocks(windows, npis);
-        sim.set_patterns(&lanes);
-        for &fi in &detected {
-            let det = sim.detect_lanes(&faults[fi]);
-            for (j, &offset) in windows.iter().enumerate() {
-                let mut bits = det.word(j);
-                while bits != 0 {
-                    let lane = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let ti = offset + lane;
-                    if ti < n_tests && !detects_by_test[ti].contains(&fi) {
-                        detects_by_test[ti].push(fi);
-                    }
-                }
-            }
-        }
-    }
-    let mut needed: Vec<bool> = vec![false; faults.len()];
-    for &fi in &detected {
-        needed[fi] = true;
-    }
     let mut keep = vec![false; n_tests];
-    for ti in (0..n_tests).rev() {
-        let mut useful = false;
-        for &fi in &detects_by_test[ti] {
-            if needed[fi] {
-                needed[fi] = false;
-                useful = true;
-                // Transition detections rely on the preceding pattern.
-                if matches!(faults[fi].kind, FaultKind::Transition { .. }) && ti > 0 {
-                    keep[ti - 1] = true;
-                }
-            }
+    for windows in window_offsets(n_tests).chunks(LANE_WORDS).rev() {
+        if pending.is_empty() {
+            break;
         }
-        if useful {
+        sim.set_patterns(&tests.lane_blocks(windows, view.pis.len()));
+        let mask = window_mask(windows, n_tests);
+        pending.retain(|&fi| {
+            let det = sim.detect_lanes(&faults[fi]) & mask;
+            // Window offsets ascend within the block: the highest non-zero
+            // word holds the last detecting test.
+            let Some(j) = (0..windows.len()).rev().find(|&j| det.word(j) != 0) else {
+                return true;
+            };
+            let ti = windows[j] + 63 - det.word(j).leading_zeros() as usize;
             keep[ti] = true;
-        }
+            // Transition detections rely on the preceding pattern.
+            if matches!(faults[fi].kind, FaultKind::Transition { .. }) && ti > 0 {
+                keep[ti - 1] = true;
+            }
+            false
+        });
     }
-    // A fault may have been dropped against a pattern that no longer sits in
-    // the same 64-lane alignment; anything still `needed` keeps its original
-    // first detecting test if one exists, otherwise we keep the set as-is.
-    let still_needed = needed.iter().any(|&n| n);
-    if still_needed {
-        // Conservative: keep everything (correctness over minimality).
+    // A Detected fault that no test detects keeps the set as-is
+    // (correctness over minimality).
+    if !pending.is_empty() {
         return;
     }
     let kept: Vec<usize> = (0..n_tests).filter(|&i| keep[i]).collect();
@@ -1090,6 +1073,171 @@ mod tests {
         assert_eq!(rsyn_observe::counter("atpg.shard_retries"), 1);
         assert_eq!(rsyn_observe::counter("atpg.shard_failed"), 0);
         assert_eq!(rsyn_observe::counter("inject.fired.shard"), 1);
+    }
+
+    /// The detection-matrix compaction that last-detection dropping
+    /// replaced: per-test detection lists, then a reverse walk in which each
+    /// test claims the still-needed faults it detects. The reference for
+    /// `compaction_matches_detection_matrix`.
+    fn compact_reference(
+        nl: &Netlist,
+        view: &CombView,
+        faults: &[Fault],
+        statuses: &[FaultStatus],
+        tests: &mut TestSet,
+    ) {
+        let detected: Vec<usize> = statuses
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| **s == FaultStatus::Detected)
+            .map(|(i, _)| i)
+            .collect();
+        if detected.is_empty() {
+            tests.retain_indices(&[]);
+            return;
+        }
+        let mut sim = FaultSim::new(nl, view);
+        let n_tests = tests.len();
+        let mut detects_by_test: Vec<Vec<usize>> = vec![Vec::new(); n_tests];
+        for windows in window_offsets(n_tests).chunks(LANE_WORDS) {
+            sim.set_patterns(&tests.lane_blocks(windows, view.pis.len()));
+            for &fi in &detected {
+                let det = sim.detect_lanes(&faults[fi]);
+                for (j, &offset) in windows.iter().enumerate() {
+                    let mut bits = det.word(j);
+                    while bits != 0 {
+                        let ti = offset + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if ti < n_tests && !detects_by_test[ti].contains(&fi) {
+                            detects_by_test[ti].push(fi);
+                        }
+                    }
+                }
+            }
+        }
+        let mut needed = vec![false; faults.len()];
+        for &fi in &detected {
+            needed[fi] = true;
+        }
+        let mut keep = vec![false; n_tests];
+        for ti in (0..n_tests).rev() {
+            for &fi in &detects_by_test[ti] {
+                if needed[fi] {
+                    needed[fi] = false;
+                    keep[ti] = true;
+                    if matches!(faults[fi].kind, FaultKind::Transition { .. }) && ti > 0 {
+                        keep[ti - 1] = true;
+                    }
+                }
+            }
+        }
+        if needed.iter().any(|&n| n) {
+            return;
+        }
+        let kept: Vec<usize> = (0..n_tests).filter(|&i| keep[i]).collect();
+        tests.retain_indices(&kept);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Last-detection compaction keeps exactly the tests the
+        /// detection-matrix reference keeps: random netlists, random test
+        /// sets of 1–600 patterns (crossing the 63-stride window and the
+        /// four-window block boundaries), all four fault kinds, transitions
+        /// whose last detection sits at a window's lane 63 (= the next
+        /// window's lane 0), and Detected faults that no test detects.
+        #[test]
+        fn compaction_matches_detection_matrix(seed in 0u64..u64::MAX) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // A buffer observes input i0 directly, so the test set can place
+            // the last detection of a transition on i0 exactly.
+            let mut nl = crate::podem::tests::random_netlist(seed, &mut next);
+            let i0 = nl.find_net("i0").unwrap();
+            let obs = nl.add_named_net("obs");
+            let buf = nl.lib().cell_id("BUFX2").unwrap();
+            nl.add_gate("buf", buf, &[i0], &[obs]).unwrap();
+            nl.mark_output(obs);
+            let view = nl.comb_view().unwrap();
+
+            // Sparse patterns spread the last detections over the set.
+            let n = 1 + (next() % 600) as usize;
+            let sparsity = [2, 8, 32][(next() % 3) as usize];
+            let mut bits: Vec<Vec<bool>> = (0..n)
+                .map(|_| view.pis.iter().map(|_| next() % sparsity == 0).collect())
+                .collect();
+            // The last rising edge of i0 at test 63m: lane 63 of window m-1
+            // and lane 0 of window m (across a block boundary when m = 4).
+            let pi0 = view.pis.iter().position(|&p| p == i0).unwrap();
+            if n > 63 && next() % 2 == 0 {
+                let edge = 63 * (1 + (next() % ((n as u64 - 1) / 63)) as usize);
+                bits[edge - 1][pi0] = false;
+                for p in &mut bits[edge..] {
+                    p[pi0] = true;
+                }
+            }
+            let tests: TestSet = bits.iter().map(|b| Pattern::from_bools(b)).collect();
+
+            let mut faults = vec![
+                // Never detected: stuck-at-1 on the constant-1 source.
+                Fault::external(FaultKind::StuckAt { net: nl.const1(), value: true }, 0),
+                Fault::external(FaultKind::Transition { net: i0, rising: true }, 0),
+                Fault::external(FaultKind::Transition { net: i0, rising: false }, 0),
+                Fault::external(FaultKind::Transition { net: obs, rising: true }, 0),
+            ];
+            let nets = nl.net_count() as u64;
+            for _ in 0..8 {
+                let net = NetId::from_index((next() % nets) as usize);
+                faults.push(Fault::external(FaultKind::StuckAt { net, value: next() % 2 == 0 }, 0));
+                let net = NetId::from_index((next() % nets) as usize);
+                let rising = next() % 2 == 0;
+                faults.push(Fault::external(FaultKind::Transition { net, rising }, 0));
+            }
+            for kind in [BridgeKind::WiredAnd, BridgeKind::WiredOr] {
+                for _ in 0..2 {
+                    let a = NetId::from_index((next() % nets) as usize);
+                    let b = NetId::from_index((next() % nets) as usize);
+                    faults.push(Fault::external(FaultKind::Bridge { a, b, kind }, 0));
+                }
+            }
+            for _ in 0..4 {
+                let gate = view.order[(next() % view.order.len() as u64) as usize];
+                let g = nl.gate(gate).unwrap();
+                let pattern = next() % (1 << g.inputs.len());
+                let output = (next() % g.outputs.len() as u64) as u8;
+                faults.push(Fault::internal(gate, vec![CellCondition { pattern, output }], 0));
+            }
+
+            let covered = covers(&nl, &view, &faults, &tests);
+            let mut statuses: Vec<FaultStatus> = covered
+                .iter()
+                .map(|&c| {
+                    if c && next() % 8 != 0 { FaultStatus::Detected } else { FaultStatus::Undetectable }
+                })
+                .collect();
+            // A quarter of the cases claim the undetected fault as Detected.
+            if next() % 4 == 0 {
+                statuses[0] = FaultStatus::Detected;
+            }
+
+            let mut got = tests.clone();
+            compact(&nl, &view, &faults, &statuses, &mut got);
+            let mut want = tests;
+            compact_reference(&nl, &view, &faults, &statuses, &mut want);
+            proptest::prop_assert!(
+                got == want,
+                "n={} kept {} tests, reference kept {}",
+                n,
+                got.len(),
+                want.len()
+            );
+        }
     }
 
     #[test]

@@ -1003,7 +1003,7 @@ fn requirements(nl: &Netlist, target: &Target) -> Vec<(NetId, bool)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::CellCondition;
     use rsyn_netlist::{sim::simulate_one, Library};
@@ -1201,7 +1201,7 @@ mod tests {
     /// A random netlist over two-input cells, AOI21 and the two-output
     /// FAX1, with a constant-1 source and one flop (its `Q` is a pseudo-PI,
     /// its `D` a pseudo-PO).
-    fn random_netlist(seed: u64, next: &mut impl FnMut() -> u64) -> Netlist {
+    pub(crate) fn random_netlist(seed: u64, next: &mut impl FnMut() -> u64) -> Netlist {
         let lib = Library::osu018();
         let mut nl = Netlist::new(format!("rnd{seed}"), lib.clone());
         let mut nets: Vec<NetId> = (0..5).map(|i| nl.add_input(format!("i{i}"))).collect();

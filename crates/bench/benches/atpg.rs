@@ -18,7 +18,9 @@ fn bench_atpg(c: &mut Criterion) {
     let ctx = context();
     let mut group = c.benchmark_group("atpg_full");
     group.sample_size(10);
-    for name in ["sparc_tlu", "sparc_exu"] {
+    // systemcaes is the circuit of `perf`'s compaction workload
+    // (`analyze_compact`).
+    for name in ["sparc_tlu", "sparc_exu", "systemcaes"] {
         let state = analyzed(name, &ctx);
         let view = state.nl.comb_view().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &state, |b, state| {

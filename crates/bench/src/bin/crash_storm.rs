@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant, SystemTime};
 
 use rsyn_bench::{context_with_threads, threads_flag, write_manifest};
 use rsyn_circuits::build_benchmark_with;
@@ -64,8 +64,9 @@ const POISON_Q: f64 = 42.0;
 const STALL_Q: f64 = 41.0;
 const STALL_DEADLINE: Duration = Duration::from_millis(300);
 
-/// Generations: the first `KILL_AFTER_MS.len()` are SIGKILLed after the
-/// given delay; the last runs to completion.
+/// Generations: the first `KILL_AFTER_MS.len()` are SIGKILLed at their
+/// first checkpoint or completion (see [`made_progress`]), or after the given
+/// delay at the latest; the last runs to completion.
 const KILL_AFTER_MS: [u64; 3] = [3000, 1500, 1500];
 const GENERATIONS: usize = KILL_AFTER_MS.len() + 1;
 
@@ -216,6 +217,34 @@ fn corrupt_newest_segment(dir: &Path) {
     }
 }
 
+/// True once a doomed generation has made progress worth crashing: a
+/// job checkpoint under `work` was written at or after `spawned`, or a
+/// job the audit has not seen complete has completed. Generation 0,
+/// which submits the storm, must also have journaled all `jobs`
+/// acceptances. Killing then, rather than after a fixed delay, leaves
+/// jobs open for the next generation however fast the machine runs them.
+fn made_progress(work: &Path, gen: usize, spawned: SystemTime, jobs: usize, audit: &Audit) -> bool {
+    let (events, _, _) = JobJournal::read(&work.join("journal")).unwrap_or_default();
+    let replayed = replay(&events);
+    if gen == 0 && replayed.jobs.iter().filter(|job| job.spec.is_some()).count() < jobs {
+        return false;
+    }
+    let completed = replayed.jobs.iter().any(|job| {
+        matches!(job.terminal, Some(TerminalKind::Completed(_)))
+            && !matches!(audit.jobs.get(&job.key), Some((_, Some(TerminalKind::Completed(_)))))
+    });
+    completed
+        || std::fs::read_dir(work.join("work").join("jobs"))
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|job| std::fs::read_dir(job.path()).ok())
+            .flatten()
+            .flatten()
+            .filter_map(|file| file.metadata().and_then(|m| m.modified()).ok())
+            .any(|modified| modified >= spawned)
+}
+
 /// Cumulative journal audit, merged across one read per generation.
 /// Needed because recovery compacts: a job's acceptance and terminal
 /// vanish from the on-disk journal once a later generation has no use
@@ -315,14 +344,21 @@ fn main() -> ExitCode {
         if injected {
             cmd.arg("--inject");
         }
+        let spawned = SystemTime::now();
         let mut job = cmd.spawn().expect("child generation spawns");
         if let Some(&delay) = KILL_AFTER_MS.get(gen) {
-            std::thread::sleep(Duration::from_millis(delay));
+            let start = Instant::now();
+            let jobs = STORM_JOBS.len() + if injected { 2 } else { 0 };
+            while start.elapsed() < Duration::from_millis(delay)
+                && !made_progress(&work, gen, spawned, jobs, &audit)
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
             // SIGKILL: no destructors, no flush — a real crash.
             let _ = job.kill();
             let _ = job.wait();
             kills += 1;
-            eprintln!("parent: killed generation {gen} after {delay} ms");
+            eprintln!("parent: killed generation {gen} after {} ms", start.elapsed().as_millis());
             if injected && gen == 1 {
                 corrupt_newest_segment(&work);
             }

@@ -523,7 +523,10 @@ mod tests {
 
     #[test]
     fn disarmed_queries_inject_nothing() {
-        // No plan armed in this test; all sites must be pass-through.
+        // No plan armed in this test; all sites must be pass-through. Hold
+        // the session so no parallel test arms a plan (or has its ordinals
+        // consumed) meanwhile.
+        let _session = session().lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(pdesign_fate(), PdesignFate::Normal);
         assert!(!should_abort_podem(0, 0));
         assert!(!should_fail_shard(0, 0));

@@ -287,6 +287,12 @@ pub fn read_dir(dir: &Path) -> io::Result<(Vec<Vec<u8>>, ReadReport)> {
 
 #[cfg(test)]
 mod tests {
+    // Appends consult the process-global journal-write fate. Every test
+    // that appends therefore holds the injection session (arming an empty
+    // plan when it injects nothing): an unarmed append while an armed test
+    // runs would consume that test's append ordinals, or be handed its
+    // fates.
+
     use super::*;
     use crate::inject::InjectionPlan;
 
@@ -298,6 +304,7 @@ mod tests {
 
     #[test]
     fn round_trips_records_across_writer_reopens() {
+        let _session = inject::arm(InjectionPlan::new());
         let dir = tmp_dir("roundtrip");
         {
             let mut w = JournalWriter::open(&dir).expect("open");
@@ -326,6 +333,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_confined_to_its_segment() {
+        let _session = inject::arm(InjectionPlan::new());
         let dir = tmp_dir("torn");
         {
             let mut w = JournalWriter::open(&dir).expect("open");
@@ -348,6 +356,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_checksum() {
+        let _session = inject::arm(InjectionPlan::new());
         let dir = tmp_dir("corrupt");
         {
             let mut w = JournalWriter::open(&dir).expect("open");
@@ -388,6 +397,7 @@ mod tests {
 
     #[test]
     fn compaction_removes_only_pre_open_segments() {
+        let _session = inject::arm(InjectionPlan::new());
         let dir = tmp_dir("compact");
         {
             let mut w = JournalWriter::open(&dir).expect("open");

@@ -2,9 +2,10 @@
 # Repository verification gate. Stages (pass one as $1, default `all`):
 #
 #   lint   — formatting, clippy, rustdoc (fast; no build artifacts needed)
-#   gates  — release build, tier-1 tests, and every behavioural gate:
-#            manifest determinism + baselines, failure injection,
-#            checkpoint/resume, warm cross-run cache, perf trajectory
+#   gates  — release build, tier-1 and workspace tests, and every
+#            behavioural gate: manifest determinism + baselines, Table I,
+#            failure injection, checkpoint/resume, warm cross-run cache,
+#            perf trajectory
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / checkpoint-write failures / PODEM
 #            aborts / queue-full sheds, plus checkpoint-backed preemption,
@@ -42,6 +43,11 @@ run_gates() {
   echo "== cargo test -q (tier-1)"
   cargo test -q
 
+  echo "== cargo test (workspace crates: unit tests, proptests, integration tests)"
+  # Tier-1 tests only the root package; the crates' own suites (e.g. the
+  # compaction and PODEM equivalence proptests) gate here.
+  cargo test --workspace --exclude rsyn --release -q
+
   # The gates assert exact manifests; an inherited cache directory would
   # add cache traffic (and counters) the baselines don't carry. Every
   # cache-aware gate below opts in with an explicit per-run directory.
@@ -63,6 +69,12 @@ run_gates() {
   RSYN_MANIFEST_DIR="$SMOKE_DIR/gs" target/release/guideline_stats sparc_tlu >/dev/null
   "$CHECK" --no-timings results/baselines/manifest-guideline_stats.json \
     "$SMOKE_DIR/gs/manifest-guideline_stats.json"
+
+  echo "== Table I gate (the paper's four circuits, exact text)"
+  # The committed results/table1.txt is the gate: every column of the
+  # regenerated table must match it exactly.
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/table1" target/release/table1 --threads 2 \
+    | diff results/table1.txt -
 
   echo "== failure-injection smoke gate (forced rejection/inflation/abort/shard loss)"
   # The resilient flow driver must absorb every injected failure (the bin
