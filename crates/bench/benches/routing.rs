@@ -1,9 +1,11 @@
-//! Criterion bench: placement + routing + DFM scan (`PDesign()` plus the
-//! sign-off scan), gated by the internal pre-check in the real flow.
+//! Criterion bench: placement + routing + DFM scan and translation
+//! (`PDesign()` plus the sign-off scan and its violations' faults), gated by
+//! the internal pre-check in the real flow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsyn_bench::{analyzed, context};
 use rsyn_dfm::scan_layout;
+use rsyn_dfm::translate::translate_violations;
 use rsyn_pdesign::flow::physical_design;
 
 fn bench_pdesign(c: &mut Criterion) {
@@ -18,12 +20,22 @@ fn bench_pdesign(c: &mut Criterion) {
     }
     group.finish();
 
+    let states = ["sparc_exu", "aes_core"].map(|name| (name, analyzed(name, &ctx)));
     let mut group = c.benchmark_group("dfm_scan");
     group.sample_size(10);
-    for name in ["sparc_exu", "aes_core"] {
-        let state = analyzed(name, &ctx);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &state, |b, state| {
+    for (name, state) in &states {
+        group.bench_with_input(BenchmarkId::from_parameter(name), state, |b, state| {
             b.iter(|| scan_layout(&state.pd.layout, &ctx.guidelines).len());
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("dfm_translate");
+    group.sample_size(10);
+    for (name, state) in &states {
+        let violations = scan_layout(&state.pd.layout, &ctx.guidelines);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &violations, |b, violations| {
+            b.iter(|| translate_violations(&state.nl, violations).len());
         });
     }
     group.finish();

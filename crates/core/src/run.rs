@@ -485,7 +485,6 @@ mod tests {
     use super::*;
     use rsyn_circuits::build_benchmark_with;
     use rsyn_netlist::Library;
-    use rsyn_resilience::inject;
 
     fn context() -> FlowContext {
         FlowContext::new(Library::osu018())
@@ -587,33 +586,5 @@ mod tests {
                 .unwrap_err();
         assert!(matches!(err, FlowError::Checkpoint { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn injected_pdesign_rejection_is_absorbed_and_run_still_succeeds() {
-        let ctx = context();
-        let clean =
-            run(seed_netlist(&ctx, "sparc_tlu"), &ctx, &FlowOptions::new("sparc_tlu", "run-clean"))
-                .expect("clean run");
-
-        // Ordinal 0 is the seed analysis; rejecting ordinal 1 hits the
-        // first candidate evaluation, which the loop skips over.
-        let plan = inject::InjectionPlan::new().reject_pdesign(1);
-        let armed = inject::arm(plan);
-        let report = run(
-            seed_netlist(&ctx, "sparc_tlu"),
-            &ctx,
-            &FlowOptions::new("sparc_tlu", "run-injected"),
-        )
-        .expect("injected run still returns Ok");
-        drop(armed);
-
-        assert!(report.accepted >= 1, "flow recovers and keeps accepting");
-        assert!(
-            report.state.undetectable_count() <= clean.state.undetectable_count() + 5,
-            "injected run stays in the same quality regime: U {} vs clean {}",
-            report.state.undetectable_count(),
-            clean.state.undetectable_count()
-        );
     }
 }

@@ -23,6 +23,8 @@
 pub mod deckio;
 pub mod guideline;
 pub mod internal;
+#[cfg(test)]
+mod reference;
 pub mod scan;
 pub mod stats;
 pub mod translate;

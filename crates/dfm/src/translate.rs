@@ -8,10 +8,10 @@
 //! they would require sequential test generation, outside the paper's
 //! combinational scope.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rsyn_atpg::fault::{BridgeKind, Fault, FaultKind};
-use rsyn_netlist::{Driver, NetId, Netlist};
+use rsyn_netlist::{CellClass, Driver, NetId, Netlist};
 
 use crate::scan::{Violation, ViolationTarget};
 
@@ -27,7 +27,7 @@ enum Key {
 pub fn translate_violations(nl: &Netlist, violations: &[Violation]) -> Vec<Fault> {
     let mut seen: HashSet<Key> = HashSet::new();
     let mut out: Vec<Fault> = Vec::new();
-    let reach = ReachCache::new(nl);
+    let mut cones = Cones::new(nl);
 
     let push_open = |net: NetId, guideline: u16, seen: &mut HashSet<Key>, out: &mut Vec<Fault>| {
         if !faultable(nl, net) {
@@ -56,12 +56,12 @@ pub fn translate_violations(nl: &Netlist, violations: &[Violation]) -> Vec<Fault
                 }
             }
             ViolationTarget::NetPairShort { a, b } => {
-                push_bridge(nl, &reach, *a, *b, v.guideline, &mut seen, &mut out);
+                push_bridge(nl, &mut cones, *a, *b, v.guideline, &mut seen, &mut out);
             }
             ViolationTarget::RegionShort { nets } => {
                 for pair in nets.chunks(2) {
                     if let [a, b] = pair {
-                        push_bridge(nl, &reach, *a, *b, v.guideline, &mut seen, &mut out);
+                        push_bridge(nl, &mut cones, *a, *b, v.guideline, &mut seen, &mut out);
                     }
                 }
             }
@@ -72,7 +72,7 @@ pub fn translate_violations(nl: &Netlist, violations: &[Violation]) -> Vec<Fault
 
 fn push_bridge(
     nl: &Netlist,
-    reach: &ReachCache<'_>,
+    cones: &mut Cones<'_>,
     a: NetId,
     b: NetId,
     guideline: u16,
@@ -92,7 +92,7 @@ fn push_bridge(
     if seen.contains(&key) {
         return;
     }
-    if reach.reaches(a, b) || reach.reaches(b, a) {
+    if cones.reaches(a, b) || cones.reaches(b, a) {
         return; // feedback bridge: out of combinational scope
     }
     seen.insert(key);
@@ -112,56 +112,77 @@ fn mix(a: u64, b: u64) -> u64 {
     x
 }
 
-/// Memoised net-to-net forward reachability.
-struct ReachCache<'a> {
+/// Forward fan-out cones, filled on demand: one bitset over all nets per
+/// distinct source net, each filled by a single walk.
+struct Cones<'a> {
     nl: &'a Netlist,
-    memo: std::cell::RefCell<HashMap<(NetId, NetId), bool>>,
+    /// Words per cone.
+    words: usize,
+    /// Each net's cone offset into `bits`, once filled.
+    offset: Vec<Option<usize>>,
+    bits: Vec<u64>,
+    stack: Vec<NetId>,
 }
 
-impl<'a> ReachCache<'a> {
+impl<'a> Cones<'a> {
     fn new(nl: &'a Netlist) -> Self {
-        Self { nl, memo: std::cell::RefCell::new(HashMap::new()) }
+        let nets = nl.net_count();
+        Self {
+            nl,
+            words: nets.div_ceil(64),
+            offset: vec![None; nets],
+            bits: Vec::new(),
+            stack: Vec::new(),
+        }
     }
 
     /// True if a change on `from` can propagate to `to` through gates.
-    fn reaches(&self, from: NetId, to: NetId) -> bool {
-        if let Some(&r) = self.memo.borrow().get(&(from, to)) {
-            return r;
-        }
-        let mut visited = HashSet::new();
-        let mut stack = vec![from];
-        let mut found = false;
-        while let Some(n) = stack.pop() {
-            if n == to {
-                found = true;
-                break;
-            }
-            if !visited.insert(n) {
+    fn reaches(&mut self, from: NetId, to: NetId) -> bool {
+        let base = match self.offset[from.index()] {
+            Some(base) => base,
+            None => self.fill(from),
+        };
+        in_cone(&self.bits[base..base + self.words], to)
+    }
+
+    /// Marks every net reachable from `from`, itself included; returns the
+    /// cone's offset.
+    fn fill(&mut self, from: NetId) -> usize {
+        let base = self.bits.len();
+        self.bits.resize(base + self.words, 0);
+        self.offset[from.index()] = Some(base);
+        let cone = &mut self.bits[base..];
+        self.stack.push(from);
+        while let Some(n) = self.stack.pop() {
+            if in_cone(cone, n) {
                 continue;
             }
+            cone[n.index() / 64] |= 1 << (n.index() % 64);
             for &(sink, _) in &self.nl.net(n).loads {
                 if let Some(gate) = self.nl.gate(sink) {
                     // Flops cut propagation in the combinational view.
-                    if self.nl.lib().cell(gate.cell).class == rsyn_netlist::CellClass::Flop {
+                    if self.nl.lib().cell(gate.cell).class == CellClass::Flop {
                         continue;
                     }
-                    for &o in &gate.outputs {
-                        if !visited.contains(&o) {
-                            stack.push(o);
-                        }
-                    }
+                    self.stack.extend(gate.outputs.iter().filter(|&&o| !in_cone(cone, o)));
                 }
             }
         }
-        self.memo.borrow_mut().insert((from, to), found);
-        found
+        base
     }
+}
+
+fn in_cone(cone: &[u64], net: NetId) -> bool {
+    cone[net.index() / 64] >> (net.index() % 64) & 1 == 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use crate::scan::ViolationTarget;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rsyn_netlist::Library;
 
     fn chain() -> (Netlist, Vec<NetId>) {
@@ -259,5 +280,102 @@ mod tests {
         };
         let faults = translate_violations(&nl, &[v1, v2]);
         assert_eq!(faults.len(), 1, "reversed pair dedupes");
+    }
+
+    /// A random netlist: inputs, both constants, an undriven net, single-
+    /// and multi-output cells, and flops whose outputs feed back into the
+    /// logic that drives them.
+    fn random_netlist(rng: &mut StdRng) -> Netlist {
+        let lib = Library::osu018();
+        let mut nl = Netlist::new("r", lib.clone());
+        let mut nets: Vec<NetId> =
+            (0..rng.gen_range(2..6)).map(|i| nl.add_input(format!("i{i}"))).collect();
+        nets.push(nl.const0());
+        nets.push(nl.const1());
+        nets.push(nl.add_net()); // never driven
+        let flop_q: Vec<NetId> = (0..rng.gen_range(0..4)).map(|_| nl.add_net()).collect();
+        nets.extend(&flop_q);
+        let cells =
+            ["INVX1", "NAND2X1", "NOR3X1", "AOI22X1", "FAX1"].map(|c| lib.cell_id(c).unwrap());
+        for g in 0..rng.gen_range(1..40) {
+            let cell = cells[rng.gen_range(0..cells.len())];
+            let (ins, outs) = (lib.cell(cell).input_count(), lib.cell(cell).output_count());
+            let inputs: Vec<NetId> = (0..ins).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
+            let outputs: Vec<NetId> = (0..outs).map(|_| nl.add_net()).collect();
+            nl.add_gate(format!("g{g}"), cell, &inputs, &outputs).unwrap();
+            nets.extend(&outputs);
+        }
+        let dff = lib.cell_id("DFFPOSX1").unwrap();
+        let clk = nl.add_input("clk");
+        for (f, &q) in flop_q.iter().enumerate() {
+            let d = nets[rng.gen_range(0..nets.len())];
+            nl.add_gate(format!("f{f}"), dff, &[d, clk], &[q]).unwrap();
+        }
+        nl.mark_output(*nets.last().unwrap());
+        nl
+    }
+
+    /// Random violations of every target kind: reversed and self pairs,
+    /// empty and odd-length region lists, constant and undriven nets.
+    fn random_violations(rng: &mut StdRng, nets: usize) -> Vec<Violation> {
+        let net = |rng: &mut StdRng| NetId::from_index(rng.gen_range(0..nets));
+        (0..rng.gen_range(0..300))
+            .map(|_| {
+                let target = match rng.gen_range(0..4) {
+                    0 => ViolationTarget::NetOpen { net: net(rng) },
+                    1 => {
+                        let a = net(rng);
+                        let b = if rng.gen_bool(0.1) { a } else { net(rng) };
+                        ViolationTarget::NetPairShort { a, b }
+                    }
+                    2 => ViolationTarget::RegionOpen {
+                        nets: (0..rng.gen_range(0..7)).map(|_| net(rng)).collect(),
+                    },
+                    _ => ViolationTarget::RegionShort {
+                        nets: (0..rng.gen_range(0..7)).map(|_| net(rng)).collect(),
+                    },
+                };
+                Violation { guideline: rng.gen_range(0..60u16), target }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn translation_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x7A5E);
+        let (mut faults, mut bridges) = (0, 0);
+        for case in 0..300 {
+            let nl = random_netlist(&mut rng);
+            let violations = random_violations(&mut rng, nl.net_count());
+            let got = translate_violations(&nl, &violations);
+            assert_eq!(
+                got,
+                reference::translate::translate_violations(&nl, &violations),
+                "case {case}"
+            );
+            faults += got.len();
+            bridges += got.iter().filter(|f| matches!(f.kind, FaultKind::Bridge { .. })).count();
+        }
+        assert!(faults > 5_000 && bridges > 2_000, "{faults} faults, {bridges} bridges");
+    }
+
+    #[test]
+    fn bridges_across_a_flop_are_kept() {
+        // a -> INV -> d -> DFF -> q -> INV -> y: the flop cuts d's cone, so
+        // d and q may bridge, while a and d (same combinational cone) may not.
+        let lib = Library::osu018();
+        let mut nl = Netlist::new("f", lib.clone());
+        let a = nl.add_input("a");
+        let clk = nl.add_input("clk");
+        let (d, q, y) = (nl.add_net(), nl.add_net(), nl.add_net());
+        let inv = lib.cell_id("INVX1").unwrap();
+        nl.add_gate("g1", inv, &[a], &[d]).unwrap();
+        nl.add_gate("ff", lib.cell_id("DFFPOSX1").unwrap(), &[d, clk], &[q]).unwrap();
+        nl.add_gate("g2", inv, &[q], &[y]).unwrap();
+        nl.mark_output(y);
+        let short =
+            |a, b| Violation { guideline: 0, target: ViolationTarget::NetPairShort { a, b } };
+        assert_eq!(translate_violations(&nl, &[short(d, q)]).len(), 1);
+        assert!(translate_violations(&nl, &[short(a, d)]).is_empty());
     }
 }

@@ -76,6 +76,13 @@ run_gates() {
   RSYN_MANIFEST_DIR="$SMOKE_DIR/table1" target/release/table1 --threads 2 \
     | diff results/table1.txt -
 
+  echo "== guideline_stats gate (per-category counts and worst guidelines, exact text)"
+  # Translation keeps the first guideline that produced a fault as its
+  # provenance; the committed results/guideline_stats.txt pins the counts
+  # and the worst-guideline table that depend on it.
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/gstats" target/release/guideline_stats \
+    | diff results/guideline_stats.txt -
+
   echo "== failure-injection smoke gate (forced rejection/inflation/abort/shard loss)"
   # The resilient flow driver must absorb every injected failure (the bin
   # itself asserts recovery and that backtracking ran), and the injected run
