@@ -9,8 +9,10 @@
 //! the complete random + PODEM pipeline with its own [`FaultSim`] and
 //! [`Podem`] instance and an RNG stream derived from
 //! `(options.seed, shard_index)`; shard results are merged back in fault
-//! order and compacted globally. Because no state flows between shards and
-//! the merge order is fixed, [`run_atpg`] returns bit-identical results
+//! order and compacted globally, by a reverse pass whose workers split the
+//! Detected faults into chunks (a fault's last detecting test does not
+//! depend on which worker finds it). Because no state flows between shards
+//! and the merge order is fixed, [`run_atpg`] returns bit-identical results
 //! for every `threads` setting, including 1.
 //!
 //! # Resilience
@@ -158,8 +160,8 @@ pub fn targets_of(fault: &Fault) -> Vec<Target> {
 
 /// Checks which faults the given test set detects (overlapping 64-lane
 /// windows preserve transition-fault pattern pairs; four windows ride in
-/// each 256-lane simulation call). Used by the engine's own compaction
-/// invariants and exposed for cross-checking in tests.
+/// each 256-lane simulation call). Independent of the engine's reverse
+/// pass, and exposed as a cross-check of it for tests and benchmarks.
 pub fn covers(nl: &Netlist, view: &CombView, faults: &[Fault], tests: &TestSet) -> Vec<bool> {
     let mut covered = vec![false; faults.len()];
     if tests.is_empty() {
@@ -346,7 +348,14 @@ fn run_atpg_uncached(
 
     // --- compaction -----------------------------------------------------------------
     if options.compact && !tests.is_empty() {
-        compact_with_arena(&arena, view, faults, &statuses, &mut tests);
+        compact_with_arena(
+            &arena,
+            view,
+            faults,
+            &statuses,
+            &mut tests,
+            options.effective_threads(),
+        );
     }
 
     rsyn_observe::add_many(&[
@@ -729,80 +738,202 @@ fn drop_faults(
 /// Reverse-order compaction: walk tests from last to first, keeping a test
 /// only if it detects a fault no later-kept test detects. Initialisation
 /// predecessors of kept transition-detecting tests are kept as well.
+#[cfg(test)]
 pub(crate) fn compact(
     nl: &Netlist,
     view: &CombView,
     faults: &[Fault],
     statuses: &[FaultStatus],
     tests: &mut TestSet,
+    threads: usize,
 ) {
     let arena = Arc::new(SimArena::build(nl, view));
-    compact_with_arena(&arena, view, faults, statuses, tests);
+    compact_with_arena(&arena, view, faults, statuses, tests, threads);
 }
 
-/// [`compact`] over a prebuilt (possibly shared) arena.
-///
-/// The reverse walk claims every Detected fault with the *last* test that
-/// detects it, so the kept set is that test for each fault, plus its
-/// predecessor when the fault is a transition. The last detecting test is
-/// found by reverse-order fault simulation with fault dropping: window
-/// blocks are simulated from the last to the first, and a fault leaves the
-/// pending list at its first hit. Windows advance by 63 so that every
-/// consecutive pattern pair sits fully inside some window (transition
-/// faults need their predecessor); four windows ride in each 256-lane
-/// simulation call. Lane 0 of a window is lane 63 of the one before it,
-/// and a transition fault's lane 0 is masked as having no predecessor, so
-/// the highest detecting lane is the last detecting test.
+/// Reverse-order compaction over a prebuilt (possibly shared) arena: one
+/// [`last_detections`] pass, then [`retain_last_detections`].
 fn compact_with_arena(
     arena: &Arc<SimArena>,
     view: &CombView,
     faults: &[Fault],
     statuses: &[FaultStatus],
     tests: &mut TestSet,
+    threads: usize,
 ) {
     let _span = rsyn_observe::span("atpg.compact");
-    let mut pending: Vec<usize> = statuses
+    let (keep, undetected) = last_detections(arena, view, faults, statuses, tests, threads);
+    retain_last_detections(tests, &keep, &undetected);
+}
+
+/// Applies a [`last_detections`] pass to the test set it ran over: keeps
+/// the marked tests, or the whole set when some Detected fault is detected
+/// by no test (correctness over minimality). No Detected fault at all
+/// leaves the set empty.
+pub(crate) fn retain_last_detections(tests: &mut TestSet, keep: &[bool], undetected: &[usize]) {
+    if undetected.is_empty() {
+        let kept: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
+        tests.retain_indices(&kept);
+    }
+}
+
+/// Smallest chunk of pending faults a reverse-pass worker claims: each
+/// chunk pays one good-machine sweep per window block it reaches.
+const MIN_CHUNK_FAULTS: usize = 16;
+
+/// Upper bound on the number of reverse-pass chunks.
+const MAX_CHUNKS: usize = 16;
+
+/// One block of up to four 64-pattern windows, packed once per pass and
+/// shared by every worker.
+struct WindowBlock<'a> {
+    offsets: &'a [usize],
+    lanes: Vec<LaneBlock>,
+    mask: LaneBlock,
+}
+
+/// Finds each Detected fault's *last* detecting test in `tests`.
+///
+/// Returns `(keep, undetected)`: `keep[t]` marks every test that is some
+/// Detected fault's last detection, plus the predecessor of a transition
+/// fault's test; `undetected` lists, in ascending order, the Detected
+/// faults that no test detects. The set reverse-order compaction keeps is
+/// `keep` (see [`retain_last_detections`]); `undetected` is what a
+/// [`covers`] check of the Detected faults would report uncovered.
+///
+/// The last detecting test is found by reverse-order fault simulation with
+/// fault dropping: window blocks are simulated from the last to the first,
+/// and a fault leaves the pending list at its first hit. Windows advance
+/// by 63 so that every consecutive pattern pair sits fully inside some
+/// window (transition faults need their predecessor); four windows ride in
+/// each 256-lane simulation call. Lane 0 of a window is lane 63 of the one
+/// before it, and a transition fault's lane 0 is masked as having no
+/// predecessor, so the highest detecting lane is the last detecting test.
+///
+/// The pending faults are split into contiguous chunks sized from their
+/// count alone, and up to `threads` workers claim chunks from an atomic
+/// counter, each with its own [`FaultSim`] over the shared arena. A
+/// fault's outcome depends only on the fault and the tests, so the marks
+/// the workers make, merged by OR, are identical for every thread count.
+pub(crate) fn last_detections(
+    arena: &Arc<SimArena>,
+    view: &CombView,
+    faults: &[Fault],
+    statuses: &[FaultStatus],
+    tests: &TestSet,
+    threads: usize,
+) -> (Vec<bool>, Vec<usize>) {
+    let pending: Vec<usize> = statuses
         .iter()
         .enumerate()
         .filter(|(_, s)| **s == FaultStatus::Detected)
         .map(|(i, _)| i)
         .collect();
-    if pending.is_empty() {
-        tests.retain_indices(&[]);
-        return;
-    }
-    let mut sim = FaultSim::with_arena(Arc::clone(arena));
     let n_tests = tests.len();
     let mut keep = vec![false; n_tests];
-    for windows in window_offsets(n_tests).chunks(LANE_WORDS).rev() {
-        if pending.is_empty() {
-            break;
+    if pending.is_empty() || n_tests == 0 {
+        return (keep, pending);
+    }
+    let offsets = window_offsets(n_tests);
+    let blocks: Vec<WindowBlock<'_>> = offsets
+        .chunks(LANE_WORDS)
+        .map(|windows| WindowBlock {
+            offsets: windows,
+            lanes: tests.lane_blocks(windows, view.pis.len()),
+            mask: window_mask(windows, n_tests),
+        })
+        .collect();
+    let chunk_len = pending.len().div_ceil(MAX_CHUNKS).max(MIN_CHUNK_FAULTS);
+    let chunks: Vec<&[usize]> = pending.chunks(chunk_len).collect();
+    let next = AtomicUsize::new(0);
+    let work = |worker: &mut Worker| {
+        while let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            worker.walk(&blocks, faults, chunk);
         }
-        sim.set_patterns(&tests.lane_blocks(windows, view.pis.len()));
-        let mask = window_mask(windows, n_tests);
-        pending.retain(|&fi| {
-            let det = sim.detect_lanes(&faults[fi]) & mask;
-            // Window offsets ascend within the block: the highest non-zero
-            // word holds the last detecting test.
-            let Some(j) = (0..windows.len()).rev().find(|&j| det.word(j) != 0) else {
-                return true;
-            };
-            let ti = windows[j] + 63 - det.word(j).leading_zeros() as usize;
-            keep[ti] = true;
-            // Transition detections rely on the preceding pattern.
-            if matches!(faults[fi].kind, FaultKind::Transition { .. }) && ti > 0 {
-                keep[ti - 1] = true;
+    };
+    // Every worker's state is allocated here, worklists included, and the
+    // workers allocate nothing. A block a worker thread allocated and this
+    // thread frees goes to this thread's malloc cache; a later small
+    // allocation here that grows by reallocation then stays in the
+    // worker's arena, which varied the peak RSS from run to run. The
+    // calling thread is worker 0. No metrics are recorded; the caller's
+    // span times the whole pass.
+    let mut workers: Vec<Worker> = (0..threads.min(chunks.len()).max(1))
+        .map(|_| {
+            let mut sim = FaultSim::with_arena(Arc::clone(arena));
+            sim.reserve_worklists();
+            Worker {
+                sim,
+                pending: Vec::with_capacity(chunk_len),
+                keep: vec![false; n_tests],
+                undetected: vec![false; faults.len()],
             }
-            false
-        });
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        let work = &work;
+        let (first, rest) = workers.split_first_mut().expect("at least one worker");
+        let handles: Vec<_> = rest.iter_mut().map(|w| scope.spawn(move || work(w))).collect();
+        work(first);
+        for handle in handles {
+            handle.join().expect("reverse-pass worker");
+        }
+    });
+    let mut undetected = vec![false; faults.len()];
+    for worker in &workers {
+        for (k, w) in keep.iter_mut().zip(&worker.keep) {
+            *k |= w;
+        }
+        for (u, w) in undetected.iter_mut().zip(&worker.undetected) {
+            *u |= w;
+        }
     }
-    // A Detected fault that no test detects keeps the set as-is
-    // (correctness over minimality).
-    if !pending.is_empty() {
-        return;
+    (keep, (0..faults.len()).filter(|&i| undetected[i]).collect())
+}
+
+/// One [`last_detections`] worker: its simulator, a reusable pending list,
+/// and the tests and faults it has marked.
+struct Worker {
+    sim: FaultSim,
+    pending: Vec<usize>,
+    keep: Vec<bool>,
+    undetected: Vec<bool>,
+}
+
+impl Worker {
+    /// The reverse walk for one chunk of pending faults: marks each one's
+    /// last detecting test (and a transition's predecessor) in `keep`, and
+    /// the faults no block detects in `undetected`.
+    fn walk(&mut self, blocks: &[WindowBlock<'_>], faults: &[Fault], chunk: &[usize]) {
+        let Self { sim, pending, keep, undetected } = self;
+        pending.clear();
+        pending.extend_from_slice(chunk);
+        for block in blocks.iter().rev() {
+            if pending.is_empty() {
+                break;
+            }
+            sim.set_patterns(&block.lanes);
+            let windows = block.offsets;
+            pending.retain(|&fi| {
+                let det = sim.detect_lanes(&faults[fi]) & block.mask;
+                // Window offsets ascend within the block: the highest
+                // non-zero word holds the last detecting test.
+                let Some(j) = (0..windows.len()).rev().find(|&j| det.word(j) != 0) else {
+                    return true;
+                };
+                let ti = windows[j] + 63 - det.word(j).leading_zeros() as usize;
+                keep[ti] = true;
+                // Transition detections rely on the preceding pattern.
+                if matches!(faults[fi].kind, FaultKind::Transition { .. }) && ti > 0 {
+                    keep[ti - 1] = true;
+                }
+                false
+            });
+        }
+        for &fi in pending.iter() {
+            undetected[fi] = true;
+        }
     }
-    let kept: Vec<usize> = (0..n_tests).filter(|&i| keep[i]).collect();
-    tests.retain_indices(&kept);
 }
 
 #[cfg(test)]
@@ -1144,9 +1275,11 @@ mod tests {
         /// Last-detection compaction keeps exactly the tests the
         /// detection-matrix reference keeps: random netlists, random test
         /// sets of 1–600 patterns (crossing the 63-stride window and the
-        /// four-window block boundaries), all four fault kinds, transitions
-        /// whose last detection sits at a window's lane 63 (= the next
-        /// window's lane 0), and Detected faults that no test detects.
+        /// four-window block boundaries, up to three blocks), all four fault
+        /// kinds, transitions whose last detection sits at a window's lane
+        /// 63 (= the next window's lane 0), Detected faults that no test
+        /// detects, and 1, 2, 3 or 8 reverse-pass workers over fault lists
+        /// long enough to split into several chunks.
         #[test]
         fn compaction_matches_detection_matrix(seed in 0u64..u64::MAX) {
             let mut state = seed | 1;
@@ -1192,7 +1325,7 @@ mod tests {
                 Fault::external(FaultKind::Transition { net: obs, rising: true }, 0),
             ];
             let nets = nl.net_count() as u64;
-            for _ in 0..8 {
+            for _ in 0..8 + next() % 40 {
                 let net = NetId::from_index((next() % nets) as usize);
                 faults.push(Fault::external(FaultKind::StuckAt { net, value: next() % 2 == 0 }, 0));
                 let net = NetId::from_index((next() % nets) as usize);
@@ -1226,14 +1359,16 @@ mod tests {
                 statuses[0] = FaultStatus::Detected;
             }
 
+            let threads = [1, 2, 3, 8][(next() % 4) as usize];
             let mut got = tests.clone();
-            compact(&nl, &view, &faults, &statuses, &mut got);
+            compact(&nl, &view, &faults, &statuses, &mut got, threads);
             let mut want = tests;
             compact_reference(&nl, &view, &faults, &statuses, &mut want);
             proptest::prop_assert!(
                 got == want,
-                "n={} kept {} tests, reference kept {}",
+                "n={} threads={} kept {} tests, reference kept {}",
                 n,
+                threads,
                 got.len(),
                 want.len()
             );

@@ -13,17 +13,20 @@
 //! status over from the previous [`AtpgResult`].
 //!
 //! Carried-over `Detected` classifications are additionally *verified*
-//! against the merged test set with [`covers`]; any fault the merged tests
-//! no longer detect (possible only if the remap was not perfectly
-//! equivalence-preserving) is re-run through the full engine, so the
-//! engine's invariant — the final test set covers every fault reported
-//! detected — holds unconditionally.
+//! against the merged test set, by the same reverse fault-simulation pass
+//! that compacts it: the pass finds each Detected fault's last detecting
+//! test, so the Detected faults it cannot place are exactly the ones no
+//! merged test detects. Any carried one among them (possible only if the
+//! remap was not perfectly equivalence-preserving) is re-run through the
+//! full engine, so the engine's invariant — the final test set covers
+//! every fault reported detected — holds unconditionally.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
-use rsyn_netlist::{CombView, GateId, NetId, Netlist};
+use rsyn_netlist::{CombView, GateId, NetId, Netlist, SimArena};
 
-use crate::engine::{compact, covers, run_atpg, AtpgOptions, AtpgResult};
+use crate::engine::{last_detections, retain_last_detections, run_atpg, AtpgOptions, AtpgResult};
 use crate::fault::{Fault, FaultKind, FaultOrigin, FaultStatus};
 use crate::testset::TestSet;
 
@@ -92,20 +95,6 @@ impl Cone {
     }
 }
 
-/// Flags the faults an incremental run must re-evaluate: those touching
-/// the cone of `changed_gates` plus those absent from `previous`.
-pub fn affected_faults(
-    nl: &Netlist,
-    faults: &[Fault],
-    previous: &PreviousEvaluation<'_>,
-    changed_gates: &[GateId],
-) -> Vec<bool> {
-    let cone = Cone::of_changed_gates(nl, changed_gates);
-    let prev_index: HashMap<&Fault, usize> =
-        previous.faults.iter().enumerate().map(|(i, f)| (f, i)).collect();
-    faults.iter().map(|f| cone.touches(f) || !prev_index.contains_key(f)).collect()
-}
-
 /// Incremental [`run_atpg`]: re-evaluates only the faults affected by the
 /// remap of `changed_gates`, carrying all other statuses over from
 /// `previous` and reusing its test set.
@@ -129,10 +118,11 @@ pub fn run_atpg_incremental(
         return run_atpg(nl, view, faults, options);
     }
 
+    // Carry every fault the remap cannot affect; `rerun` ascends.
+    let classify = rsyn_observe::span_volatile("atpg.incremental.classify");
     let prev_index: HashMap<&Fault, usize> =
         previous.faults.iter().enumerate().map(|(i, f)| (f, i)).collect();
     let cone = Cone::of_changed_gates(nl, changed_gates);
-
     let mut statuses = vec![FaultStatus::Undetected; faults.len()];
     let mut rerun: Vec<usize> = Vec::new();
     for (i, f) in faults.iter().enumerate() {
@@ -141,6 +131,7 @@ pub fn run_atpg_incremental(
             _ => rerun.push(i),
         }
     }
+    drop(classify);
 
     rsyn_observe::add_many(&[
         ("atpg.incremental.runs", 1),
@@ -160,38 +151,74 @@ pub fn run_atpg_incremental(
 
     let mut tests: TestSet = previous.result.tests.patterns().iter().cloned().collect();
     tests.extend(sub.tests.patterns().iter().cloned());
+    verify_and_compact(nl, view, faults, options, &rerun, statuses, tests)
+}
 
-    // Safety net: verify every carried-over detection against the merged
-    // tests in the *new* netlist; rescue any that no longer reproduce.
-    let rerun_set: HashSet<usize> = rerun.into_iter().collect();
-    if !tests.is_empty() {
-        let covered = covers(nl, view, faults, &tests);
-        let rescue: Vec<usize> = (0..faults.len())
-            .filter(|i| {
-                statuses[*i] == FaultStatus::Detected && !covered[*i] && !rerun_set.contains(i)
-            })
-            .collect();
-        if !rescue.is_empty() {
-            rsyn_observe::add("atpg.incremental.rescued", rescue.len() as u64);
-            let rescue_faults: Vec<Fault> = rescue.iter().map(|&i| faults[i].clone()).collect();
-            let rescued = run_atpg(nl, view, &rescue_faults, &sub_options);
-            for (k, &i) in rescue.iter().enumerate() {
-                statuses[i] = rescued.statuses[k];
-            }
-            tests.extend(rescued.tests.patterns().iter().cloned());
+/// The tail of [`run_atpg_incremental`], given the merged statuses and
+/// tests and the (ascending) indices of the re-run faults.
+///
+/// One reverse pass over the merged tests both verifies every carried
+/// detection in the *new* netlist and finds the tests compaction keeps
+/// (see [`last_detections`]). Carried Detected faults that no merged test
+/// detects are rescued through the engine, after which the grown set is
+/// compacted again.
+fn verify_and_compact(
+    nl: &Netlist,
+    view: &CombView,
+    faults: &[Fault],
+    options: &AtpgOptions,
+    rerun: &[usize],
+    mut statuses: Vec<FaultStatus>,
+    mut tests: TestSet,
+) -> AtpgResult {
+    if tests.is_empty() {
+        return AtpgResult { statuses, tests };
+    }
+    let arena = {
+        let _build = rsyn_observe::span_volatile("sim.build");
+        Arc::new(SimArena::build(nl, view))
+    };
+    let threads = options.effective_threads();
+    let pass = if options.compact {
+        rsyn_observe::span("atpg.compact")
+    } else {
+        rsyn_observe::span_volatile("atpg.verify")
+    };
+    let (keep, undetected) = last_detections(&arena, view, faults, &statuses, &tests, threads);
+    drop(pass);
+    let rescue: Vec<usize> =
+        undetected.iter().copied().filter(|i| rerun.binary_search(i).is_err()).collect();
+    if rescue.is_empty() {
+        if options.compact {
+            retain_last_detections(&mut tests, &keep, &undetected);
         }
+        return AtpgResult { statuses, tests };
     }
 
-    if options.compact && !tests.is_empty() {
-        compact(nl, view, faults, &statuses, &mut tests);
+    // Rare path: carried detections the merged tests no longer reproduce.
+    rsyn_observe::add("atpg.incremental.rescued", rescue.len() as u64);
+    let rescue_options = AtpgOptions { compact: false, ..*options };
+    let rescue_faults: Vec<Fault> = rescue.iter().map(|&i| faults[i].clone()).collect();
+    let rescued = run_atpg(nl, view, &rescue_faults, &rescue_options);
+    for (k, &i) in rescue.iter().enumerate() {
+        statuses[i] = rescued.statuses[k];
     }
-
+    tests.extend(rescued.tests.patterns().iter().cloned());
+    if options.compact {
+        // The first pass already counted as this run's compaction.
+        let _recompact = rsyn_observe::span_volatile("atpg.compact");
+        let (keep, undetected) = last_detections(&arena, view, faults, &statuses, &tests, threads);
+        retain_last_detections(&mut tests, &keep, &undetected);
+    }
     AtpgResult { statuses, tests }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{compact, covers};
+    use crate::fault::{BridgeKind, CellCondition};
+    use crate::testset::Pattern;
     use rsyn_netlist::Library;
 
     /// Two independent output cones: `x = !(a·b)` and `y = !(c·d)`, with a
@@ -270,23 +297,20 @@ mod tests {
     }
 
     #[test]
-    fn affected_faults_are_cone_limited() {
+    fn cone_touches_only_changed_cone_faults() {
         let nl = split_circuit();
-        let view = nl.comb_view().unwrap();
         let faults = stuck_at_faults(&nl);
-        let full = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
-        let previous = PreviousEvaluation { faults: &faults, result: &full };
         let gy = nl.find_gate("gy").unwrap();
-        let affected = affected_faults(&nl, &faults, &previous, &[gy]);
+        let cone = Cone::of_changed_gates(&nl, &[gy]);
         let x = nl.find_net("x").unwrap();
         let y = nl.find_net("y").unwrap();
-        for (i, f) in faults.iter().enumerate() {
+        for f in &faults {
             if let FaultKind::StuckAt { net, .. } = f.kind {
                 if net == x {
-                    assert!(!affected[i], "sibling-cone fault flagged");
+                    assert!(!cone.touches(f), "sibling-cone fault flagged");
                 }
                 if net == y {
-                    assert!(affected[i], "changed-cone fault not flagged");
+                    assert!(cone.touches(f), "changed-cone fault not flagged");
                 }
             }
         }
@@ -304,5 +328,142 @@ mod tests {
         let inc =
             run_atpg_incremental(&nl, &view, &faults, &AtpgOptions::default(), &previous, &[]);
         assert_eq!(inc.statuses, full.statuses);
+    }
+
+    /// The tail the one-pass [`verify_and_compact`] replaced: [`covers`]
+    /// checks every fault against the merged tests, the carried Detected
+    /// faults it finds uncovered are rescued through the engine, and
+    /// [`compact`] then runs over the grown set. The reference for
+    /// `tail_matches_covers_rescue_compact`.
+    fn verify_and_compact_reference(
+        nl: &Netlist,
+        view: &CombView,
+        faults: &[Fault],
+        options: &AtpgOptions,
+        rerun: &[usize],
+        mut statuses: Vec<FaultStatus>,
+        mut tests: TestSet,
+    ) -> AtpgResult {
+        let sub_options = AtpgOptions { compact: false, ..*options };
+        let rerun_set: HashSet<usize> = rerun.iter().copied().collect();
+        if !tests.is_empty() {
+            let covered = covers(nl, view, faults, &tests);
+            let rescue: Vec<usize> = (0..faults.len())
+                .filter(|i| {
+                    statuses[*i] == FaultStatus::Detected && !covered[*i] && !rerun_set.contains(i)
+                })
+                .collect();
+            if !rescue.is_empty() {
+                rsyn_observe::add("atpg.incremental.rescued", rescue.len() as u64);
+                let rescue_faults: Vec<Fault> = rescue.iter().map(|&i| faults[i].clone()).collect();
+                let rescued = run_atpg(nl, view, &rescue_faults, &sub_options);
+                for (k, &i) in rescue.iter().enumerate() {
+                    statuses[i] = rescued.statuses[k];
+                }
+                tests.extend(rescued.tests.patterns().iter().cloned());
+            }
+        }
+        if options.compact && !tests.is_empty() {
+            compact(nl, view, faults, &statuses, &mut tests, 1);
+        }
+        AtpgResult { statuses, tests }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The one-pass tail returns the statuses, tests and rescue count
+        /// of the `covers` → rescue → `compact` reference: random netlists,
+        /// all four fault kinds, 1–1,200 merged tests (up to five window
+        /// blocks), re-run faults, compaction on and off, 1–3 workers, and
+        /// Detected verdicts — carried or re-run — that no merged test
+        /// reproduces, so the rescue path and the undetected-fault rule of
+        /// compaction both run.
+        #[test]
+        fn tail_matches_covers_rescue_compact(seed in 0u64..u64::MAX) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut nl = crate::podem::tests::random_netlist(seed, &mut next);
+            let one = nl.const1();
+            let view = nl.comb_view().unwrap();
+            let nets = nl.net_count() as u64;
+            let mut net = || NetId::from_index((next() % nets) as usize);
+            let mut kinds = Vec::new();
+            for k in 0..16 + seed % 64 {
+                kinds.push(match k % 3 {
+                    0 => FaultKind::StuckAt { net: net(), value: k % 2 == 0 },
+                    1 => FaultKind::Transition { net: net(), rising: k % 4 == 1 },
+                    _ => {
+                        let kind = if k % 2 == 0 { BridgeKind::WiredAnd } else { BridgeKind::WiredOr };
+                        FaultKind::Bridge { a: net(), b: net(), kind }
+                    }
+                });
+            }
+            // Never detected: stuck-at-1 on the constant-1 source.
+            let mut faults =
+                vec![Fault::external(FaultKind::StuckAt { net: one, value: true }, 0)];
+            faults.extend(kinds.into_iter().map(|kind| Fault::external(kind, 0)));
+            for _ in 0..4 {
+                let gate = view.order[(next() % view.order.len() as u64) as usize];
+                let g = nl.gate(gate).unwrap();
+                let pattern = next() % (1 << g.inputs.len());
+                let output = (next() % g.outputs.len() as u64) as u8;
+                faults.push(Fault::internal(gate, vec![CellCondition { pattern, output }], 0));
+            }
+
+            let n = 1 + (next() % 1200) as usize;
+            let sparsity = [2, 8, 32][(next() % 3) as usize];
+            let tests: TestSet = (0..n)
+                .map(|_| {
+                    let bits: Vec<bool> = view.pis.iter().map(|_| next() % sparsity == 0).collect();
+                    Pattern::from_bools(&bits)
+                })
+                .collect();
+            // Verdicts: mostly what the tests show, plus stale Detected ones.
+            let covered = covers(&nl, &view, &faults, &tests);
+            let stale = [0, 16, 4][(next() % 3) as usize];
+            let statuses: Vec<FaultStatus> = covered
+                .iter()
+                .map(|&c| match next() % 8 {
+                    0 => FaultStatus::Undetectable,
+                    1 => FaultStatus::Aborted,
+                    _ if stale > 0 && next() % stale == 0 => FaultStatus::Detected,
+                    _ if c => FaultStatus::Detected,
+                    _ => FaultStatus::Undetectable,
+                })
+                .collect();
+            let rerun: Vec<usize> = (0..faults.len()).filter(|_| next() % 4 == 0).collect();
+            let options = AtpgOptions {
+                compact: next() % 2 == 0,
+                threads: 1 + (next() % 3) as usize,
+                ..AtpgOptions::default()
+            };
+
+            let _obs = rsyn_observe::isolation_lock();
+            rsyn_observe::reset();
+            let want = verify_and_compact_reference(
+                &nl, &view, &faults, &options, &rerun, statuses.clone(), tests.clone(),
+            );
+            let want_rescued = rsyn_observe::counter("atpg.incremental.rescued");
+            rsyn_observe::reset();
+            let got = verify_and_compact(&nl, &view, &faults, &options, &rerun, statuses, tests);
+            let got_rescued = rsyn_observe::counter("atpg.incremental.rescued");
+            proptest::prop_assert_eq!(&got.statuses, &want.statuses);
+            proptest::prop_assert!(
+                got.tests == want.tests,
+                "n={} threads={} compact={}: kept {} tests, reference kept {}",
+                n,
+                options.threads,
+                options.compact,
+                got.tests.len(),
+                want.tests.len()
+            );
+            proptest::prop_assert_eq!(got_rescued, want_rescued);
+        }
     }
 }

@@ -60,7 +60,7 @@ pub use dictionary::FaultDictionary;
 pub use engine::{run_atpg, AtpgOptions, AtpgResult};
 pub use exhaustive::exhaustive_detectable;
 pub use fault::{BridgeKind, CellCondition, Fault, FaultKind, FaultOrigin, FaultStatus};
-pub use incremental::{affected_faults, run_atpg_incremental, Cone, PreviousEvaluation};
+pub use incremental::{run_atpg_incremental, Cone, PreviousEvaluation};
 pub use podem::{Podem, PodemOutcome};
 pub use sim::FaultSim;
 pub use tester::TesterTime;

@@ -64,6 +64,15 @@ impl<W: SimWord> FaultSim<W> {
         }
     }
 
+    /// Sizes every per-level worklist for the widest fault effect (all ops
+    /// of the level), so that later simulation never allocates. For a
+    /// simulator built on one thread and run on another.
+    pub(crate) fn reserve_worklists(&mut self) {
+        for (level, queue) in self.level_queue.iter_mut().enumerate() {
+            queue.reserve_exact(self.arena.ops_in_level(level).len());
+        }
+    }
+
     /// The underlying arena.
     #[inline]
     pub fn arena(&self) -> &Arc<SimArena> {

@@ -37,9 +37,6 @@ pub struct FlowContext {
     pub atpg: AtpgOptions,
     /// Master seed for physical design.
     pub seed: u64,
-    /// Whether candidate re-evaluations use the cone-of-influence
-    /// incremental ATPG path instead of re-running the full fault set.
-    pub incremental: bool,
 }
 
 impl FlowContext {
@@ -48,15 +45,7 @@ impl FlowContext {
         let mapper = Mapper::new(&lib);
         let guidelines = GuidelineSet::standard();
         let catalog = InternalCatalog::build(&lib);
-        Self {
-            lib,
-            mapper,
-            guidelines,
-            catalog,
-            atpg: AtpgOptions::default(),
-            seed: DEFAULT_SEED,
-            incremental: true,
-        }
+        Self { lib, mapper, guidelines, catalog, atpg: AtpgOptions::default(), seed: DEFAULT_SEED }
     }
 
     /// Returns the context with an explicit ATPG worker-thread count

@@ -201,9 +201,6 @@ impl std::fmt::Display for Table2Row {
 pub struct RuntimeReport {
     /// Resolved ATPG worker-thread count.
     pub threads: usize,
-    /// Whether candidate evaluations used the cone-of-influence
-    /// incremental path.
-    pub incremental: bool,
     /// Full `PDesign()`+ATPG candidate evaluations performed.
     pub full_evaluations: usize,
     /// Wall-clock seconds of the whole sweep.
@@ -217,7 +214,6 @@ impl RuntimeReport {
     pub fn of(ctx: &FlowContext, sweep: &QSweepOutcome) -> Self {
         Self {
             threads: ctx.atpg.effective_threads(),
-            incremental: ctx.incremental,
             full_evaluations: sweep.full_evaluations,
             sweep_seconds: sweep.sweep_seconds,
             baseline_seconds: sweep.baseline_seconds,
@@ -229,12 +225,8 @@ impl std::fmt::Display for RuntimeReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "runtime: threads={} incremental={} evaluations={} sweep={:.2}s baseline={:.2}s",
-            self.threads,
-            self.incremental,
-            self.full_evaluations,
-            self.sweep_seconds,
-            self.baseline_seconds
+            "runtime: threads={} evaluations={} sweep={:.2}s baseline={:.2}s",
+            self.threads, self.full_evaluations, self.sweep_seconds, self.baseline_seconds
         )
     }
 }

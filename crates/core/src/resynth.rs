@@ -200,17 +200,13 @@ pub(crate) fn evaluate_candidate(
     // The cone-of-influence fast path: only faults the remapped gates can
     // influence are re-simulated; everything else carries its verdict over
     // from `base` (see `rsyn_atpg::incremental`).
-    let result = if ctx.incremental {
-        DesignState::analyze_incremental(
-            nl,
-            ctx,
-            Some((fp, Some(&base.pd.placement))),
-            base,
-            &new_gates,
-        )
-    } else {
-        DesignState::analyze(nl, ctx, Some((fp, Some(&base.pd.placement))))
-    };
+    let result = DesignState::analyze_incremental(
+        nl,
+        ctx,
+        Some((fp, Some(&base.pd.placement))),
+        base,
+        &new_gates,
+    );
     if let Err(e) = &result {
         rsyn_observe::add("resynth.placement_rejects", 1);
         trace_log(|| format!("placement reject: window {} gates: {e}", window_gates.len()));

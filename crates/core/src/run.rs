@@ -384,20 +384,16 @@ fn replay_remap(
         .resynthesize_with(&mut nl, &ctx.mapper, &allowed, &map_options)
         .map_err(|e| cp_err(format!("replay {idx}: remap failed: {e}")))?;
     let fp = base.pd.placement.floorplan();
-    // Mirror `evaluate_candidate`'s analysis branch exactly so the replayed
-    // state carries the same verdicts the original evaluation produced.
-    let result = if ctx.incremental {
-        DesignState::analyze_incremental(
-            nl,
-            ctx,
-            Some((fp, Some(&base.pd.placement))),
-            base,
-            &new_gates,
-        )
-    } else {
-        DesignState::analyze(nl, ctx, Some((fp, Some(&base.pd.placement))))
-    };
-    result.map_err(|e| cp_err(format!("replay {idx}: analysis failed: {e}")))
+    // Mirror `evaluate_candidate`'s analysis exactly so the replayed state
+    // carries the same verdicts the original evaluation produced.
+    DesignState::analyze_incremental(
+        nl,
+        ctx,
+        Some((fp, Some(&base.pd.placement))),
+        base,
+        &new_gates,
+    )
+    .map_err(|e| cp_err(format!("replay {idx}: analysis failed: {e}")))
 }
 
 /// Serialises an [`AcceptedRemap`] by name, resolving window gate ids

@@ -144,7 +144,9 @@ impl InternalCatalog {
     /// Instantiates internal faults for every live combinational gate of a
     /// netlist (every instance of a cell carries the same internal faults).
     pub fn instance_faults(&self, nl: &Netlist) -> Vec<Fault> {
-        let mut out = Vec::new();
+        // Sized up front: see [`crate::extraction_list`].
+        let count = nl.gates().map(|(_, gate)| self.per_cell[gate.cell.index()].len()).sum();
+        let mut out = Vec::with_capacity(count);
         for (gid, gate) in nl.gates() {
             for d in &self.per_cell[gate.cell.index()] {
                 out.push(Fault::internal(gid, d.conditions.clone(), d.guideline));

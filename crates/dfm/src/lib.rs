@@ -81,6 +81,17 @@ pub fn extract_faults(
     faults
 }
 
+/// An empty list for the thousands of violations or faults of one
+/// extraction, with room for a page of entries. A list grown from four
+/// entries starts in a block small enough for glibc's per-thread cache,
+/// which may hold blocks an ATPG worker thread allocated; every
+/// reallocation then stays in that thread's malloc arena, which grows while
+/// the main arena's free memory goes unused, and the peak RSS of a
+/// re-analysis varies from run to run (EXPERIMENTS.md E17, "Peak RSS").
+pub(crate) fn extraction_list<T>() -> Vec<T> {
+    Vec::with_capacity(4096 / std::mem::size_of::<T>().max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -94,7 +94,7 @@ pub fn scan_layout(layout: &Layout, guidelines: &GuidelineSet) -> Vec<Violation>
         .collect();
     let density = plan.density.then(|| Density::new(layout));
 
-    let mut out = Vec::new();
+    let mut out = crate::extraction_list();
     for g in guidelines.iter() {
         let id = g.id;
         let open = |net| Violation { guideline: id, target: ViolationTarget::NetOpen { net } };

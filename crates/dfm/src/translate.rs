@@ -26,7 +26,7 @@ enum Key {
 /// Translates violations into a deduplicated external fault list.
 pub fn translate_violations(nl: &Netlist, violations: &[Violation]) -> Vec<Fault> {
     let mut seen: HashSet<Key> = HashSet::new();
-    let mut out: Vec<Fault> = Vec::new();
+    let mut out: Vec<Fault> = crate::extraction_list();
     let mut cones = Cones::new(nl);
 
     let push_open = |net: NetId, guideline: u16, seen: &mut HashSet<Key>, out: &mut Vec<Fault>| {

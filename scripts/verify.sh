@@ -4,8 +4,8 @@
 #   lint   — formatting, clippy, rustdoc (fast; no build artifacts needed)
 #   gates  — release build, tier-1 and workspace tests, and every
 #            behavioural gate: manifest determinism + baselines, Table I,
-#            failure injection, checkpoint/resume, warm cross-run cache,
-#            perf trajectory
+#            guideline stats, Table II on tv80, failure injection,
+#            checkpoint/resume, warm cross-run cache, perf trajectory
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / checkpoint-write failures / PODEM
 #            aborts / queue-full sheds, plus checkpoint-backed preemption,
@@ -82,6 +82,18 @@ run_gates() {
   # and the worst-guideline table that depend on it.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/gstats" target/release/guideline_stats \
     | diff results/guideline_stats.txt -
+
+  echo "== Table II gate (tv80 at q <= 5: every column but Rtime, manifest exact)"
+  # The paper's main experiment on one circuit. Rtime, the last column, is
+  # a ratio of wall times; every other column of both rows must match the
+  # committed results/table2_q5.txt, and the run's counters and results
+  # must match the committed manifest.
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/table2" target/release/table2 --max-q 5 --threads 2 tv80 \
+    >"$SMOKE_DIR/table2_q5.txt"
+  diff <(awk 'NR > 2 { NF-- } { print }' results/table2_q5.txt) \
+    <(awk 'NR > 2 { NF-- } { print }' "$SMOKE_DIR/table2_q5.txt")
+  "$CHECK" --no-timings results/baselines/manifest-table2.json \
+    "$SMOKE_DIR/table2/manifest-table2.json"
 
   echo "== failure-injection smoke gate (forced rejection/inflation/abort/shard loss)"
   # The resilient flow driver must absorb every injected failure (the bin
