@@ -285,17 +285,18 @@ fn run_atpg_uncached(
     } else {
         let slots: Vec<Mutex<Option<ShardPart>>> = spans.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        // Worker threads start with an empty event job-context; carry the
-        // spawning thread's over so shard events attribute to the job.
-        let job = rsyn_observe::events::current_job();
+        // Workers record into the spawning thread's recorder under its job
+        // key; leaving the scope publishes their buffers before the join.
+        let observe = rsyn_observe::Scope::current();
         std::thread::scope(|scope| {
             let spans = &spans;
             let slots = &slots;
             let next = &next;
             let arena = &arena;
+            let observe = &observe;
             for w in 0..workers {
                 scope.spawn(move || {
-                    let _jg = rsyn_observe::events::job_scope(job);
+                    let _observe = observe.enter();
                     let t0 = std::time::Instant::now();
                     let mut processed = 0u64;
                     loop {
@@ -323,10 +324,6 @@ fn run_atpg_uncached(
                         &format!("atpg.worker{w}.busy_ms"),
                         t0.elapsed().as_secs_f64() * 1e3,
                     );
-                    // Publish this worker's buffered metrics and trace
-                    // events before the scope joins (the thread-local
-                    // backstop flush can run after the join returns).
-                    rsyn_observe::flush();
                 });
             }
         });
@@ -985,6 +982,7 @@ mod tests {
 
     #[test]
     fn full_run_classifies_every_fault() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1013,6 +1011,7 @@ mod tests {
     /// Every detected fault must actually be detected by the final test set.
     #[test]
     fn final_test_set_covers_all_detected_faults() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1027,6 +1026,7 @@ mod tests {
 
     #[test]
     fn compaction_shrinks_or_keeps_test_count() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1039,6 +1039,7 @@ mod tests {
 
     #[test]
     fn cell_aware_and_bridge_and_transition_mix() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let fa0: GateId = nl.find_gate("fa0").unwrap();
@@ -1061,6 +1062,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1072,6 +1074,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         // Replicate the fault list so it spans several shards.
@@ -1119,6 +1122,7 @@ mod tests {
 
     #[test]
     fn sharded_run_covers_all_detected() {
+        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let base = all_stuck_at(&nl);
@@ -1144,9 +1148,11 @@ mod tests {
         // Skip the random phase so every fault reaches PODEM and the
         // injected abort sites are actually consulted.
         let options = AtpgOptions { random_words: 0, ..AtpgOptions::default() };
-        let reference = run_atpg(&nl, &view, &faults, &options);
+        let reference = {
+            let _session = crate::injection_session();
+            run_atpg(&nl, &view, &faults, &options)
+        };
 
-        let _obs = rsyn_observe::isolation_lock();
         rsyn_observe::reset();
         let plan = inject::InjectionPlan::new().abort_podem(0, 3).abort_podem(0, 11);
         let armed = inject::arm(plan);
@@ -1171,7 +1177,6 @@ mod tests {
             ..AtpgOptions::default()
         };
 
-        let _obs = rsyn_observe::isolation_lock();
         rsyn_observe::reset();
         let armed = inject::arm(inject::InjectionPlan::new().abort_podem(0, 5));
         let r = run_atpg(&nl, &view, &faults, &options);
@@ -1192,9 +1197,11 @@ mod tests {
             faults.extend(base.iter().cloned());
         }
         assert!(shard_spans(faults.len()).len() > 1, "test needs multiple shards");
-        let reference = run_atpg(&nl, &view, &faults, &AtpgOptions::default().with_threads(2));
+        let reference = {
+            let _session = crate::injection_session();
+            run_atpg(&nl, &view, &faults, &AtpgOptions::default().with_threads(2))
+        };
 
-        let _obs = rsyn_observe::isolation_lock();
         rsyn_observe::reset();
         let armed = inject::arm(inject::InjectionPlan::new().fail_shard(0, 1));
         let r = run_atpg(&nl, &view, &faults, &AtpgOptions::default().with_threads(2));

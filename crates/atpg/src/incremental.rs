@@ -275,6 +275,7 @@ mod tests {
 
     #[test]
     fn incremental_matches_full_run() {
+        let _session = crate::injection_session();
         let nl = split_circuit();
         let view = nl.comb_view().unwrap();
         let faults = stuck_at_faults(&nl);
@@ -318,6 +319,7 @@ mod tests {
 
     #[test]
     fn new_faults_always_rerun() {
+        let _session = crate::injection_session();
         let nl = split_circuit();
         let view = nl.comb_view().unwrap();
         let faults = stuck_at_faults(&nl);
@@ -444,7 +446,7 @@ mod tests {
                 ..AtpgOptions::default()
             };
 
-            let _obs = rsyn_observe::isolation_lock();
+            let _session = crate::injection_session();
             rsyn_observe::reset();
             let want = verify_and_compact_reference(
                 &nl, &view, &faults, &options, &rerun, statuses.clone(), tests.clone(),

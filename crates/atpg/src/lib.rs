@@ -66,3 +66,11 @@ pub use sim::FaultSim;
 pub use tester::TesterTime;
 pub use testset::{Pattern, TestSet};
 pub use value::{Tri, Val};
+
+/// Serialises a test's ATPG runs with the tests that arm injection plans:
+/// run ordinals are process-global, so an unarmed run could otherwise
+/// claim the ordinal an armed test's plan targets.
+#[cfg(test)]
+fn injection_session() -> rsyn_resilience::inject::ArmedPlan {
+    rsyn_resilience::inject::arm(rsyn_resilience::inject::InjectionPlan::new())
+}

@@ -55,7 +55,6 @@ fn split_circuit() -> Netlist {
 /// undetectable — matching a from-scratch run on the edited netlist.
 #[test]
 fn safety_net_corrects_stale_carried_detection() {
-    let _guard = rsyn_observe::isolation_lock();
     let nl = split_circuit();
     let view = nl.comb_view().unwrap();
     let faults = stuck_at_faults(&nl);
@@ -134,7 +133,6 @@ fn wide_circuit() -> Netlist {
 /// property `check_manifest --determinism` gates on in CI.
 #[test]
 fn manifest_counters_are_thread_count_independent() {
-    let _guard = rsyn_observe::isolation_lock();
     let nl = wide_circuit();
     let view = nl.comb_view().unwrap();
     let faults = stuck_at_faults(&nl);

@@ -68,7 +68,6 @@ fn bench_candidate(c: &mut Criterion) {
     let (nl, new_gates) = first_candidate(&ctx, &base, |nl, new_gates| {
         DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &base, new_gates).is_ok()
     });
-    let _obs = rsyn_observe::isolation_lock();
     rsyn_observe::reset();
     DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &base, &new_gates).unwrap();
     let rerun = rsyn_observe::counter("atpg.incremental.rerun");

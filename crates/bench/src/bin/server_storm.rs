@@ -7,17 +7,19 @@
 //!    submitter threads over a handful of unique (circuit, q) jobs, so
 //!    coalescing, load shedding, deadlines, and cancellation all trigger
 //!    at once. Under `--inject`, a deterministic plan crashes workers,
-//!    fails checkpoint writes, aborts PODEM searches, and sheds
+//!    fails checkpoint writes, aborts PODEM searches (at faults a probe
+//!    analysis saw reach PODEM, whichever job runs ATPG first), and sheds
 //!    submissions at fixed ordinals; shed clients retry under the
 //!    deterministic jittered [`BackoffPolicy`]. Gates: **zero lost
 //!    jobs** (every submission reaches a terminal outcome; the job
 //!    conservation law balances), no failed jobs, every armed server
 //!    fate actually fired.
 //! 2. **Preemption** — a 2-worker server is saturated with low-priority
-//!    `sparc_tlu` jobs, then high-priority `sparc_ffu` jobs arrive. The
-//!    victims stop at a checkpoint boundary, the high jobs run, and the
-//!    victims resume from their checkpoints. Gates: preemptions and
-//!    resumes observed, everything completes.
+//!    `sparc_tlu` jobs; once both have entered their resynthesis loop
+//!    (observed on the event stream), high-priority `sparc_ffu` jobs
+//!    arrive. The victims stop at a checkpoint boundary, the high jobs
+//!    run, and the victims resume from their checkpoints. Gates:
+//!    preemptions and resumes observed, everything completes.
 //! 3. **Equivalence** — every unique (circuit, q) completed by phases
 //!    1–2 is re-run directly through `rsyn_core::run`; the server's
 //!    result digest (fault verdicts + all headline metrics, floats by
@@ -46,11 +48,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use rsyn_atpg::fault::FaultStatus;
 use rsyn_bench::{context_with_threads, threads_flag, write_manifest};
 use rsyn_circuits::build_benchmark_with;
-use rsyn_core::{run, FlowContext, FlowOptions};
+use rsyn_core::{run, DesignState, FlowContext, FlowOptions};
 use rsyn_netlist::Netlist;
-use rsyn_observe::events::{self, Delivery, StreamDigest, StreamRecord};
+use rsyn_observe::events::{self, Delivery, FlowEvent, StreamDigest, StreamRecord};
 use rsyn_observe::manifest::Run;
 use rsyn_resilience::inject::{self, InjectionPlan};
 use rsyn_resilience::BackoffPolicy;
@@ -73,10 +76,10 @@ const ROUNDS: usize = 5;
 
 /// The server-fate injection plan. Pickup ordinals 0 and 3 crash their
 /// worker, checkpoint-write ordinals 1 and 5 fail, four submission
-/// ordinals are shed (clients retry), and the first ATPG run's first
-/// eight faults get PODEM aborts (rescued by escalation, so results stay
-/// equivalent to a clean run).
-fn storm_plan() -> InjectionPlan {
+/// ordinals are shed (clients retry), and the first ATPG run aborts the
+/// PODEM searches of `podem_faults` (rescued by escalation, so results
+/// stay equivalent to a clean run).
+fn storm_plan(podem_faults: &BTreeSet<u64>) -> InjectionPlan {
     let mut plan = InjectionPlan::new()
         .crash_worker(0)
         .crash_worker(3)
@@ -86,10 +89,30 @@ fn storm_plan() -> InjectionPlan {
         .reject_submit(10)
         .reject_submit(25)
         .reject_submit(50);
-    for fault in 0..8 {
+    for &fault in podem_faults {
         plan = plan.abort_podem(0, fault);
     }
     plan
+}
+
+/// Fault indices that certainly reach PODEM in the seed analysis of each
+/// storm circuit: the first few that PODEM proves undetectable (no random
+/// pattern can detect them, whatever the seed). ATPG run 0 is the seed
+/// analysis of whichever storm job runs first, so its own circuit's sites
+/// fire; another circuit's sites either fire too or are never consulted.
+/// The probe analyses run on a thread of their own, so they record into
+/// that thread's recorder, not into the storm's manifest or event stream.
+fn podem_sites(ctx: &FlowContext, netlists: &BTreeMap<&str, Netlist>) -> BTreeSet<u64> {
+    let probe = || {
+        let mut sites = BTreeSet::new();
+        for nl in netlists.values() {
+            let statuses = DesignState::analyze(nl.clone(), ctx, None).expect("seed").atpg.statuses;
+            let proved = (0..statuses.len()).filter(|&i| statuses[i] == FaultStatus::Undetectable);
+            sites.extend(proved.take(4).map(|i| i as u64));
+        }
+        sites
+    };
+    std::thread::scope(|s| s.spawn(probe).join().expect("probe analyses"))
 }
 
 /// The phase-4 job set: small enough to run three times (1, 2, and 8
@@ -234,7 +257,7 @@ fn main() -> ExitCode {
         if injected { " (injection armed)" } else { "" },
     );
     let tap = StreamTap::start();
-    let armed = injected.then(|| inject::arm(storm_plan()));
+    let armed = injected.then(|| inject::arm(storm_plan(&podem_sites(&ctx, &netlists))));
     let mut cfg = ServerConfig::new(work.join("storm"));
     cfg.workers = 4;
     cfg.queue_capacity = 16;
@@ -440,6 +463,7 @@ fn main() -> ExitCode {
     let mut cfg = ServerConfig::new(work.join("preempt"));
     cfg.workers = 2;
     let server = Server::start(cfg, ctx.lib.clone());
+    let progress = events::subscribe_with_capacity(None, 1 << 16);
     let low: Vec<(String, JobHandle)> = [5.0, 6.0]
         .into_iter()
         .map(|q| {
@@ -450,15 +474,23 @@ fn main() -> ExitCode {
             (job_label("sparc_tlu", q), handle)
         })
         .collect();
-    // Wait until both low jobs have written their first checkpoint, so a
-    // preemption now is checkpoint-backed (the victim resumes from disk
-    // instead of restarting from scratch).
-    let checkpoint_wait = Instant::now();
-    while !low.iter().all(|(_, h)| server.has_checkpoint(h))
-        && checkpoint_wait.elapsed() < Duration::from_secs(120)
-    {
-        std::thread::sleep(Duration::from_millis(20));
+    // Wait until both low jobs have entered their resynthesis loop: each
+    // then holds a worker, has passed the stop check that precedes the
+    // loop, and is a whole iteration away from its first checkpoint
+    // boundary. High-priority jobs queued now find both workers busy and
+    // preempt both low jobs, which stop at a boundary after writing its
+    // checkpoint and later resume from it instead of restarting.
+    let low_keys: BTreeSet<u128> = low.iter().map(|(_, h)| h.key()).collect();
+    let mut in_loop: BTreeSet<u128> = BTreeSet::new();
+    let loop_wait = Instant::now();
+    while in_loop != low_keys && loop_wait.elapsed() < Duration::from_secs(120) {
+        if let Some(Delivery::Event(ev)) = progress.recv_timeout(Duration::from_millis(50)) {
+            if ev.data == (FlowEvent::StageEnter { stage: "flow.run" }) {
+                in_loop.insert(ev.job);
+            }
+        }
     }
+    drop(progress);
     let high: Vec<(String, JobHandle)> = [3.0, 4.0]
         .into_iter()
         .map(|q| {

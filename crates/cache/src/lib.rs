@@ -153,8 +153,8 @@ pub fn disk_root() -> Option<PathBuf> {
 
 /// Overrides the on-disk root (`None` disables the cache entirely).
 ///
-/// Process-global: callers in tests must hold
-/// `rsyn_observe::isolation_lock()` for the whole enabled window and
+/// Process-global: tests that call it serialise on a mutex of their own
+/// (one per test file), hold it for the whole enabled window, and
 /// restore `None` before releasing it.
 pub fn set_disk_root(root: Option<&Path>) {
     let mut slot = root_slot().lock().unwrap_or_else(|p| p.into_inner());
@@ -273,10 +273,17 @@ pub fn store(domain: Domain, key: u128, payload: &[u8]) {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that install a disk root or clear the memory
+    /// front — both are process-global.
+    fn root_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Serializes global-cache tests and scopes a disk root to the test
     /// body; restores the disabled state afterwards.
     fn with_scratch_root<R>(tag: &str, body: impl FnOnce(&Path) -> R) -> R {
-        let _iso = rsyn_observe::isolation_lock();
+        let _root = root_lock();
         let dir = std::env::temp_dir().join(format!("rsyn-cache-lib-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         clear_memory();
@@ -290,7 +297,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_is_inert() {
-        let _iso = rsyn_observe::isolation_lock();
+        let _root = root_lock();
         set_disk_root(None);
         clear_memory();
         assert!(!enabled());
@@ -345,7 +352,7 @@ mod tests {
         // bits — so an "unwritable RSYN_CACHE_DIR" is modelled as a path
         // whose parent is a regular *file*: `create_dir_all` fails with
         // NotADirectory for every uid.
-        let _iso = rsyn_observe::isolation_lock();
+        let _root = root_lock();
         let file =
             std::env::temp_dir().join(format!("rsyn-cache-lib-unwritable-{}", std::process::id()));
         std::fs::write(&file, b"i am a file, not a cache root").expect("plant file");

@@ -1,30 +1,31 @@
-//! The live event plane: a process-global broadcast bus streaming typed
-//! per-job [`FlowEvent`]s out of the flow driver, the ATPG shard loop,
-//! and the server's job lifecycle — so a long-running resynthesis job is
+//! The live event plane: a broadcast bus streaming typed per-job
+//! [`FlowEvent`]s out of the flow driver, the ATPG shard loop, and the
+//! server's job lifecycle — so a long-running resynthesis job is
 //! watchable *while it runs*, not only post-mortem through manifests.
 //!
 //! # Model
 //!
+//! Every recorder (see the crate root's scopes) carries one bus.
 //! Producers call [`publish`] (or [`publish_for`]) with a [`FlowEvent`];
-//! the bus stamps it with a global sequence number and the current job
-//! key (a thread-local set by [`job_scope`]) and fans it out to every
-//! live subscriber whose filter matches. Each subscriber owns a
-//! **bounded ring**: when a slow consumer falls behind, the oldest
-//! queued event is dropped and a drop tally accumulates; the next
-//! receive returns an explicit [`Delivery::Lagged`] marker carrying that
-//! tally *before* the next event. Publishing never blocks on consumers.
+//! the bus of the current scope's recorder stamps it with its next
+//! sequence number and the current job key (set by [`job_scope`]) and
+//! fans it out to every live subscriber whose filter matches. Each
+//! subscriber owns a **bounded ring**: when a slow consumer falls behind,
+//! the oldest queued event is dropped and a drop tally accumulates; the
+//! next receive returns an explicit [`Delivery::Lagged`] marker carrying
+//! that tally *before* the next event. Publishing never blocks on
+//! consumers.
 //!
 //! # Hot path
 //!
-//! With no subscribers, [`publish`] is one relaxed atomic load — flows
-//! that nobody watches pay nothing, and no sequence numbers are minted.
-//! The one high-frequency producer (per-shard ATPG completion,
-//! [`FlowEvent::is_hot`]) buffers into a thread-local vector (the same
-//! discipline as the metric buffers in the crate root) and flushes on
-//! the next non-hot publish from the same thread, keeping per-thread
-//! order intact — a job's `Terminal` event is always that thread's last.
-//! [`crate::flush`] drains the buffer too, so worker closures that
-//! already flush metrics as their last step also publish their events.
+//! With no subscribers, [`publish`] is one thread-local read and one
+//! relaxed atomic load — flows that nobody watches pay nothing, and no
+//! sequence numbers are minted. The one high-frequency producer
+//! (per-shard ATPG completion, [`FlowEvent::is_hot`]) buffers in the
+//! thread's record buffer (next to its metrics) and is delivered at the
+//! next non-hot publish from the same thread, keeping per-thread order
+//! intact — a job's `Terminal` event is always that thread's last — or
+//! whenever the buffer flushes ([`crate::flush`], a scope exit).
 //!
 //! # Determinism contract
 //!
@@ -42,14 +43,14 @@
 //! accepted iterations, but those were already streamed by the original
 //! run, exactly as their counters were already counted.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
+use crate::{Recorder, Records, Scope, ScopeGuard, State};
 
 /// Terminal verdict of a job, mirrored from the server's outcome
 /// taxonomy (labels match `JobOutcome::label`).
@@ -252,12 +253,12 @@ impl FlowEvent {
     }
 }
 
-/// A published event: the payload plus its global sequence number and
+/// A published event: the payload plus its sequence number and
 /// the job it belongs to (0 when published outside any job scope).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Event {
-    /// Global publish sequence (1-based; 0 marks an event constructed
-    /// while no subscriber existed, e.g. a stored terminal).
+    /// The recorder's publish sequence (1-based; 0 marks an event
+    /// constructed while no subscriber existed, e.g. a stored terminal).
     pub seq: u64,
     /// Content-addressed job key (0 = no job context).
     pub job: u128,
@@ -312,15 +313,10 @@ impl Delivery {
 // Bus
 // ---------------------------------------------------------------------------
 
-/// Live-subscriber count — the publish fast-path gate. Incremented and
-/// decremented under the subscriber-list lock; publishers read it with
-/// one relaxed load and return immediately at zero.
-static SUB_COUNT: AtomicUsize = AtomicUsize::new(0);
-
 /// Default per-subscriber ring capacity.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
-/// How many hot events a thread buffers before force-flushing.
+/// How many hot events a thread buffers before delivering them.
 const HOT_FLUSH_AT: usize = 256;
 
 struct SubState {
@@ -328,7 +324,7 @@ struct SubState {
     dropped: u64,
 }
 
-struct Subscriber {
+pub(crate) struct Subscriber {
     /// `Some(key)` delivers only that job's events.
     filter: Option<u128>,
     capacity: usize,
@@ -362,140 +358,74 @@ impl Subscriber {
     }
 }
 
-struct Bus {
-    subs: Mutex<Vec<Arc<Subscriber>>>,
-    seq: AtomicU64,
-    published: AtomicU64,
-}
-
-fn bus() -> &'static Bus {
-    static BUS: OnceLock<Bus> = OnceLock::new();
-    BUS.get_or_init(|| Bus {
-        subs: Mutex::new(Vec::new()),
-        seq: AtomicU64::new(0),
-        published: AtomicU64::new(0),
-    })
-}
-
-fn subs_lock() -> MutexGuard<'static, Vec<Arc<Subscriber>>> {
-    bus().subs.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Total events published to at least one live subscriber since process
-/// start (monotonic, never reset). The conservation invariant every
+/// Total events the current recorder's bus published to at least one live
+/// subscriber (monotonic, never reset). The conservation invariant every
 /// subscriber obeys: events it received + the sum of its `Lagged.dropped`
 /// markers + events filtered away from it == this delta over its
 /// lifetime. For an unfiltered subscriber that is `received + dropped ==
 /// published`.
 pub fn published() -> u64 {
-    bus().published.load(Ordering::Relaxed)
+    crate::with_buf(|scope, _| scope.recorder.published.load(Ordering::Relaxed)).unwrap_or(0)
 }
 
-/// Stamps and fans out one event now; no-op (and no sequence minted)
-/// without subscribers.
-fn deliver_now(job: u128, data: FlowEvent) -> Option<Event> {
-    let bus = bus();
-    let subs = bus.subs.lock().unwrap_or_else(PoisonError::into_inner);
-    if subs.is_empty() {
-        return None;
-    }
-    // Sequence assignment and fan-out happen under the subscriber-list
-    // lock, so every ring observes events in global sequence order.
-    let seq = bus.seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let event = Event { seq, job, data };
-    bus.published.fetch_add(1, Ordering::Relaxed);
-    for sub in subs.iter() {
-        if sub.wants(job) {
+/// Stamps and fans out the thread's buffered events, in order, to `rec`'s
+/// subscribers; returns the last one stamped. No sequence is minted
+/// without subscribers. The caller holds `rec`'s lock (`st`), so every
+/// ring observes events in sequence order.
+pub(crate) fn deliver_buffered(rec: &Recorder, st: &State, records: &mut Records) -> Option<Event> {
+    let mut last = None;
+    for (job, data) in records.events.drain(..).filter(|_| !st.subs.is_empty()) {
+        let seq = rec.published.fetch_add(1, Ordering::Relaxed) + 1;
+        let event = Event { seq, job, data };
+        for sub in st.subs.iter().filter(|sub| sub.wants(job)) {
             sub.push(event);
         }
+        last = Some(event);
     }
-    Some(event)
+    last
 }
 
 // ---------------------------------------------------------------------------
 // Job context + publish paths
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    static CURRENT_JOB: Cell<u128> = const { Cell::new(0) };
-    /// Thread-local buffer for hot events; the guard's drop is a
-    /// backstop flush for threads that exit without [`crate::flush`].
-    static HOT: RefCell<HotGuard> = const { RefCell::new(HotGuard(Vec::new())) };
-}
-
-struct HotGuard(Vec<(u128, FlowEvent)>);
-
-impl Drop for HotGuard {
-    fn drop(&mut self) {
-        for (job, data) in self.0.drain(..) {
-            deliver_now(job, data);
-        }
-    }
-}
-
-/// The job key events on this thread are attributed to (0 = none).
-pub fn current_job() -> u128 {
-    CURRENT_JOB.try_with(Cell::get).unwrap_or(0)
-}
-
-/// Guard returned by [`job_scope`]; restores the previous job key on
-/// drop (including during panic unwinding).
-pub struct JobScope {
-    prev: u128,
-}
-
 /// Attributes events published on this thread to `job` until the guard
-/// drops. Scopes nest; worker closures of a scoped thread pool capture
-/// the spawning thread's [`current_job`] and re-enter it.
+/// drops: the current scope with a new job key, same recorder. Scopes
+/// nest; worker closures capture [`crate::Scope::current`] and re-enter
+/// it, job key included.
 #[must_use = "the job context ends when the guard drops"]
-pub fn job_scope(job: u128) -> JobScope {
-    let prev = CURRENT_JOB
-        .try_with(|c| {
-            let prev = c.get();
-            c.set(job);
-            prev
-        })
-        .unwrap_or(0);
-    JobScope { prev }
-}
-
-impl Drop for JobScope {
-    fn drop(&mut self) {
-        let _ = CURRENT_JOB.try_with(|c| c.set(self.prev));
-    }
+pub fn job_scope(job: u128) -> ScopeGuard {
+    let mut scope = Scope::current();
+    scope.job = job;
+    scope.enter()
 }
 
 /// Publishes `data` under the current thread's job scope.
 pub fn publish(data: FlowEvent) {
-    publish_for(current_job(), data);
+    crate::with_buf(|scope, records| publish_in(scope, records, scope.job, data));
 }
 
-/// Publishes `data` for an explicit job key.
+/// Publishes `data` for an explicit job key to the current recorder's
+/// subscribers.
 ///
 /// Fast path: one relaxed load when no subscriber exists. Suppressed
 /// while [`crate::is_paused`] (checkpoint replay — the original run
 /// already streamed those events). Hot events buffer thread-locally; a
-/// non-hot publish flushes the thread's buffer first, so per-thread
-/// order (and terminal-last) is preserved.
+/// non-hot publish delivers behind the thread's buffered ones, so
+/// per-thread order (and terminal-last) is preserved.
 pub fn publish_for(job: u128, data: FlowEvent) {
-    if SUB_COUNT.load(Ordering::Relaxed) == 0 || crate::is_paused() {
+    crate::with_buf(|scope, records| publish_in(scope, records, job, data));
+}
+
+fn publish_in(scope: &Scope, records: &mut Records, job: u128, data: FlowEvent) {
+    let rec = &*scope.recorder;
+    if rec.subscribers.load(Ordering::Relaxed) == 0 || rec.paused() {
         return;
     }
-    if data.is_hot() {
-        let buffered = HOT
-            .try_with(|cell| {
-                let buf = &mut cell.borrow_mut().0;
-                buf.push((job, data));
-                buf.len() >= HOT_FLUSH_AT
-            })
-            .unwrap_or(false);
-        if buffered {
-            flush_thread();
-        }
-        return;
+    records.events.push((job, data));
+    if !data.is_hot() || records.events.len() >= HOT_FLUSH_AT {
+        deliver_buffered(rec, &rec.lock(), records);
     }
-    flush_thread();
-    deliver_now(job, data);
 }
 
 /// Publishes `data` and returns the stamped [`Event`] — the terminal
@@ -504,19 +434,12 @@ pub fn publish_for(job: u128, data: FlowEvent) {
 /// carries `seq == 0` and nothing is delivered. Not suppressed by
 /// [`crate::is_paused`]: a terminal must always reach the store.
 pub fn publish_for_returning(job: u128, data: FlowEvent) -> Event {
-    flush_thread();
-    deliver_now(job, data).unwrap_or(Event { seq: 0, job, data })
-}
-
-/// Drains this thread's hot-event buffer into the bus. Called by
-/// [`crate::flush`]; worker closures flushing metrics as their last step
-/// publish their buffered events through the same call.
-pub(crate) fn flush_thread() {
-    let _ = HOT.try_with(|cell| {
-        for (job, data) in cell.borrow_mut().0.drain(..) {
-            deliver_now(job, data);
-        }
-    });
+    crate::with_buf(|scope, records| {
+        records.events.push((job, data));
+        deliver_buffered(&scope.recorder, &scope.recorder.lock(), records)
+    })
+    .flatten()
+    .unwrap_or(Event { seq: 0, job, data })
 }
 
 // ---------------------------------------------------------------------------
@@ -526,11 +449,12 @@ pub(crate) fn flush_thread() {
 /// A subscriber's receiving half. Dropping it unsubscribes.
 pub struct EventReceiver {
     sub: Arc<Subscriber>,
+    recorder: Arc<Recorder>,
 }
 
-/// Subscribes to the event plane with the default ring capacity.
-/// `filter: Some(key)` delivers only that job's events; `None` delivers
-/// everything.
+/// Subscribes to the current recorder's event bus with the default ring
+/// capacity. `filter: Some(key)` delivers only that job's events; `None`
+/// delivers everything.
 pub fn subscribe(filter: Option<u128>) -> EventReceiver {
     subscribe_with_capacity(filter, DEFAULT_CAPACITY)
 }
@@ -545,11 +469,10 @@ pub fn subscribe_with_capacity(filter: Option<u128>, capacity: usize) -> EventRe
         state: Mutex::new(SubState { queue: VecDeque::new(), dropped: 0 }),
         cv: Condvar::new(),
     });
-    let mut subs = subs_lock();
-    subs.push(Arc::clone(&sub));
-    SUB_COUNT.fetch_add(1, Ordering::Relaxed);
-    drop(subs);
-    EventReceiver { sub }
+    let recorder = Scope::current().recorder;
+    recorder.lock().subs.push(Arc::clone(&sub));
+    recorder.subscribers.fetch_add(1, Ordering::Relaxed);
+    EventReceiver { sub, recorder }
 }
 
 impl EventReceiver {
@@ -604,9 +527,8 @@ impl EventReceiver {
 
 impl Drop for EventReceiver {
     fn drop(&mut self) {
-        let mut subs = subs_lock();
-        subs.retain(|s| !Arc::ptr_eq(s, &self.sub));
-        SUB_COUNT.fetch_sub(1, Ordering::Relaxed);
+        self.recorder.lock().subs.retain(|s| !Arc::ptr_eq(s, &self.sub));
+        self.recorder.subscribers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -621,7 +543,7 @@ impl Drop for EventReceiver {
 pub enum StreamRecord {
     /// A published event.
     Event {
-        /// Global publish sequence.
+        /// Publish sequence.
         seq: u64,
         /// Job key.
         job: u128,
@@ -912,7 +834,6 @@ mod tests {
 
     #[test]
     fn publish_without_subscribers_mints_no_sequence() {
-        let _g = crate::isolation_lock();
         let before = published();
         publish_for(7, iteration(1));
         publish_for(7, FlowEvent::ShardDone { shard: 0, faults: 64 });
@@ -922,7 +843,6 @@ mod tests {
 
     #[test]
     fn drop_oldest_lag_accounting_conserves() {
-        let _g = crate::isolation_lock();
         let rx = subscribe_with_capacity(Some(42), 4);
         let before = published();
         for i in 1..=10 {
@@ -959,7 +879,6 @@ mod tests {
 
     #[test]
     fn filters_isolate_jobs_and_sequences_are_shared() {
-        let _g = crate::isolation_lock();
         let rx_a = subscribe(Some(1));
         let rx_b = subscribe(Some(2));
         publish_for(1, FlowEvent::StageEnter { stage: "flow.run" });
@@ -974,12 +893,11 @@ mod tests {
         };
         assert_eq!(ea.job, 1);
         assert_eq!(eb.job, 2);
-        assert!(eb.seq > ea.seq, "one global sequence across jobs");
+        assert!(eb.seq > ea.seq, "one sequence across jobs");
     }
 
     #[test]
     fn hot_events_buffer_until_a_non_hot_publish_or_flush() {
-        let _g = crate::isolation_lock();
         let rx = subscribe(Some(9));
         publish_for(9, FlowEvent::ShardDone { shard: 0, faults: 8 });
         assert!(rx.try_recv().is_none(), "hot events buffer thread-locally");
@@ -999,21 +917,21 @@ mod tests {
 
     #[test]
     fn job_scope_nests_and_restores() {
-        assert_eq!(current_job(), 0);
+        let job = || Scope::current().job;
+        assert_eq!(job(), 0);
         let outer = job_scope(5);
-        assert_eq!(current_job(), 5);
+        assert_eq!(job(), 5);
         {
             let _inner = job_scope(6);
-            assert_eq!(current_job(), 6);
+            assert_eq!(job(), 6);
         }
-        assert_eq!(current_job(), 5);
+        assert_eq!(job(), 5);
         drop(outer);
-        assert_eq!(current_job(), 0);
+        assert_eq!(job(), 0);
     }
 
     #[test]
     fn publish_is_suppressed_while_paused_but_returning_terminals_are_not() {
-        let _g = crate::isolation_lock();
         let rx = subscribe(Some(11));
         {
             let _p = crate::pause();
@@ -1028,7 +946,6 @@ mod tests {
 
     #[test]
     fn returning_publish_without_subscribers_carries_seq_zero() {
-        let _g = crate::isolation_lock();
         let before = published();
         let ev =
             publish_for_returning(13, FlowEvent::Terminal { outcome: TerminalOutcome::Completed });
@@ -1039,7 +956,6 @@ mod tests {
 
     #[test]
     fn seeding_replays_a_stored_terminal() {
-        let _g = crate::isolation_lock();
         let stored = Event {
             seq: 0,
             job: 21,

@@ -166,24 +166,19 @@ impl Hist {
 /// counters: histogram samples from replayed iterations are already in the
 /// restored checkpoint snapshot.
 pub fn hist_add(name: &'static str, value: u64) {
-    if crate::paused() {
-        return;
-    }
-    crate::with_local(
-        |l| match l.hists.iter_mut().find(|(k, _)| *k == name) {
+    crate::with_buf(|scope, records| {
+        if scope.recorder.paused() {
+            return;
+        }
+        match records.hists.iter_mut().find(|(k, _)| *k == name) {
             Some((_, h)) => h.record(value),
             None => {
                 let mut h = Hist::default();
                 h.record(value);
-                l.hists.push((name, h));
+                records.hists.push((name, h));
             }
-        },
-        || {
-            let mut h = Hist::default();
-            h.record(value);
-            merge_into_counters(&mut crate::lock().counters, name, &h);
-        },
-    );
+        }
+    });
 }
 
 /// Merges a histogram into the counter-map encoding (adds for count, sum,

@@ -1,11 +1,11 @@
 //! Flow-wide observability: stage spans, monotonic counters, latency
-//! histograms, structured traces, and JSON run manifests — with zero
-//! dependencies, so every crate of the workspace can emit metrics without
-//! widening its API.
+//! histograms, structured traces, live events, and JSON run manifests —
+//! with zero dependencies, so every crate of the workspace can emit
+//! metrics without widening its API.
 //!
 //! # Model
 //!
-//! A process-global registry holds three kinds of metrics:
+//! A recorder holds three kinds of metrics:
 //!
 //! * **Counters** (`u64`, [`add`]) are *deterministic*: for a fixed seed
 //!   and input they must not depend on the worker-thread count, the
@@ -32,29 +32,39 @@
 //! stages whose call count is *not* thread-count independent (checkpoint
 //! writes on a resumed run, for example).
 //!
+//! The same recorder also holds the pause depth ([`pause`]), the
+//! collected [`trace`] events, and the subscribers of the [`events`] bus.
+//!
+//! # Scopes
+//!
+//! Every thread records into the recorder of its current [`Scope`]: a
+//! recorder plus the job key that [`events`] are attributed to. A thread
+//! that never entered a scope records into a recorder of its own, created
+//! on first use, so independent flows (and tests) on separate threads
+//! never see each other's counts. A thread pool shares its spawner's
+//! recorder by capturing [`Scope::current`] and entering it at the top of
+//! each worker closure; [`events::job_scope`] keeps the recorder and
+//! changes only the job key.
+//!
 //! # Hot path
 //!
-//! Span and counter keys are `&'static str`; every record lands in a
-//! thread-local buffer (no global mutex, no `String` allocation). Buffers
-//! flush into the global registry whenever the owning thread reads a
-//! snapshot ([`counters`], [`volatiles`], [`counter`]) or calls [`flush`]
-//! — which worker closures do as their last step, since thread-local
-//! destructors (the backstop flush) may run after the spawning thread's
-//! join returns. [`lock_acquisitions`] counts global-registry lock
-//! acquisitions so tests can assert the hot path stays off the lock.
+//! Span and counter keys are `&'static str`; every record lands in one
+//! thread-local buffer (no lock, no `String` allocation): counters, span
+//! aggregates and histograms aggregated per key, trace events while the
+//! recorder's trace is armed, and high-frequency flow events. The buffer
+//! publishes into the recorder under one lock when the thread reads a
+//! snapshot ([`counters`], [`volatiles`], [`counter`]), calls [`flush`],
+//! or leaves a scope — dropping a [`ScopeGuard`] flushes, so a worker
+//! that entered its spawner's scope has published before its thread
+//! joins. [`lock_acquisitions`] counts recorder lock acquisitions so
+//! tests can assert the hot path stays off the lock.
 //!
-//! [`manifest::Run`] snapshots the registry into a [`manifest::Manifest`]
+//! [`manifest::Run`] snapshots the recorder into a [`manifest::Manifest`]
 //! — the machine-readable record a benchmark binary writes to
 //! `results/manifest-<name>.json` and CI diffs against a checked-in
 //! baseline (`check_manifest`). Everything outside the manifest's
 //! `timings` object is byte-reproducible for a fixed seed, across thread
 //! counts.
-//!
-//! # Tests that snapshot the registry
-//!
-//! The registry is process-global; integration tests that compare
-//! snapshots must hold [`isolation_lock`] so concurrently running tests in
-//! the same process cannot interleave their counts.
 
 pub mod events;
 pub mod hist;
@@ -64,59 +74,118 @@ pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 pub use hist::{hist_add, Hist};
 pub use manifest::{Manifest, Run};
 
+use events::{FlowEvent, Subscriber};
+use trace::TraceEvent;
+
+/// Everything one scope records into: the registry, the trace list, the
+/// event bus's subscribers, plus the lock-free pause depth, trace switch,
+/// and lock tally.
 #[derive(Default)]
-struct Registry {
+struct Recorder {
+    state: Mutex<State>,
+    /// Recorder lock acquisitions — the observability of the
+    /// observability layer. Tests assert hot-path records do not move it.
+    locks: AtomicU64,
+    /// Depth of active [`pause`] guards; counter and deterministic-histogram
+    /// writes are dropped *at record time* while non-zero (volatile metrics
+    /// keep recording — they are never compared).
+    paused: AtomicUsize,
+    /// True while the trace is armed ([`trace::start`]).
+    tracing: AtomicBool,
+    /// Live-subscriber count — the publish fast-path gate, changed under
+    /// the lock and read with one relaxed load.
+    subscribers: AtomicUsize,
+    /// Events delivered to at least one subscriber; also the last minted
+    /// sequence number (assigned under the lock).
+    published: AtomicU64,
+}
+
+#[derive(Default)]
+struct State {
     counters: BTreeMap<String, u64>,
     volatiles: BTreeMap<String, f64>,
     /// Volatile wall-time histograms, one per span name, in nanoseconds.
     wall_hists: BTreeMap<String, Hist>,
+    /// Trace events collected since [`trace::start`].
+    trace: Vec<TraceEvent>,
+    subs: Vec<Arc<Subscriber>>,
 }
 
-/// Depth of active [`pause`] guards; counter and deterministic-histogram
-/// writes are dropped *at record time* while non-zero (volatile metrics
-/// keep recording — they are never compared).
-static PAUSED: AtomicUsize = AtomicUsize::new(0);
+impl Recorder {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.locks.fetch_add(1, Ordering::Relaxed);
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Bumped by [`reset`]; thread-local buffers stamped with an older epoch
-/// are discarded instead of flushed, so a stale buffer from a previous run
-/// cannot leak counts into the next one.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Global-registry lock acquisitions — the observability of the
-/// observability layer. Tests assert hot-path records do not move it.
-static LOCK_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
-
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+    fn paused(&self) -> bool {
+        self.paused.load(Ordering::Acquire) > 0
+    }
 }
 
-fn lock() -> MutexGuard<'static, Registry> {
-    LOCK_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
-    registry().lock().unwrap_or_else(PoisonError::into_inner)
+/// Where a thread records: a recorder and the job key its events carry.
+///
+/// Capture the current one with [`Scope::current`] and re-enter it on
+/// another thread with [`Scope::enter`]: that is how worker threads record
+/// into their spawner's registry, trace, and event bus.
+#[derive(Clone, Default)]
+pub struct Scope {
+    recorder: Arc<Recorder>,
+    job: u128,
 }
 
-fn paused() -> bool {
-    PAUSED.load(Ordering::Acquire) > 0
+impl Scope {
+    /// The calling thread's scope (its own recorder if it never entered
+    /// one).
+    pub fn current() -> Scope {
+        with_buf(|scope, _| scope.clone()).unwrap_or_default()
+    }
+
+    /// Makes this the calling thread's scope until the guard drops.
+    /// Records already buffered are published to the previous scope first.
+    #[must_use = "the scope ends when the guard drops"]
+    pub fn enter(&self) -> ScopeGuard {
+        let prev = BUF
+            .try_with(|cell| {
+                let mut buf = cell.borrow_mut();
+                buf.flush();
+                buf.scope.replace(self.clone())
+            })
+            .ok()
+            .flatten();
+        ScopeGuard { prev, _thread: PhantomData }
+    }
 }
 
-/// Number of times the global registry lock has been taken since process
-/// start. Monotonic and never reset: stress tests snapshot it around a hot
-/// loop to prove spans/counters/histograms buffer thread-locally instead
-/// of hitting the mutex per call.
-pub fn lock_acquisitions() -> u64 {
-    LOCK_ACQUISITIONS.load(Ordering::Relaxed)
+/// Guard returned by [`Scope::enter`] and [`events::job_scope`]. Dropping
+/// it (also during panic unwinding) flushes the thread's buffer into the
+/// scope's recorder and restores the previous scope.
+pub struct ScopeGuard {
+    prev: Option<Scope>,
+    /// Scopes are per-thread state: the guard must drop on its thread.
+    _thread: PhantomData<*const ()>,
 }
 
-/// Per-span thread-local aggregate: the deterministic call tally and the
-/// volatile wall-clock sum + histogram, merged into the registry at flush.
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        let _ = BUF.try_with(|cell| {
+            let mut buf = cell.borrow_mut();
+            buf.flush();
+            buf.scope = prev;
+        });
+    }
+}
+
+/// Per-span buffered aggregate: the deterministic call tally and the
+/// volatile wall-clock sum + histogram, merged into the recorder at flush.
 #[derive(Default)]
 struct SpanAgg {
     calls: u64,
@@ -124,116 +193,144 @@ struct SpanAgg {
     wall: Hist,
 }
 
-/// One thread's metric buffer. Keys are `&'static str`, so lookups are a
-/// short linear scan over pointer-comparable keys and recording allocates
-/// nothing after the first touch of a key.
+/// One thread's records since its last flush. Keys are `&'static str`, so
+/// lookups are a short linear scan over pointer-comparable keys and
+/// recording allocates nothing after the first touch of a key.
 #[derive(Default)]
-struct Local {
-    epoch: u64,
+struct Records {
+    /// Stable trace thread id.
+    tid: u64,
     counters: Vec<(&'static str, u64)>,
     spans: Vec<(&'static str, SpanAgg)>,
     hists: Vec<(&'static str, Hist)>,
+    trace: Vec<TraceEvent>,
+    /// Flow events not yet delivered, with their job key.
+    events: Vec<(u128, FlowEvent)>,
 }
 
-impl Local {
+impl Records {
+    fn count(&mut self, name: &'static str, n: u64) {
+        match self.counters.iter_mut().find(|(k, _)| *k == name) {
+            Some((_, v)) => *v += n,
+            None => self.counters.push((name, n)),
+        }
+    }
+
     fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.spans.is_empty() && self.hists.is_empty()
+        self.counters.is_empty()
+            && self.spans.is_empty()
+            && self.hists.is_empty()
+            && self.trace.is_empty()
+            && self.events.is_empty()
     }
 
-    fn clear(&mut self) {
-        self.counters.clear();
-        self.spans.clear();
-        self.hists.clear();
-    }
-
-    /// Merges this buffer into the global registry (one lock) and clears
-    /// it. Buffers stamped with a stale epoch are discarded: a [`reset`]
-    /// happened after they recorded, so their counts belong to a finished
-    /// run.
-    fn flush_into_registry(&mut self) {
-        if self.is_empty() {
-            return;
-        }
-        let mut r = lock();
-        if self.epoch != EPOCH.load(Ordering::Acquire) {
-            self.clear();
-            return;
-        }
+    /// Merges everything buffered into `rec` under one lock, clears the
+    /// buffer, and returns the still-held lock.
+    fn publish<'r>(&mut self, rec: &'r Recorder) -> MutexGuard<'r, State> {
+        let mut st = rec.lock();
         for &(name, n) in &self.counters {
-            *r.counters.entry(name.to_string()).or_insert(0) += n;
+            *st.counters.entry(name.to_string()).or_insert(0) += n;
         }
         for (name, agg) in &self.spans {
             if agg.calls > 0 {
-                *r.counters.entry(format!("span.{name}.calls")).or_insert(0) += agg.calls;
+                *st.counters.entry(format!("span.{name}.calls")).or_insert(0) += agg.calls;
             }
-            *r.volatiles.entry(format!("span.{name}.wall_ms")).or_insert(0.0) += agg.wall_ms;
-            r.wall_hists.entry((*name).to_string()).or_default().merge(&agg.wall);
+            *st.volatiles.entry(format!("span.{name}.wall_ms")).or_insert(0.0) += agg.wall_ms;
+            st.wall_hists.entry((*name).to_string()).or_default().merge(&agg.wall);
         }
         for (name, h) in &self.hists {
-            hist::merge_into_counters(&mut r.counters, name, h);
+            hist::merge_into_counters(&mut st.counters, name, h);
         }
-        drop(r);
-        self.clear();
+        self.counters.clear();
+        self.spans.clear();
+        self.hists.clear();
+        st.trace.append(&mut self.trace);
+        events::deliver_buffered(rec, &st, self);
+        st
+    }
+
+    /// Appends one complete trace event when `rec`'s trace is armed.
+    fn trace(&mut self, rec: &Recorder, name: &'static str, id: Option<u64>, start: Instant) {
+        if rec.tracing.load(Ordering::Relaxed) {
+            let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+            self.trace.push(TraceEvent {
+                name,
+                tid: self.tid,
+                ts_ns: ns(start.saturating_duration_since(trace::anchor())),
+                dur_ns: ns(start.elapsed()),
+                id,
+            });
+        }
     }
 }
 
-/// The buffer lives behind a drop guard so a thread flushes its counts
-/// when it exits. This is a *backstop*, not a publication guarantee:
-/// thread-local destructors may run after `JoinHandle::join` (and after a
-/// `thread::scope` join) returns, so worker closures that must publish
-/// before the spawning thread reads call [`flush`] explicitly as their
-/// last step.
-struct LocalGuard(Local);
+/// The thread-local buffer: the thread's current scope (created on first
+/// use) and its unpublished records. Dropping it at thread exit is the
+/// backstop flush.
+struct Buf {
+    scope: Option<Scope>,
+    records: Records,
+}
 
-impl Drop for LocalGuard {
+impl Buf {
+    fn flush(&mut self) {
+        if let (Some(scope), false) = (&self.scope, self.records.is_empty()) {
+            drop(self.records.publish(&scope.recorder));
+        }
+    }
+}
+
+impl Drop for Buf {
     fn drop(&mut self) {
-        self.0.flush_into_registry();
+        self.flush();
     }
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalGuard> = RefCell::new(LocalGuard(Local::default()));
+    static BUF: RefCell<Buf> = RefCell::new(Buf {
+        scope: None,
+        records: Records { tid: trace::next_tid(), ..Records::default() },
+    });
 }
 
-/// Runs `f` on this thread's buffer, re-syncing its epoch first. During
-/// thread-local teardown (another TLS destructor dropping a [`Span`]) the
-/// buffer may already be gone; `fallback` then applies the record straight
-/// to the registry so nothing is lost.
-fn with_local(f: impl FnOnce(&mut Local), fallback: impl FnOnce()) {
-    let used_local = LOCAL
-        .try_with(|cell| {
-            let mut guard = cell.borrow_mut();
-            let local = &mut guard.0;
-            let epoch = EPOCH.load(Ordering::Acquire);
-            if local.epoch != epoch {
-                local.clear();
-                local.epoch = epoch;
-            }
-            f(local);
-        })
-        .is_ok();
-    if !used_local {
-        fallback();
-    }
+/// Runs `f` on the calling thread's scope and buffer. `None` once the
+/// thread's buffer has been destroyed (thread exit): such late records
+/// are dropped.
+fn with_buf<R>(f: impl FnOnce(&Scope, &mut Records) -> R) -> Option<R> {
+    BUF.try_with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let Buf { scope, records } = &mut *buf;
+        f(scope.get_or_insert_with(Scope::default), records)
+    })
+    .ok()
 }
 
-/// Flushes this thread's buffered metrics into the global registry and
-/// its buffered trace events into the global trace.
-///
-/// Reads ([`counters`], [`volatiles`], [`counter`], [`Run::finish`]) flush
-/// the calling thread automatically. **Worker threads must call this as
-/// the last step of their closure**: the thread-local drop backstop may
-/// run after the spawning thread's join returns, too late for a snapshot
-/// taken right after the scope. (The `atpg` engine's worker loop does
-/// this; copy the pattern for any new thread pool.)
+/// Runs `f` on the current recorder's state, after publishing the
+/// calling thread's buffer into it (one lock in all).
+fn with_state<R: Default>(f: impl FnOnce(&Recorder, &mut State) -> R) -> R {
+    with_buf(|scope, records| f(&scope.recorder, &mut records.publish(&scope.recorder)))
+        .unwrap_or_default()
+}
+
+/// Number of times the current recorder's lock has been taken since the
+/// recorder was created. Monotonic and never reset: stress tests snapshot
+/// it around a hot loop to prove spans/counters/histograms buffer
+/// thread-locally instead of hitting the mutex per call.
+pub fn lock_acquisitions() -> u64 {
+    with_buf(|scope, _| scope.recorder.locks.load(Ordering::Relaxed)).unwrap_or(0)
+}
+
+/// Publishes the calling thread's buffered metrics, trace events, and
+/// hot flow events into its scope's recorder. Reads ([`counters`],
+/// [`volatiles`], [`counter`], [`Run::finish`]) and scope exits do this
+/// implicitly.
 pub fn flush() {
-    let _ = LOCAL.try_with(|cell| cell.borrow_mut().0.flush_into_registry());
-    trace::flush_thread();
-    events::flush_thread();
+    let _ = BUF.try_with(|cell| cell.borrow_mut().flush());
 }
 
-/// Clears every counter, histogram, and volatile metric (the start of a
-/// run) and invalidates all thread-local buffers.
+/// Clears every counter, histogram, and volatile metric of the current
+/// recorder (the start of a run), the calling thread's buffered ones
+/// included.
 ///
 /// # Invariant
 ///
@@ -242,38 +339,36 @@ pub fn flush() {
 /// `paused == 0`; release builds recover by force-clearing the pause depth
 /// so a leak cannot poison subsequent bench legs.
 pub fn reset() {
-    let leaked = PAUSED.swap(0, Ordering::AcqRel);
-    debug_assert!(leaked == 0, "rsyn_observe::reset() with a live PauseGuard (depth {leaked})");
-    EPOCH.fetch_add(1, Ordering::AcqRel);
-    let mut r = lock();
-    r.counters.clear();
-    r.volatiles.clear();
-    r.wall_hists.clear();
+    with_state(|rec, st| {
+        let leaked = rec.paused.swap(0, Ordering::AcqRel);
+        debug_assert!(leaked == 0, "rsyn_observe::reset() with a live PauseGuard (depth {leaked})");
+        st.counters.clear();
+        st.volatiles.clear();
+        st.wall_hists.clear();
+    });
 }
 
 /// Adds `n` to the deterministic counter `name`, creating it at zero.
+/// Zero increments create no counter.
 pub fn add(name: &'static str, n: u64) {
-    if n == 0 || paused() {
-        return;
+    if n > 0 {
+        with_buf(|scope, records| {
+            if !scope.recorder.paused() {
+                records.count(name, n);
+            }
+        });
     }
-    with_local(
-        |l| match l.counters.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, v)) => *v += n,
-            None => l.counters.push((name, n)),
-        },
-        || {
-            *lock().counters.entry(name.to_string()).or_insert(0) += n;
-        },
-    );
 }
 
 /// Adds a batch of counter increments in one call — the flush primitive
 /// for per-shard accumulators on the hot path. Increments land in the
 /// thread-local buffer; no lock is taken.
 pub fn add_many(entries: &[(&'static str, u64)]) {
-    for &(name, n) in entries {
-        add(name, n);
-    }
+    with_buf(|scope, records| {
+        if !scope.recorder.paused() {
+            entries.iter().filter(|e| e.1 > 0).for_each(|&(name, n)| records.count(name, n));
+        }
+    });
 }
 
 /// Publishes a pre-aggregated histogram under `name`, merging it into the
@@ -283,42 +378,47 @@ pub fn add_many(entries: &[(&'static str, u64)]) {
 /// [`Hist`] — e.g. a server sampling its queue depth per enqueue — and
 /// publish once at shutdown instead of paying a record per sample. The
 /// name is dynamic (no `&'static str` requirement) because the merge goes
-/// straight to the registry, bypassing the thread-local buffer. Empty
-/// histograms and paused windows record nothing.
+/// straight to the recorder. Empty histograms and paused windows record
+/// nothing.
 pub fn record_hist(name: &str, h: &Hist) {
-    if h.is_empty() || paused() {
-        return;
-    }
-    hist::merge_into_counters(&mut lock().counters, name, h);
+    with_state(|rec, st| {
+        if !rec.paused() {
+            hist::merge_into_counters(&mut st.counters, name, h);
+        }
+    });
 }
 
 /// Suspends deterministic-counter (and deterministic-histogram) recording
-/// until the guard drops.
+/// in the current recorder until the guard drops.
 ///
 /// Checkpoint *replay* uses this: resuming a run re-executes the accepted
 /// iterations to rebuild the in-memory design state, but those iterations
 /// were already counted by the original run — the checkpoint carries their
 /// counter snapshot ([`restore_counters`]). Pausing while replaying keeps
 /// the resumed manifest byte-identical to the uninterrupted one. Guards
-/// nest; volatile metrics and spans' wall-clock halves keep recording.
-/// Pausing is checked *at record time*, so records buffered before a pause
-/// still flush normally.
+/// nest and cover every thread recording into the same recorder; volatile
+/// metrics and spans' wall-clock halves keep recording. Pausing is checked
+/// *at record time*, so records buffered before a pause still flush
+/// normally.
 #[must_use = "recording resumes as soon as the guard drops"]
 pub fn pause() -> PauseGuard {
-    PAUSED.fetch_add(1, Ordering::AcqRel);
-    PauseGuard(())
+    let rec = with_buf(|scope, _| Arc::clone(&scope.recorder)).unwrap_or_default();
+    rec.paused.fetch_add(1, Ordering::AcqRel);
+    PauseGuard(rec)
 }
 
 /// Guard returned by [`pause`]; counter recording resumes when it drops.
-pub struct PauseGuard(());
+pub struct PauseGuard(Arc<Recorder>);
 
 impl Drop for PauseGuard {
     fn drop(&mut self) {
         // Saturating: `reset` force-clears a leaked pause depth, so a
         // stale guard dropping afterwards must not underflow into a new
         // multi-billion pause.
-        let _ =
-            PAUSED.fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| Some(p.saturating_sub(1)));
+        let _ = self
+            .0
+            .paused
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| Some(p.saturating_sub(1)));
     }
 }
 
@@ -327,12 +427,10 @@ impl Drop for PauseGuard {
 /// the decision log under [`pause`], the resumed process continues from
 /// exactly the counts the original run had at checkpoint time. Because
 /// deterministic histograms are encoded in the counter namespace, they are
-/// restored by the same call.
+/// restored by the same call. The calling thread's buffered counts are
+/// folded in first, and so replaced too.
 pub fn restore_counters(snapshot: &BTreeMap<String, u64>) {
-    // Flush first so pre-restore buffered counts are folded in (and then
-    // replaced) rather than leaking into the restored state later.
-    flush();
-    lock().counters = snapshot.clone();
+    with_state(|_, st| st.counters = snapshot.clone());
 }
 
 /// Adds a batch of *dynamic-name* counter deltas — the restore half of a
@@ -349,80 +447,63 @@ pub fn restore_counters(snapshot: &BTreeMap<String, u64>) {
 /// the same keys as the original run's.
 ///
 /// Dynamic keys cannot use the `&'static str` thread-local fast path, so
-/// this writes through to the registry. Like [`add`], it is dropped
+/// this writes through to the recorder. Like [`add`], it is dropped
 /// entirely while paused ([`pause`]): during checkpoint replay the
 /// original run's counters arrive via [`restore_counters`] instead.
 pub fn add_counters(entries: &BTreeMap<String, u64>) {
-    if entries.is_empty() || paused() {
-        return;
-    }
-    let mut r = lock();
-    for (name, n) in entries {
-        if name.starts_with("hist.") && name.ends_with(".min") {
-            let e = r.counters.entry(name.clone()).or_insert(*n);
-            *e = (*e).min(*n);
-        } else if name.starts_with("hist.") && name.ends_with(".max") {
-            let e = r.counters.entry(name.clone()).or_insert(*n);
-            *e = (*e).max(*n);
-        } else {
-            *r.counters.entry(name.clone()).or_insert(0) += n;
+    with_state(|rec, st| {
+        if rec.paused() {
+            return;
         }
-    }
+        for (name, n) in entries {
+            if name.starts_with("hist.") && name.ends_with(".min") {
+                let e = st.counters.entry(name.clone()).or_insert(*n);
+                *e = (*e).min(*n);
+            } else if name.starts_with("hist.") && name.ends_with(".max") {
+                let e = st.counters.entry(name.clone()).or_insert(*n);
+                *e = (*e).max(*n);
+            } else {
+                *st.counters.entry(name.clone()).or_insert(0) += n;
+            }
+        }
+    });
 }
 
-/// True while a [`pause`] guard is live. Callers that persist counter
-/// deltas (the cross-run verdict cache) consult this to avoid storing
-/// deltas measured while recording was suspended — such a delta would be
-/// empty and would poison every later cache hit.
+/// True while a [`pause`] guard of the current recorder is live. Callers
+/// that persist counter deltas (the cross-run verdict cache) consult this
+/// to avoid storing deltas measured while recording was suspended — such
+/// a delta would be empty and would poison every later cache hit.
 pub fn is_paused() -> bool {
-    paused()
+    with_buf(|scope, _| scope.recorder.paused()).unwrap_or(false)
 }
 
 /// Adds `v` to the volatile (non-deterministic) metric `name`.
 ///
 /// Volatile keys may be dynamic (`atpg.worker3.busy_ms`), so this writes
-/// through to the registry; it is meant for per-worker / per-run
+/// through to the recorder; it is meant for per-worker / per-run
 /// frequencies, not per-fault hot paths.
 pub fn volatile_add(name: &str, v: f64) {
-    *lock().volatiles.entry(name.to_string()).or_insert(0.0) += v;
+    with_state(|_, st| *st.volatiles.entry(name.to_string()).or_insert(0.0) += v);
 }
 
 /// Sets the volatile metric `name` to `v` (last write wins).
 pub fn volatile_set(name: &str, v: f64) {
-    lock().volatiles.insert(name.to_string(), v);
+    with_state(|_, st| st.volatiles.insert(name.to_string(), v));
 }
 
 /// Snapshot of all deterministic counters (this thread's buffer included).
 pub fn counters() -> BTreeMap<String, u64> {
-    flush();
-    lock().counters.clone()
+    with_state(|_, st| st.counters.clone())
 }
 
 /// Snapshot of all volatile metrics (this thread's buffer included).
 pub fn volatiles() -> BTreeMap<String, f64> {
-    flush();
-    lock().volatiles.clone()
-}
-
-/// Snapshot of the volatile wall-time histograms, keyed by span name,
-/// values in nanoseconds.
-pub fn wall_hists() -> BTreeMap<String, Hist> {
-    flush();
-    lock().wall_hists.clone()
+    with_state(|_, st| st.volatiles.clone())
 }
 
 /// One counter's current value (0 when never touched).
 pub fn counter(name: &str) -> u64 {
-    flush();
-    lock().counters.get(name).copied().unwrap_or(0)
-}
-
-/// Serialises registry-snapshot tests: hold the returned guard for the
-/// whole measurement so parallel tests in the same process cannot pollute
-/// the counters between [`reset`] and the snapshot.
-pub fn isolation_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(PoisonError::into_inner)
+    with_state(|_, st| st.counters.get(name).copied().unwrap_or(0))
 }
 
 /// A stage timer: created by [`span`] or [`span_volatile`], records on
@@ -456,36 +537,21 @@ pub fn span_volatile(name: &'static str) -> Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        trace::record_complete(self.name, None, self.start, elapsed);
-        let counted = self.counted && !paused();
-        let ms = elapsed.as_secs_f64() * 1e3;
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let name = self.name;
-        with_local(
-            |l| {
-                let agg = match l.spans.iter_mut().find(|(k, _)| *k == name) {
-                    Some((_, agg)) => agg,
-                    None => {
-                        l.spans.push((name, SpanAgg::default()));
-                        &mut l.spans.last_mut().expect("just pushed").1
-                    }
-                };
-                agg.calls += u64::from(counted);
-                agg.wall_ms += ms;
-                agg.wall.record(ns);
-            },
-            || {
-                let mut r = lock();
-                if counted {
-                    *r.counters.entry(format!("span.{name}.calls")).or_insert(0) += 1;
+        let Span { name, start, counted } = *self;
+        let elapsed: Duration = start.elapsed();
+        with_buf(|scope, records| {
+            records.trace(&scope.recorder, name, None, start);
+            let agg = match records.spans.iter().position(|(k, _)| *k == name) {
+                Some(i) => &mut records.spans[i].1,
+                None => {
+                    records.spans.push((name, SpanAgg::default()));
+                    &mut records.spans.last_mut().expect("just pushed").1
                 }
-                *r.volatiles.entry(format!("span.{name}.wall_ms")).or_insert(0.0) += ms;
-                let mut h = Hist::default();
-                h.record(ns);
-                r.wall_hists.entry(name.to_string()).or_default().merge(&h);
-            },
-        );
+            };
+            agg.calls += u64::from(counted && !scope.recorder.paused());
+            agg.wall_ms += elapsed.as_secs_f64() * 1e3;
+            agg.wall.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        });
     }
 }
 
@@ -493,9 +559,13 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    /// Samples in the span's volatile wall-time histogram.
+    fn wall_calls(span: &str) -> Option<u64> {
+        with_state(|_, st| st.wall_hists.get(span).map(|h| h.count))
+    }
+
     #[test]
     fn counters_accumulate_and_reset() {
-        let _g = isolation_lock();
         reset();
         add("a", 2);
         add("a", 3);
@@ -510,7 +580,6 @@ mod tests {
 
     #[test]
     fn record_hist_publishes_preaggregated_histograms() {
-        let _g = isolation_lock();
         reset();
         let mut h = Hist::default();
         for v in [1u64, 2, 2, 40] {
@@ -538,7 +607,6 @@ mod tests {
 
     #[test]
     fn spans_record_calls_and_wall_time() {
-        let _g = isolation_lock();
         reset();
         {
             let _s = span("stage");
@@ -549,13 +617,11 @@ mod tests {
         let v = volatiles();
         assert!(v.contains_key("span.stage.wall_ms"));
         assert!(*v.get("span.stage.wall_ms").unwrap() >= 0.0);
-        let h = wall_hists();
-        assert_eq!(h.get("stage").map(|h| h.count), Some(1));
+        assert_eq!(wall_calls("stage"), Some(1));
     }
 
     #[test]
     fn volatile_spans_skip_the_call_counter() {
-        let _g = isolation_lock();
         reset();
         {
             let _s = span_volatile("vstage");
@@ -563,12 +629,11 @@ mod tests {
         assert_eq!(counter("span.vstage.calls"), 0);
         assert!(!counters().contains_key("span.vstage.calls"));
         assert!(volatiles().contains_key("span.vstage.wall_ms"));
-        assert_eq!(wall_hists().get("vstage").map(|h| h.count), Some(1));
+        assert_eq!(wall_calls("vstage"), Some(1));
     }
 
     #[test]
     fn pause_suspends_counters_but_not_volatiles() {
-        let _g = isolation_lock();
         reset();
         add("kept", 1);
         {
@@ -595,7 +660,6 @@ mod tests {
 
     #[test]
     fn restore_counters_replaces_exactly() {
-        let _g = isolation_lock();
         reset();
         add("stale", 9);
         volatile_set("kept.volatile", 4.0);
@@ -607,7 +671,6 @@ mod tests {
 
     #[test]
     fn volatile_set_overwrites() {
-        let _g = isolation_lock();
         reset();
         volatile_add("t", 1.5);
         volatile_add("t", 1.5);
@@ -617,29 +680,45 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_publish_with_an_explicit_flush() {
-        let _g = isolation_lock();
+    fn workers_that_enter_the_spawners_scope_publish_before_the_join() {
         reset();
+        let scope = Scope::current();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
+                    let _scope = scope.enter();
                     add("scoped", 10);
-                    {
-                        let _s = span("scoped.stage");
-                    }
-                    flush();
+                    let _s = span("scoped.stage");
                 });
             }
         });
         assert_eq!(counter("scoped"), 40);
         assert_eq!(counter("span.scoped.stage.calls"), 4);
-        assert_eq!(wall_hists().get("scoped.stage").map(|h| h.count), Some(4));
+        assert_eq!(wall_calls("scoped.stage"), Some(4));
+    }
+
+    #[test]
+    fn scopes_isolate_recorders_and_restore_on_exit() {
+        reset();
+        add("outer", 1);
+        let paused = pause();
+        // A thread that never entered a scope got a fresh recorder.
+        let other = std::thread::scope(|s| s.spawn(Scope::current).join().unwrap());
+        {
+            let _scope = other.enter();
+            assert!(!is_paused(), "a pause covers only its own recorder");
+            assert!(counters().is_empty(), "the buffer flushed into the outer recorder first");
+            add("inner", 1);
+        }
+        drop(paused);
+        assert_eq!(counters(), BTreeMap::from([("outer".to_string(), 1)]));
+        let _scope = other.enter();
+        assert_eq!(counters(), BTreeMap::from([("inner".to_string(), 1)]));
     }
 
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "live PauseGuard"))]
     fn reset_recovers_from_a_leaked_pause_guard() {
-        let _g = isolation_lock();
         std::mem::forget(pause());
         // Debug builds: the assert below fires (the leak is a bug).
         // Release builds: reset force-clears the depth so the next run

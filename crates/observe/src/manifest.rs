@@ -274,8 +274,8 @@ fn diff_maps<V: PartialEq + std::fmt::Display>(
     }
 }
 
-/// Collects metrics for one run: [`Run::start`] resets the global
-/// registry, the flow populates it, producers add key results, and
+/// Collects metrics for one run: [`Run::start`] resets the current
+/// recorder (see the crate root's scopes), the flow populates it, producers add key results, and
 /// [`Run::finish`] snapshots everything into a [`Manifest`].
 #[derive(Debug)]
 pub struct Run {
@@ -286,7 +286,7 @@ pub struct Run {
 }
 
 impl Run {
-    /// Starts a named run: resets the registry and the run clock.
+    /// Starts a named run: resets the current recorder and the run clock.
     pub fn start(name: impl Into<String>, seed: u64) -> Self {
         crate::reset();
         Self { name: name.into(), seed, start: Instant::now(), results: BTreeMap::new() }
@@ -309,28 +309,23 @@ impl Run {
         crate::volatile_set("threads.effective", effective as f64);
     }
 
-    /// Snapshots the registry into a manifest. Total wall time lands in
+    /// Snapshots the current recorder into a manifest. Total wall time lands in
     /// `timings["run.wall_ms"]`; each span's volatile wall-time histogram
     /// is summarised into `timings` as `span.<name>.ms_p50` / `.ms_p90` /
     /// `.ms_max` (quantiles are bucket-interpolated, see [`crate::hist`]).
     pub fn finish(self) -> Manifest {
-        crate::volatile_set("run.wall_ms", self.start.elapsed().as_secs_f64() * 1e3);
-        for (name, h) in crate::wall_hists() {
-            if h.is_empty() {
-                continue;
+        let (counters, timings) = crate::with_state(|_, st| {
+            let t = &mut st.volatiles;
+            t.insert("run.wall_ms".to_string(), self.start.elapsed().as_secs_f64() * 1e3);
+            for (name, h) in st.wall_hists.iter().filter(|(_, h)| !h.is_empty()) {
+                t.insert(format!("span.{name}.ms_p50"), h.quantile(0.5) as f64 / 1e6);
+                t.insert(format!("span.{name}.ms_p90"), h.quantile(0.9) as f64 / 1e6);
+                t.insert(format!("span.{name}.ms_max"), h.max as f64 / 1e6);
             }
-            crate::volatile_set(&format!("span.{name}.ms_p50"), h.quantile(0.5) as f64 / 1e6);
-            crate::volatile_set(&format!("span.{name}.ms_p90"), h.quantile(0.9) as f64 / 1e6);
-            crate::volatile_set(&format!("span.{name}.ms_max"), h.max as f64 / 1e6);
-        }
-        Manifest {
-            schema: SCHEMA_VERSION,
-            name: self.name,
-            seed: self.seed,
-            counters: crate::counters(),
-            results: self.results,
-            timings: crate::volatiles(),
-        }
+            (st.counters.clone(), t.clone())
+        });
+        let Run { name, seed, results, .. } = self;
+        Manifest { schema: SCHEMA_VERSION, name, seed, counters, results, timings }
     }
 }
 
@@ -437,7 +432,6 @@ mod tests {
 
     #[test]
     fn run_snapshots_registry() {
-        let _g = crate::isolation_lock();
         let mut run = Run::start("r", 7);
         crate::add("k", 3);
         run.result_f64("cov", 0.5);

@@ -5,13 +5,13 @@
 //! # Model
 //!
 //! Tracing is off by default and costs one relaxed atomic load per span.
-//! [`start`] arms it; from then on every [`crate::Span`] drop — and every
-//! [`zone`] guard — appends one *complete event* (name, thread id, start
-//! offset, duration, optional numeric id) to a thread-local buffer.
-//! Buffers flush into a global event list when they fill, at
-//! [`crate::flush`] (worker closures call it as their last step, exactly
-//! as for metrics), on thread exit as a backstop, and at [`stop`], which
-//! disarms tracing and returns the collected [`Trace`].
+//! [`start`] arms the current recorder's trace (see the crate root's
+//! scopes); from then on every [`crate::Span`] drop — and every [`zone`]
+//! guard — on a thread of that scope appends one *complete event* (name,
+//! thread id, start offset, duration, optional numeric id) to the
+//! thread's buffer. The buffer moves into the recorder whenever the thread
+//! flushes (reads, scope exits, thread exit), and [`stop`] disarms
+//! tracing and returns the collected [`Trace`].
 //!
 //! Parent/child nesting is not stored explicitly: complete events carry
 //! start + duration, and containment within one thread's timeline *is* the
@@ -25,16 +25,15 @@
 //! high-cardinality attribution (one event per fault, per resynthesis
 //! iteration, per backtracking group) where a deterministic counter per
 //! instance would be noise and a `String` key per instance would be an
-//! allocation. When tracing is off a zone is two atomic loads and no
-//! clock read.
+//! allocation. When tracing is off a zone is one thread-local read and
+//! no clock read.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// One complete event: `name` ran on thread `tid` from `ts_ns` (offset
 /// from the trace anchor) for `dur_ns`, optionally labelled with a
@@ -53,76 +52,46 @@ pub struct TraceEvent {
     pub id: Option<u64>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+/// The process-wide thread-id allocator: ids stay unique across recorders,
+/// so one trace never merges two threads' timelines.
+pub(crate) fn next_tid() -> u64 {
+    static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+    NEXT_TID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The instant all event timestamps are relative to, pinned by the first
 /// [`start`] and reused for the whole process lifetime so ts arithmetic
 /// never underflows.
-fn anchor() -> Instant {
+pub(crate) fn anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     *ANCHOR.get_or_init(Instant::now)
 }
 
-fn events() -> &'static Mutex<Vec<TraceEvent>> {
-    static EVENTS: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
-    EVENTS.get_or_init(|| Mutex::new(Vec::new()))
+/// True when the current recorder's trace is armed.
+pub fn enabled() -> bool {
+    crate::with_buf(|scope, _| scope.recorder.tracing.load(Ordering::Relaxed)).unwrap_or(false)
 }
 
-/// Thread-local event buffer; flushes on overflow and on thread exit.
-struct Buf {
-    tid: u64,
-    events: Vec<TraceEvent>,
-}
-
-impl Buf {
-    fn flush(&mut self) {
-        if self.events.is_empty() {
-            return;
-        }
-        let mut global = events().lock().unwrap_or_else(PoisonError::into_inner);
-        global.append(&mut self.events);
-    }
-}
-
-impl Drop for Buf {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static BUF: RefCell<Buf> = RefCell::new(Buf {
-        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        events: Vec::new(),
+/// Arms the current recorder's trace: clears previously collected events
+/// and pins the time anchor. Call it before the traced region; threads
+/// that enter this scope record into the same trace.
+pub fn start() {
+    let _ = anchor();
+    crate::with_state(|rec, st| {
+        st.trace.clear();
+        rec.tracing.store(true, Ordering::SeqCst);
     });
 }
 
-/// Cap on one thread's buffered events before a flush to the global list.
-const FLUSH_AT: usize = 4096;
-
-/// True when tracing is armed.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Arms tracing: clears previously collected events and pins the time
-/// anchor. Call it on the main thread before the traced region.
-pub fn start() {
-    let _ = anchor();
-    events().lock().unwrap_or_else(PoisonError::into_inner).clear();
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Disarms tracing and returns everything collected since [`start`].
-/// Flushes the calling thread's buffer; worker closures publish theirs via
-/// [`crate::flush`] before they return. Events are sorted by (thread,
-/// start, longest-first) so nesting reads top-down.
+/// Disarms the current recorder's trace and returns everything collected
+/// since [`start`], the calling thread's buffer included (workers that
+/// entered the scope published theirs when they left it). Events are
+/// sorted by (thread, start, longest-first) so nesting reads top-down.
 pub fn stop() -> Trace {
-    ENABLED.store(false, Ordering::SeqCst);
-    flush_thread();
-    let mut collected =
-        std::mem::take(&mut *events().lock().unwrap_or_else(PoisonError::into_inner));
+    let mut collected = crate::with_state(|rec, st| {
+        rec.tracing.store(false, Ordering::SeqCst);
+        std::mem::take(&mut st.trace)
+    });
     collected.sort_by(|a, b| {
         (a.tid, a.ts_ns, std::cmp::Reverse(a.dur_ns), a.name).cmp(&(
             b.tid,
@@ -132,31 +101,6 @@ pub fn stop() -> Trace {
         ))
     });
     Trace { events: collected }
-}
-
-/// Flushes the calling thread's buffered trace events into the global
-/// list (part of [`crate::flush`]).
-pub(crate) fn flush_thread() {
-    let _ = BUF.try_with(|b| b.borrow_mut().flush());
-}
-
-/// Appends one complete event for a region that started at `start` and ran
-/// for `dur`. No-op unless tracing is armed.
-pub(crate) fn record_complete(name: &'static str, id: Option<u64>, start: Instant, dur: Duration) {
-    if !enabled() {
-        return;
-    }
-    let ts_ns =
-        u64::try_from(start.saturating_duration_since(anchor()).as_nanos()).unwrap_or(u64::MAX);
-    let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
-    let _ = BUF.try_with(|b| {
-        let mut buf = b.borrow_mut();
-        let tid = buf.tid;
-        buf.events.push(TraceEvent { name, tid, ts_ns, dur_ns, id });
-        if buf.events.len() >= FLUSH_AT {
-            buf.flush();
-        }
-    });
 }
 
 /// A trace-only timing guard (see the module docs). `id` labels the
@@ -177,7 +121,9 @@ pub fn zone(name: &'static str, id: u64) -> Zone {
 impl Drop for Zone {
     fn drop(&mut self) {
         if let Some((name, id, start)) = self.0.take() {
-            record_complete(name, Some(id), start, start.elapsed());
+            crate::with_buf(|scope, records| {
+                records.trace(&scope.recorder, name, Some(id), start);
+            });
         }
     }
 }
@@ -266,7 +212,6 @@ mod tests {
 
     #[test]
     fn spans_and_zones_record_only_while_armed() {
-        let _g = crate::isolation_lock();
         crate::reset();
         {
             let _off = crate::span("trace.cold");
@@ -277,12 +222,16 @@ mod tests {
             let _s = crate::span("trace.hot");
             let _z = zone("trace.hot.zone", 42);
         }
+        let scope = crate::Scope::current();
         std::thread::scope(|s| {
             s.spawn(|| {
-                {
-                    let _z = zone("trace.worker.zone", 7);
-                }
-                crate::flush();
+                let _scope = scope.enter();
+                let _z = zone("trace.worker.zone", 7);
+            });
+            // A thread outside the scope records into its own trace.
+            s.spawn(|| {
+                start();
+                let _z = zone("trace.other.zone", 8);
             });
         });
         let trace = stop();
@@ -291,6 +240,7 @@ mod tests {
         assert!(names.contains(&"trace.hot"), "{names:?}");
         assert!(names.contains(&"trace.hot.zone"), "{names:?}");
         assert!(names.contains(&"trace.worker.zone"), "{names:?}");
+        assert!(!names.contains(&"trace.other.zone"), "{names:?}");
         let worker = trace.events.iter().find(|e| e.name == "trace.worker.zone").unwrap();
         let main = trace.events.iter().find(|e| e.name == "trace.hot").unwrap();
         assert_ne!(worker.tid, main.tid, "worker events carry their own tid");

@@ -1,17 +1,17 @@
 //! Multi-threaded stress tests for the thread-local metric layer: the
 //! deterministic section (counters + histograms) must be byte-identical
 //! across worker-thread counts, and the record hot path must stay off the
-//! global registry lock.
+//! recorder lock.
 //!
-//! Every test holds [`rsyn_observe::isolation_lock`]: the registry and the
-//! lock-acquisition counter are process-global.
+//! Each test records into its own thread's recorder; workers enter the
+//! test thread's scope.
 
 use std::collections::BTreeMap;
 
 use rsyn_observe::manifest::{Manifest, SCHEMA_VERSION};
 use rsyn_observe::{
-    add, counter, counters, hist_add, isolation_lock, lock_acquisitions, reset, span, volatile_add,
-    volatiles, Hist,
+    add, counter, counters, hist_add, lock_acquisitions, reset, span, volatile_add, volatiles,
+    Hist, Scope,
 };
 
 const ITEMS: usize = 9_000;
@@ -33,16 +33,16 @@ fn work_item(i: usize) {
 /// the deterministic counter snapshot rendered as a stable manifest.
 fn run_partitioned(threads: usize) -> (String, BTreeMap<String, u64>, BTreeMap<String, f64>) {
     reset();
+    let scope = Scope::current();
     std::thread::scope(|s| {
         for w in 0..threads {
+            let scope = &scope;
             s.spawn(move || {
+                let _scope = scope.enter();
                 volatile_add("stress.threads.used", 1.0);
                 for i in (w..ITEMS).step_by(threads) {
                     work_item(i);
                 }
-                // Publish before the scope joins: the thread-local drop
-                // backstop may run after the join returns.
-                rsyn_observe::flush();
             });
         }
     });
@@ -60,7 +60,6 @@ fn run_partitioned(threads: usize) -> (String, BTreeMap<String, u64>, BTreeMap<S
 
 #[test]
 fn deterministic_section_is_byte_identical_across_worker_counts() {
-    let _g = isolation_lock();
     let (stable1, counters1, timings1) = run_partitioned(1);
     let (stable2, counters2, timings2) = run_partitioned(2);
     let (stable8, counters8, _) = run_partitioned(8);
@@ -85,7 +84,6 @@ fn deterministic_section_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn record_hot_path_takes_no_registry_lock() {
-    let _g = isolation_lock();
     reset();
     // Touch every key once so first-use pushes are done, then flush.
     work_item(0);

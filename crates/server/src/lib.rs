@@ -39,7 +39,8 @@
 //!   job past its deadline on a non-beating worker is declared lost,
 //!   its attempt burned, and the job requeued or quarantined.
 //! * **Live event plane** — every lifecycle transition (and the flow's
-//!   own deterministic progress) streams to the process-wide event bus;
+//!   own deterministic progress) streams to the event bus of the scope
+//!   the server was started in;
 //!   [`Server::subscribe`] tails one job with a seeded terminal for
 //!   late subscribers, [`Server::metrics_snapshot`] reads counters
 //!   mid-run without double-counting at shutdown.

@@ -57,8 +57,11 @@
 //!
 //! # Event plane
 //!
-//! Every lifecycle transition is also published to the process-wide
-//! live event bus ([`rsyn_observe::events`]): admission, coalescing,
+//! Every lifecycle transition is also published to the live event bus
+//! ([`rsyn_observe::events`]) of the scope [`Server::start`] was called
+//! in — workers, the watchdog, and every entry point record there, so
+//! a submission from any client thread lands on the same bus and
+//! registry as the flows it starts: admission, coalescing,
 //! shedding, claims, retries, requeues, preemptions, resumes, losses,
 //! quarantines, and exactly one terminal per accepted job. Subscribe
 //! with [`Server::subscribe`] — a subscriber that arrives *after* the
@@ -311,6 +314,9 @@ struct ServerInner {
     published: Mutex<PublishedTally>,
     /// Tells the watchdog thread to exit.
     stop: AtomicBool,
+    /// The starting thread's observability scope: workers, the watchdog,
+    /// and every entry point record into its recorder and event bus.
+    observe: rsyn_observe::Scope,
 }
 
 #[derive(Default)]
@@ -331,7 +337,7 @@ pub struct MetricsSnapshot {
     pub queue_depth: usize,
     /// Jobs being executed by a worker right now.
     pub in_flight: usize,
-    /// Events published to the live event plane, process-wide.
+    /// Events published on the event bus of the scope the server started in.
     pub events_published: u64,
 }
 
@@ -391,13 +397,17 @@ impl Server {
             terminal_events: Mutex::new(HashMap::new()),
             published: Mutex::new(PublishedTally::default()),
             stop: AtomicBool::new(false),
+            observe: rsyn_observe::Scope::current(),
         });
         let workers = (0..worker_count)
             .map(|wid| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("rsyn-server-{wid}"))
-                    .spawn(move || worker_loop(&inner, wid))
+                    .spawn(move || {
+                        let _observe = inner.observe.enter();
+                        worker_loop(&inner, wid);
+                    })
                     .expect("spawn server worker")
             })
             .collect();
@@ -405,7 +415,10 @@ impl Server {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("rsyn-server-watchdog".to_string())
-                .spawn(move || watchdog_loop(&inner, interval))
+                .spawn(move || {
+                    let _observe = inner.observe.enter();
+                    watchdog_loop(&inner, interval);
+                })
                 .expect("spawn server watchdog")
         });
         Server { inner, workers, watchdog }
@@ -530,6 +543,7 @@ impl Server {
     /// all coalesced requests (never lowered).
     pub fn submit(&self, spec: JobSpec) -> SubmitVerdict {
         let inner = &*self.inner;
+        let _observe = inner.observe.enter();
         inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
         if inject::should_shed_submit() {
             inner.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -626,11 +640,11 @@ impl Server {
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
         self.stop_threads();
+        let _observe = self.inner.observe.enter();
         let stats = publish_counters(&self.inner);
         if let Some(journal) = &self.inner.journal {
             rsyn_observe::record_hist("server.journal_record_bytes", lock(journal).record_bytes());
         }
-        rsyn_observe::flush();
         rsyn_observe::record_hist("server.queue_depth", &lock(&self.inner.depth_hist));
         stats
     }
@@ -640,6 +654,7 @@ impl Server {
     /// `server.*` counter deltas since the previous publication, so a
     /// manifest written mid-run carries current counter values.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let _observe = self.inner.observe.enter();
         let stats = publish_counters(&self.inner);
         MetricsSnapshot {
             stats,
@@ -654,6 +669,7 @@ impl Server {
     /// with the stored terminal event, so every subscriber observes
     /// exactly one terminal per job regardless of timing.
     pub fn subscribe(&self, job_key: u128) -> EventReceiver {
+        let _observe = self.inner.observe.enter();
         let terminals = lock(&self.inner.terminal_events);
         let rx = events::subscribe(Some(job_key));
         if let Some(ev) = terminals.get(&job_key) {
@@ -672,25 +688,6 @@ impl Server {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-    }
-
-    /// Current scheduling tallies (monotone while the server runs).
-    pub fn stats(&self) -> ServerStats {
-        self.inner.stats.snapshot()
-    }
-
-    /// Current queue depth (entries, including stale duplicates).
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue.depth()
-    }
-
-    /// True once `job`'s latest on-disk checkpoint exists, i.e. it has
-    /// completed at least one accepted iteration and a preemption now
-    /// would resume from disk rather than restart from scratch. Clients
-    /// that care about wasted work can poll this before submitting
-    /// higher-priority jobs.
-    pub fn has_checkpoint(&self, job: &JobHandle) -> bool {
-        checkpoint_path(&self.inner.cfg.work_dir, job.key()).exists()
     }
 }
 
@@ -823,12 +820,10 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
         inner.heartbeats[wid].fetch_add(1, Ordering::Relaxed);
         if job.control.is_cancelled() {
             finish(inner, &job, JobOutcome::Cancelled);
-            rsyn_observe::flush();
             continue;
         }
         if job.control.deadline_passed() {
             finish(inner, &job, JobOutcome::DeadlineExceeded);
-            rsyn_observe::flush();
             continue;
         }
         let attempt = job.attempts.load(Ordering::Relaxed);
@@ -843,7 +838,8 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
         let fate = inject::job_fate(job.key);
         let result = catch_unwind(AssertUnwindSafe(|| {
             // Everything the flow publishes inside this scope — stages,
-            // iterations, shards, checkpoints — attributes to this job.
+            // iterations, shards, checkpoints — attributes to this job,
+            // and leaving it publishes the execution's records.
             let _job_scope = events::job_scope(job.key);
             let _zone = rsyn_observe::trace::zone("server.job.execute", job.key as u64);
             if crash || fate == JobFate::Poison {
@@ -865,7 +861,6 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
             // The watchdog declared this execution lost and already
             // requeued (or quarantined) the job: whatever this worker
             // produced is stale and must not double-finish the job.
-            rsyn_observe::flush();
             continue;
         }
         match result {
@@ -897,11 +892,7 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
                 None => finish(inner, &job, JobOutcome::Completed(Arc::new(report))),
             },
         }
-        // Workers flush per job: thread-local buffers must not sit on
-        // counters past shutdown (TLS destructors may run after join).
-        rsyn_observe::flush();
     }
-    rsyn_observe::flush();
 }
 
 /// Watchdog scan loop: declares running jobs lost when they are past
@@ -1085,8 +1076,10 @@ fn finish(inner: &ServerInner, job: &Arc<JobInner>, outcome: JobOutcome) {
     // the contract — a `Server::subscribe` racing with this either sees
     // the live broadcast or is seeded with the stored event, exactly
     // one terminal either way. (Lock order is phase → terminal_events;
-    // no path takes them in reverse.)
+    // no path takes them in reverse.) The outcome tally is bumped in the
+    // same section, so a caller woken by `wait` finds it counted.
     let installed = job.finish_with(outcome, || {
+        cell.fetch_add(1, Ordering::Relaxed);
         let mut terminals = lock(&inner.terminal_events);
         let ev = events::publish_for_returning(job.key, FlowEvent::Terminal { outcome: terminal });
         terminals.insert(job.key, ev);
@@ -1094,7 +1087,6 @@ fn finish(inner: &ServerInner, job: &Arc<JobInner>, outcome: JobOutcome) {
     if !installed {
         return; // another path finished the job first
     }
-    cell.fetch_add(1, Ordering::Relaxed);
     journal_event(inner, event);
     lock(&inner.inflight).remove(&job.key);
     let mut open = lock(&inner.open);

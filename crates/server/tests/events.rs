@@ -3,10 +3,9 @@
 //! metrics-snapshot delta publication, and stream-digest byte-identity
 //! across worker counts.
 //!
-//! The event bus is process-global, so every test here holds
-//! [`rsyn_observe::isolation_lock`] — unfiltered subscribers would
-//! otherwise see each other's traffic and the published-count
-//! conservation checks would not balance.
+//! Each test thread records into its own recorder, so unfiltered
+//! subscribers see only their own test's traffic and the published-count
+//! conservation checks balance without a lock.
 
 use std::time::Duration;
 
@@ -27,7 +26,6 @@ fn work_dir(tag: &str) -> std::path::PathBuf {
 /// `dropped` count, even when the subscriber is far too small.
 #[test]
 fn lag_markers_conserve_published_events() {
-    let _isolated = rsyn_observe::isolation_lock();
     let rx = events::subscribe_with_capacity(None, 8);
     let before = events::published();
 
@@ -63,21 +61,22 @@ fn lag_markers_conserve_published_events() {
 /// threads.
 #[test]
 fn per_job_filters_isolate_concurrent_publishers() {
-    let _isolated = rsyn_observe::isolation_lock();
     const JOBS: u128 = 4;
     const EACH: u64 = 500;
 
     let receivers: Vec<_> = (0..JOBS)
         .map(|job| (0x1000 + job, events::subscribe_with_capacity(Some(0x1000 + job), 4096)))
         .collect();
+    let observe = rsyn_observe::Scope::current();
     std::thread::scope(|scope| {
         for job in 0..JOBS {
+            let observe = &observe;
             scope.spawn(move || {
+                let _observe = observe.enter();
                 let _scope = events::job_scope(0x1000 + job);
                 for i in 0..EACH {
                     events::publish(FlowEvent::CheckpointWritten { iteration: i });
                 }
-                rsyn_observe::flush();
             });
         }
     });
@@ -104,7 +103,6 @@ fn per_job_filters_isolate_concurrent_publishers() {
 /// terminal, so a late subscriber still observes exactly one terminal.
 #[test]
 fn subscribe_after_terminal_seeds_the_outcome() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 
@@ -135,7 +133,6 @@ fn subscribe_after_terminal_seeds_the_outcome() {
 /// over it is clean.
 #[test]
 fn live_subscription_streams_progress_and_conserves() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 
@@ -172,7 +169,6 @@ fn live_subscription_streams_progress_and_conserves() {
 /// the final stats — counted once, not twice.
 #[test]
 fn metrics_snapshot_publishes_deltas_without_double_counting() {
-    let _isolated = rsyn_observe::isolation_lock();
     rsyn_observe::reset();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
@@ -182,8 +178,7 @@ fn metrics_snapshot_publishes_deltas_without_double_counting() {
     let server = Server::start(cfg, ctx.lib.clone());
     // Unobservable publishes are not sequenced, so keep a subscriber
     // alive to make `events_published` meaningful, and assert the delta
-    // against the sequence at test entry (the global counter may carry
-    // traffic from tests that ran earlier in this process).
+    // against the sequence at subscription.
     let _rx = events::subscribe_with_capacity(None, 1 << 15);
     let seq_before = events::published();
     let first =
@@ -223,7 +218,6 @@ fn metrics_snapshot_publishes_deltas_without_double_counting() {
 /// multi-job set; one job keeps this tier-1 test affordable.)
 #[test]
 fn stream_digest_is_identical_across_worker_counts() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 
@@ -270,7 +264,6 @@ fn stream_digest_is_identical_across_worker_counts() {
 /// until a subscriber exists.
 #[test]
 fn publish_without_subscribers_is_a_free_no_op() {
-    let _isolated = rsyn_observe::isolation_lock();
     let before = events::published();
     events::publish_for(7, FlowEvent::CheckpointWritten { iteration: 1 });
     assert_eq!(events::published(), before, "unobservable publishes are not sequenced");

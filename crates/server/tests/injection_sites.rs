@@ -32,9 +32,6 @@ const FLOW_FATES: [&str; 7] = [
 
 #[test]
 fn every_injection_fate_fires_exactly_once() {
-    // Counter isolation: the probe and the server both touch the global
-    // registry.
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 
@@ -42,7 +39,11 @@ fn every_injection_fate_fires_exactly_once() {
     // seed analysis. A fault whose final status is Undetectable was
     // *proved* so by PODEM, which means the deterministic re-run inside
     // the server hits `should_abort_podem` for exactly that (run, fault).
-    let probe = DesignState::analyze(nl.clone(), &ctx, None).expect("seed analysis");
+    // The empty session keeps the other test's armed plan out of it.
+    let probe = {
+        let _session = inject::arm(InjectionPlan::new());
+        DesignState::analyze(nl.clone(), &ctx, None).expect("seed analysis")
+    };
     let podem_fault = probe
         .atpg
         .statuses
@@ -118,7 +119,6 @@ fn every_injection_fate_fires_exactly_once() {
 /// new fate cannot land without a scenario that reaches it.
 #[test]
 fn durability_fates_fire_exactly_once() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 

@@ -10,7 +10,6 @@ use rsyn_server::{report_digest, JobOutcome, JobSpec, Server, ServerConfig, Subm
 
 #[test]
 fn coalescing_deadlines_cancellation_and_direct_equivalence() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 

@@ -45,7 +45,9 @@ fn temp_work(tag: &str) -> std::path::PathBuf {
 /// files, and the result must stay byte-identical to a direct run.
 #[test]
 fn journal_disabled_is_identical_to_the_plain_flow() {
-    let _isolated = rsyn_observe::isolation_lock();
+    // Injection plans are process-global: hold an empty one so the
+    // armed tests in this file cannot fire inside this flow.
+    let _session = inject::arm(InjectionPlan::new());
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 
@@ -92,7 +94,9 @@ fn journal_disabled_is_identical_to_the_plain_flow() {
 /// `Server::recover` and runs to the same digest as a direct run.
 #[test]
 fn recover_readmits_open_jobs_to_the_direct_result() {
-    let _isolated = rsyn_observe::isolation_lock();
+    // Injection plans are process-global: hold an empty one so the
+    // armed tests in this file cannot fire inside this flow.
+    let _session = inject::arm(InjectionPlan::new());
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
     let spec = JobSpec::new(nl.clone(), "sparc_ffu").with_q(3.0);
@@ -169,7 +173,6 @@ fn done_spec() -> AcceptedSpec {
 /// when the retry budget would allow (effectively) unlimited requeues.
 #[test]
 fn panicking_jobs_quarantine_at_the_poison_threshold() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
     let spec = JobSpec::new(nl, "sparc_ffu");
@@ -213,7 +216,6 @@ fn panicking_jobs_quarantine_at_the_poison_threshold() {
 /// deadline, so the job terminates instead of wedging a worker forever.
 #[test]
 fn watchdog_reclaims_a_stalled_worker() {
-    let _isolated = rsyn_observe::isolation_lock();
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
     let spec = JobSpec::new(nl, "sparc_ffu").with_deadline(Duration::from_millis(150));
@@ -256,7 +258,9 @@ fn watchdog_reclaims_a_stalled_worker() {
 /// recovery, while a job below the cap is re-admitted normally.
 #[test]
 fn recovery_quarantine_parks_crash_loopers() {
-    let _isolated = rsyn_observe::isolation_lock();
+    // Injection plans are process-global: hold an empty one so the
+    // armed tests in this file cannot fire inside this flow.
+    let _session = inject::arm(InjectionPlan::new());
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
     let looper = JobSpec::new(nl.clone(), "sparc_ffu").with_q(3.0);

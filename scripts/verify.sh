@@ -2,9 +2,10 @@
 # Repository verification gate. Stages (pass one as $1, default `all`):
 #
 #   lint   — formatting, clippy, rustdoc (fast; no build artifacts needed)
-#   gates  — release build, tier-1 and workspace tests, and every
+#   gates  — release build, tier-1 and workspace tests (the suites over
+#            process-wide state once more at 16 test threads), and every
 #            behavioural gate: manifest determinism + baselines, Table I,
-#            guideline stats, Table II on tv80, failure injection,
+#            guideline stats, Fig. 2, Table II on tv80, failure injection,
 #            checkpoint/resume, warm cross-run cache, perf trajectory
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / checkpoint-write failures / PODEM
@@ -48,6 +49,15 @@ run_gates() {
   # compaction and PODEM equivalence proptests) gate here.
   cargo test --workspace --exclude rsyn --release -q
 
+  echo "== parallel safety (suites over process-wide cache roots and injection plans)"
+  # Recording is scoped per thread, so no test takes an observability
+  # lock; tests that share the cache root or an injection plan serialise
+  # on locks kept next to that state. Sixteen test threads per binary
+  # surface a test that shares state without one.
+  cargo test --release -q -p rsyn-observe -p rsyn-cache -p rsyn-atpg -p rsyn-server \
+    -- --test-threads 16
+  cargo test --release -q --test cache_equivalence -- --test-threads 16
+
   # The gates assert exact manifests; an inherited cache directory would
   # add cache traffic (and counters) the baselines don't carry. Every
   # cache-aware gate below opts in with an explicit per-run directory.
@@ -82,6 +92,10 @@ run_gates() {
   # and the worst-guideline table that depend on it.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/gstats" target/release/guideline_stats \
     | diff results/guideline_stats.txt -
+
+  echo "== Fig. 2 gate (sparc_exu cluster series at q = 25%, exact text)"
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/fig2" target/release/fig2_phases sparc_exu 25 \
+    | diff results/fig2_phases.txt -
 
   echo "== Table II gate (tv80 at q <= 5: every column but Rtime, manifest exact)"
   # The paper's main experiment on one circuit. Rtime, the last column, is

@@ -3,21 +3,28 @@
 //! cache disabled must all produce identical verdicts, test sets, and
 //! deterministic counters — only `cache.*` counters may differ.
 //!
-//! Every test holds [`rsyn_observe::isolation_lock`] because the cache
-//! root, the in-memory shards, and the counter registry are process-global.
+//! Every test holds [`cache_lock`] because the cache root and the
+//! in-memory shards are process-global; counters are per test thread.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 use rsyn::atpg::engine::{run_atpg, AtpgOptions, AtpgResult};
 use rsyn::atpg::fault::{BridgeKind, Fault, FaultKind};
 use rsyn::netlist::{Library, NetId, Netlist};
 
+/// Serialises this file's tests around the process-global cache root.
+fn cache_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `f` with the disk cache rooted at a fresh scratch directory, then
 /// disables the cache and removes the directory. The caller must already
-/// hold the observe isolation lock.
+/// hold [`cache_lock`].
 fn with_scratch_cache<R>(f: impl FnOnce(&std::path::Path) -> R) -> R {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir: PathBuf = std::env::temp_dir().join(format!(
@@ -81,7 +88,7 @@ fn gate_output_faults(nl: &Netlist) -> Vec<Fault> {
     out
 }
 
-/// Runs ATPG from a clean counter registry; returns the result plus the
+/// Runs ATPG from a clean counter recorder; returns the result plus the
 /// non-`cache.` counters the run produced.
 fn measured_run(
     nl: &Netlist,
@@ -108,7 +115,7 @@ fn assert_equivalent(
 
 #[test]
 fn cold_warm_and_disabled_runs_are_byte_equivalent() {
-    let _obs = rsyn_observe::isolation_lock();
+    let _cache = cache_lock();
     let nl = random_netlist(0xC0FFEE, 24, 6);
     let faults = gate_output_faults(&nl);
     let options = AtpgOptions::default().with_threads(1);
@@ -136,7 +143,7 @@ fn cold_warm_and_disabled_runs_are_byte_equivalent() {
 
 #[test]
 fn warm_hits_are_thread_count_independent() {
-    let _obs = rsyn_observe::isolation_lock();
+    let _cache = cache_lock();
     let nl = random_netlist(0xBEEF, 24, 6);
     let faults = gate_output_faults(&nl);
 
@@ -152,7 +159,7 @@ fn warm_hits_are_thread_count_independent() {
 
 #[test]
 fn corrupted_entries_fall_back_to_recompute() {
-    let _obs = rsyn_observe::isolation_lock();
+    let _cache = cache_lock();
     let nl = random_netlist(0xD00D, 20, 5);
     let faults = gate_output_faults(&nl);
     let options = AtpgOptions::default().with_threads(1);
@@ -203,7 +210,7 @@ proptest! {
         gates in 10usize..28,
         atpg_seed in 0u64..100,
     ) {
-        let _obs = rsyn_observe::isolation_lock();
+        let _cache = cache_lock();
         let nl = random_netlist(seed, gates, 5);
         let faults = gate_output_faults(&nl);
         let options =
