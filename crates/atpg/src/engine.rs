@@ -21,10 +21,10 @@
 //! result, both operating *inside* the owning shard so verdicts and
 //! retry counts stay thread-count independent:
 //!
-//! * **Abort escalation** — a fault whose PODEM search hits the backtrack
-//!   limit is retried with a geometrically escalated limit
-//!   ([`AtpgOptions::escalation`], default 256→1024→4096) before being
-//!   reported `Aborted`; rescues land in `atpg.abort_rescued`.
+//! * **Abort escalation** — a fault whose PODEM search hits
+//!   [`BACKTRACK_LIMIT`] is retried at each of `ESCALATED_LIMITS`
+//!   (256→1024→4096) before being reported `Aborted`; rescues land in
+//!   `atpg.abort_rescued`.
 //! * **Shard retry** — a shard whose pipeline panics (or is failed by the
 //!   `rsyn-resilience` injection harness) is re-executed once; a second
 //!   failure degrades the shard to all-`Aborted` statuses instead of
@@ -38,20 +38,26 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsyn_netlist::{CombView, LaneBlock, Netlist, SimArena, LANES, LANE_WORDS};
 use rsyn_resilience::inject;
-use rsyn_resilience::EscalationPolicy;
 
 use crate::fault::{Fault, FaultKind, FaultStatus};
 use crate::podem::{Podem, PodemOutcome, Target};
 use crate::sim::FaultSim;
 use crate::testset::{window_mask, window_offsets, Pattern, TestSet};
 
+/// Number of 64-pattern random words each shard simulates before PODEM.
+pub const RANDOM_WORDS: usize = 8;
+
+/// PODEM backtrack limit of a fault's first search; a search beyond it
+/// aborts and escalates.
+pub const BACKTRACK_LIMIT: usize = 256;
+
+/// Backtrack limits of the escalation rounds that retry an aborted fault,
+/// in order. A fault still aborted at the last one is reported `Aborted`.
+pub(crate) const ESCALATED_LIMITS: [usize; 2] = [1024, 4096];
+
 /// Options controlling the ATPG run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AtpgOptions {
-    /// Number of 64-pattern random words simulated before PODEM.
-    pub random_words: usize,
-    /// PODEM backtrack limit (searches beyond it abort).
-    pub backtrack_limit: usize,
     /// Seed for the random phase.
     pub seed: u64,
     /// Whether to run reverse-order test compaction.
@@ -60,22 +66,11 @@ pub struct AtpgOptions {
     /// [`std::thread::available_parallelism`]. Results are identical for
     /// every value (see the module docs).
     pub threads: usize,
-    /// Retry policy for aborted PODEM searches: each retry multiplies the
-    /// backtrack limit until the cap. [`EscalationPolicy::disabled`]
-    /// restores the historical drop-on-abort behaviour.
-    pub escalation: EscalationPolicy,
 }
 
 impl Default for AtpgOptions {
     fn default() -> Self {
-        Self {
-            random_words: 8,
-            backtrack_limit: 256,
-            seed: 0xDA7E,
-            compact: true,
-            threads: 0,
-            escalation: EscalationPolicy::default(),
-        }
+        Self { seed: 0xDA7E, compact: true, threads: 0 }
     }
 }
 
@@ -517,7 +512,7 @@ fn run_shard(
     // --- random phase ---------------------------------------------------------
     let random_span = rsyn_observe::span("atpg.random");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut remaining = options.random_words;
+    let mut remaining = RANDOM_WORDS;
     while remaining > 0 {
         // Up to four 64-pattern words ride in one 256-lane block. Word-major
         // draws keep the RNG stream identical to the historical
@@ -571,10 +566,8 @@ fn run_shard(
 
     // --- deterministic phase -----------------------------------------------------
     let podem_span = rsyn_observe::span("atpg.podem");
-    let mut podem = Podem::with_arena(nl, view, Arc::clone(arena), options.backtrack_limit);
+    let mut podem = Podem::with_arena(nl, view, Arc::clone(arena), BACKTRACK_LIMIT);
     let mut drop_buffer: Vec<Pattern> = Vec::new();
-    let escalated =
-        options.escalation.limits(options.backtrack_limit.min(u32::MAX as usize) as u32);
     let mut abort_retries = 0u64;
     let mut abort_rescued = 0u64;
     for fi in 0..faults.len() {
@@ -598,7 +591,7 @@ fn run_shard(
         } else {
             attempt_fault(
                 &mut podem,
-                options.backtrack_limit,
+                BACKTRACK_LIMIT,
                 &mut narrow_sim,
                 &mut tests,
                 &mut drop_buffer,
@@ -611,11 +604,11 @@ fn run_shard(
         // larger backtrack limits before giving up. Runs inside the shard,
         // so retry counts and verdicts are thread-count independent.
         if !detected && any_aborted {
-            for &limit in &escalated {
+            for limit in ESCALATED_LIMITS {
                 abort_retries += 1;
                 let (d, a) = attempt_fault(
                     &mut podem,
-                    limit as usize,
+                    limit,
                     &mut narrow_sim,
                     &mut tests,
                     &mut drop_buffer,
@@ -1145,16 +1138,21 @@ mod tests {
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
-        // Skip the random phase so every fault reaches PODEM and the
-        // injected abort sites are actually consulted.
-        let options = AtpgOptions { random_words: 0, ..AtpgOptions::default() };
+        let options = AtpgOptions::default();
         let reference = {
             let _session = crate::injection_session();
             run_atpg(&nl, &view, &faults, &options)
         };
+        // Abort sites must be faults that reach PODEM: no random pattern
+        // detects a fault the reference run proved undetectable (the
+        // redundant cone holds several).
+        let sites: Vec<usize> = reference.undetectable_indices().into_iter().take(2).collect();
+        assert_eq!(sites.len(), 2, "the test circuit has two undetectable faults");
 
         rsyn_observe::reset();
-        let plan = inject::InjectionPlan::new().abort_podem(0, 3).abort_podem(0, 11);
+        let plan = sites
+            .iter()
+            .fold(inject::InjectionPlan::new(), |plan, &fi| plan.abort_podem(0, fi as u64));
         let armed = inject::arm(plan);
         let r = run_atpg(&nl, &view, &faults, &options);
         drop(armed);
@@ -1164,27 +1162,6 @@ mod tests {
         assert!(rsyn_observe::counter("atpg.abort_retries") >= 2);
         assert!(rsyn_observe::counter("atpg.abort_rescued") >= 2);
         assert_eq!(rsyn_observe::counter("inject.fired.podem_abort"), 2);
-    }
-
-    #[test]
-    fn disabled_escalation_reports_aborts() {
-        let nl = build_circuit();
-        let view = nl.comb_view().unwrap();
-        let faults = all_stuck_at(&nl);
-        let options = AtpgOptions {
-            escalation: EscalationPolicy::disabled(),
-            random_words: 0,
-            ..AtpgOptions::default()
-        };
-
-        rsyn_observe::reset();
-        let armed = inject::arm(inject::InjectionPlan::new().abort_podem(0, 5));
-        let r = run_atpg(&nl, &view, &faults, &options);
-        drop(armed);
-        assert_eq!(r.statuses[5], FaultStatus::Aborted, "no retry without escalation");
-        assert_eq!(r.aborted_count(), 1);
-        assert_eq!(rsyn_observe::counter("atpg.abort_retries"), 0);
-        assert_eq!(rsyn_observe::counter("atpg.aborted"), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use rsyn_cache::{Domain, Reader, StableHasher, Writer};
 use rsyn_netlist::{CanonicalView, CombView, Netlist};
 
-use crate::engine::{AtpgOptions, AtpgResult};
+use crate::engine::{AtpgOptions, AtpgResult, BACKTRACK_LIMIT, ESCALATED_LIMITS, RANDOM_WORDS};
 use crate::fault::{BridgeKind, Fault, FaultKind, FaultOrigin, FaultStatus};
 use crate::testset::{Pattern, TestSet};
 
@@ -51,18 +51,21 @@ pub(crate) fn verdict_key(
 ) -> Option<u128> {
     let canon = CanonicalView::of(nl, view)?;
     let mut h = StableHasher::new();
-    h.write_str("verdict-key-v1");
+    h.write_str("verdict-key-v2");
     let vh = canon.hash();
     h.write_u64(vh as u64);
     h.write_u64((vh >> 64) as u64);
     // `threads` is deliberately absent: results are bit-identical for every
     // thread count (see the engine module docs), so all counts share a key.
-    h.write_usize(options.random_words);
-    h.write_usize(options.backtrack_limit);
+    // The engine's constants are hashed too, so changing one retires every
+    // verdict computed under the old value.
+    h.write_usize(RANDOM_WORDS);
+    h.write_usize(BACKTRACK_LIMIT);
     h.write_u64(options.seed);
     h.write_bool(options.compact);
-    h.write_u32(options.escalation.factor);
-    h.write_u32(options.escalation.cap);
+    for limit in ESCALATED_LIMITS {
+        h.write_usize(limit);
+    }
     h.write_usize(faults.len());
     for fault in faults {
         absorb_fault(&mut h, &canon, fault)?;

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rsyn_atpg::engine::{run_atpg, targets_of, AtpgOptions};
+use rsyn_atpg::engine::{run_atpg, targets_of, AtpgOptions, BACKTRACK_LIMIT, RANDOM_WORDS};
 use rsyn_atpg::fault::Fault;
 use rsyn_atpg::podem::Podem;
 use rsyn_atpg::sim::FaultSim;
@@ -47,9 +47,9 @@ fn bench_atpg_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// PODEM only: every target of every fault that survives the default
-/// random phase's pattern count (8 words of 64 patterns), searched with
-/// the default backtrack limit.
+/// PODEM only: every target of every fault that survives the random
+/// phase's pattern count ([`RANDOM_WORDS`] words of 64 patterns), searched
+/// with the first backtrack limit.
 fn bench_podem(c: &mut Criterion) {
     let ctx = context();
     let options = AtpgOptions::default();
@@ -60,7 +60,7 @@ fn bench_podem(c: &mut Criterion) {
     let mut sim = FaultSim::new(&state.nl, &view);
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut detected = vec![false; state.faults.len()];
-    for _ in 0..options.random_words.div_ceil(LANE_WORDS) {
+    for _ in 0..RANDOM_WORDS.div_ceil(LANE_WORDS) {
         let lanes: Vec<LaneBlock> = (0..view.pis.len())
             .map(|_| {
                 let mut b = LaneBlock::ZERO;
@@ -79,7 +79,7 @@ fn bench_podem(c: &mut Criterion) {
         state.faults.iter().zip(&detected).filter(|(_, &d)| !d).map(|(f, _)| f).collect();
     group.bench_function(BenchmarkId::new("sparc_tlu", survivors.len()), |b| {
         b.iter(|| {
-            let mut podem = Podem::new(&state.nl, &view, options.backtrack_limit);
+            let mut podem = Podem::new(&state.nl, &view, BACKTRACK_LIMIT);
             for fault in &survivors {
                 for target in targets_of(fault) {
                     criterion::black_box(podem.run(&target));

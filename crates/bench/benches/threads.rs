@@ -10,7 +10,8 @@ use rsyn_atpg::engine::{run_atpg, AtpgOptions};
 use rsyn_atpg::incremental::{run_atpg_incremental, PreviousEvaluation};
 use rsyn_bench::{analyzed, context};
 use rsyn_core::flow::{DesignState, FlowContext};
-use rsyn_core::resynth::ResynthOptions;
+use rsyn_core::resynth::MAP_BLEND;
+use rsyn_logic::map::MapOptions;
 use rsyn_logic::Window;
 use rsyn_netlist::{CellClass, CellId, GateId, Netlist};
 
@@ -104,7 +105,7 @@ fn first_candidate(
     placed: impl Fn(&Netlist, &[GateId]) -> bool,
 ) -> (Netlist, Vec<GateId>) {
     let order = ctx.catalog.cells_by_internal_faults(&ctx.lib);
-    let map_options = ResynthOptions::default().map_options;
+    let map_options = MapOptions::blend(MAP_BLEND);
     let cell_of = |g: GateId| base.nl.gate(g).expect("live").cell;
     let weight = |nl: &Netlist, gates: &[GateId]| -> usize {
         gates.iter().map(|&g| ctx.catalog.syndrome_free_count(nl.gate(g).expect("live").cell)).sum()

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use rsyn_atpg::engine::targets_of;
+use rsyn_atpg::engine::{targets_of, BACKTRACK_LIMIT};
 use rsyn_atpg::fault::FaultStatus;
 use rsyn_atpg::podem::{Podem, PodemOutcome};
 use rsyn_atpg::sim::FaultSim;
@@ -83,7 +83,7 @@ fn main() {
             base += 64 * LANE_WORDS;
         }
         // Top up each adjacent fault to N detections with fresh tests.
-        let mut podem = Podem::new(&state.nl, &view, ctx.atpg.backtrack_limit);
+        let mut podem = Podem::new(&state.nl, &view, BACKTRACK_LIMIT);
         let mut extra = 0usize;
         for &fi in &adjacent {
             let mut have = detections[fi];

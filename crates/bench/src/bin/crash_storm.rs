@@ -127,10 +127,9 @@ fn child_main(gen: usize, dir: &Path, injected: bool) -> ExitCode {
 
     let mut cfg = ServerConfig::new(dir.join("work"));
     cfg.workers = 3;
-    cfg.max_attempts = 4;
     cfg.journal_dir = Some(dir.join("journal"));
     cfg.poison_threshold = 2;
-    cfg.watchdog_interval = Some(Duration::from_millis(25));
+    cfg.watchdog_interval = Duration::from_millis(25);
     let lib = ctx.lib.clone();
     let source = move |circuit: &str| {
         let ctx = FlowContext::new(lib.clone());
@@ -138,11 +137,10 @@ fn child_main(gen: usize, dir: &Path, injected: bool) -> ExitCode {
     };
     let (server, recovery) = Server::recover(cfg, ctx.lib.clone(), &source);
     eprintln!(
-        "gen {gen}: recovered {} open jobs ({} already terminal, {} quarantined, \
+        "gen {gen}: recovered {} open jobs ({} already terminal, \
          {} lost specs, {} damaged segments, {} records)",
         recovery.readmitted.len(),
         recovery.terminal,
-        recovery.poisoned.len(),
         recovery.lost_spec,
         recovery.damaged_segments,
         recovery.records,
@@ -173,11 +171,10 @@ fn child_main(gen: usize, dir: &Path, injected: bool) -> ExitCode {
     // here, which is the whole point.
     let stats = server.shutdown();
     let body = format!(
-        "recovered_jobs {}\nrecovered_terminal {}\nrecovered_poisoned {}\n\
+        "recovered_jobs {}\nrecovered_terminal {}\n\
          completed {}\npoisoned {}\nlost {}\nresumes {}\njournal_compacted {}\n",
         stats.recovered_jobs,
         stats.recovered_terminal,
-        stats.recovered_poisoned,
         stats.completed,
         stats.poisoned,
         stats.lost,
@@ -474,14 +471,12 @@ fn main() -> ExitCode {
     // stats (SIGKILLed generations never write one — by design).
     let mut recovered_jobs = 0u64;
     let mut recovered_terminal = 0u64;
-    let mut recovered_poisoned = 0u64;
     let mut resumes = 0u64;
     let mut journal_compacted = 0u64;
     for gen in 0..GENERATIONS {
         let stats = read_stats(&work, gen);
         recovered_jobs += stats.get("recovered_jobs").copied().unwrap_or(0);
         recovered_terminal += stats.get("recovered_terminal").copied().unwrap_or(0);
-        recovered_poisoned += stats.get("recovered_poisoned").copied().unwrap_or(0);
         resumes += stats.get("resumes").copied().unwrap_or(0);
         journal_compacted += stats.get("journal_compacted").copied().unwrap_or(0);
     }
@@ -499,7 +494,6 @@ fn main() -> ExitCode {
     rsyn_observe::add_many(&[
         ("server.recovered.jobs", recovered_jobs),
         ("server.recovered.terminal", recovered_terminal),
-        ("server.recovered.poisoned", recovered_poisoned),
         ("server.journal.compacted", journal_compacted),
     ]);
 

@@ -28,7 +28,7 @@ fn main() {
         "p1 %", "iters-1", "iters-2", "U", "Smax", "%Smax_all", "evals"
     );
     for p1 in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let options = ResynthOptions { p1_percent: p1, ..Default::default() };
+        let options = ResynthOptions { p1_percent: p1 };
         let out = resynthesize(&original, &ctx, &constraints, &options);
         let i1 = out.trace.iter().filter(|t| t.phase == Phase::One).count();
         let i2 = out.trace.iter().filter(|t| t.phase == Phase::Two).count();

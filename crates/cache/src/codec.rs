@@ -38,11 +38,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -51,11 +46,6 @@ impl Writer {
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `bool` as one strict `0`/`1` byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
     }
 
     /// Appends an `f64` by bit pattern.
@@ -106,11 +96,6 @@ impl<'a> Reader<'a> {
         self.take(1).map(|s| s[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Option<u32> {
         self.take(4).map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
@@ -122,15 +107,6 @@ impl<'a> Reader<'a> {
         let mut w = [0u8; 8];
         w.copy_from_slice(s);
         Some(u64::from_le_bytes(w))
-    }
-
-    /// Reads a strict boolean byte (anything but `0`/`1` is malformed).
-    pub fn get_bool(&mut self) -> Option<bool> {
-        match self.get_u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
     }
 
     /// Reads an `f64` by bit pattern.
@@ -163,10 +139,8 @@ mod tests {
     fn roundtrip_all_types() {
         let mut w = Writer::new();
         w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_bool(true);
         w.put_f64(-0.5);
         w.put_bytes(b"raw");
         w.put_str("text");
@@ -174,10 +148,8 @@ mod tests {
 
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8(), Some(0xAB));
-        assert_eq!(r.get_u16(), Some(0xBEEF));
         assert_eq!(r.get_u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.get_u64(), Some(0x0123_4567_89AB_CDEF));
-        assert_eq!(r.get_bool(), Some(true));
         assert_eq!(r.get_f64(), Some(-0.5));
         assert_eq!(r.get_bytes(), Some(&b"raw"[..]));
         assert_eq!(r.get_str(), Some("text"));
@@ -200,11 +172,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_bytes(), None);
-    }
-
-    #[test]
-    fn nonbinary_bool_is_malformed() {
-        let mut r = Reader::new(&[2]);
-        assert_eq!(r.get_bool(), None);
     }
 }

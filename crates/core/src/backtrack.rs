@@ -151,7 +151,7 @@ pub(crate) fn backtrack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resynth::ResynthOptions;
+    use crate::resynth::MAP_BLEND;
     use rsyn_circuits::build_benchmark_with;
     use rsyn_netlist::Library;
 
@@ -185,7 +185,7 @@ mod tests {
         };
         let accept = |c: &DesignState| c.undetectable_count() < original.undetectable_count();
         let mut evals = 0;
-        let opts = ResynthOptions::default();
+        let map_options = MapOptions::blend(MAP_BLEND);
         let out = backtrack(
             &ctx,
             &original,
@@ -194,7 +194,7 @@ mod tests {
             &allowed,
             &tight,
             &accept,
-            &opts.map_options,
+            &map_options,
             &mut evals,
         );
         assert!(out.is_none(), "1% power budget cannot be met");
@@ -215,7 +215,7 @@ mod tests {
             &allowed,
             &loose,
             &accept,
-            &opts.map_options,
+            &map_options,
             &mut evals,
         ) {
             assert!(s.undetectable_count() < original.undetectable_count());

@@ -22,33 +22,31 @@ use crate::backtrack::backtrack;
 use crate::constraints::DesignConstraints;
 use crate::flow::{DesignState, FlowContext};
 
+/// Section III-B's trend-up termination: a cell scan stops after this
+/// many consecutive candidates whose total `U` increased.
+const TREND_STOP: usize = 2;
+
+/// Safety bound on accepted iterations per phase; Section III-B's two
+/// loops otherwise end on their own termination criteria.
+const MAX_ITERATIONS: usize = 25;
+
+/// The area/delay cost blend (`t` of [`MapOptions::blend`]) Section
+/// III-B's `Synthesize()` maps every candidate with; only the
+/// timing-driven retry before Section III-C backtracking maps with
+/// [`MapOptions::delay`] instead.
+pub const MAP_BLEND: f64 = 0.35;
+
 /// Options for the resynthesis procedure.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResynthOptions {
     /// Phase-1 termination target: stop when `|S_max|` falls below this
     /// percentage of `|F|` (the paper uses 1%).
     pub p1_percent: f64,
-    /// Stop a phase after this many consecutive candidates whose total `U`
-    /// increased (the paper's trend-up termination).
-    pub trend_stop: usize,
-    /// Safety bound on accepted iterations per phase.
-    pub max_iterations: usize,
-    /// Whether the Section III-C backtracking procedure runs when
-    /// constraints are violated.
-    pub backtracking: bool,
-    /// Mapping cost blend used by `Synthesize()`.
-    pub map_options: MapOptions,
 }
 
 impl Default for ResynthOptions {
     fn default() -> Self {
-        Self {
-            p1_percent: 1.0,
-            trend_stop: 2,
-            max_iterations: 25,
-            backtracking: true,
-            map_options: MapOptions::blend(0.35),
-        }
+        Self { p1_percent: 1.0 }
     }
 }
 
@@ -229,13 +227,13 @@ fn try_cells(
     window: &[GateId],
     constraints: &DesignConstraints,
     accept: &Accept<'_>,
-    options: &ResynthOptions,
     phase: Phase,
     evaluations: &mut usize,
     used_backtracking: &mut bool,
     banned_through: &mut Option<String>,
 ) -> Option<(DesignState, AcceptedRemap)> {
     let order = ctx.catalog.cells_by_internal_faults(&ctx.lib);
+    let map_options = MapOptions::blend(MAP_BLEND);
     let window_cells: Vec<CellId> =
         window.iter().map(|&g| state.nl.gate(g).expect("live").cell).collect();
     let mut worse_streak = 0usize;
@@ -276,7 +274,7 @@ fn try_cells(
             continue;
         }
         let Some(cand) =
-            evaluate_candidate(ctx, state, &window_i, &allowed, &options.map_options, evaluations)
+            evaluate_candidate(ctx, state, &window_i, &allowed, &map_options, evaluations)
         else {
             continue;
         };
@@ -294,12 +292,7 @@ fn try_cells(
             if constraints.satisfied_by(&cand) {
                 *banned_through = Some(ctx.lib.cell(cell_i).name.clone());
                 accepted_iteration(i);
-                let remap = AcceptedRemap {
-                    phase,
-                    window: window_i,
-                    allowed,
-                    map_options: options.map_options,
-                };
+                let remap = AcceptedRemap { phase, window: window_i, allowed, map_options };
                 return Some((cand, remap));
             }
             if fallback.is_none() {
@@ -308,7 +301,7 @@ fn try_cells(
         } else if cand.undetectable_count() > state.undetectable_count() {
             // Trend-up termination (Section III-B).
             worse_streak += 1;
-            if worse_streak >= options.trend_stop {
+            if worse_streak >= TREND_STOP {
                 rsyn_observe::add("resynth.trend_stops", 1);
                 break;
             }
@@ -335,27 +328,21 @@ fn try_cells(
             return Some((cand2, remap));
         }
     }
-    if options.backtracking {
-        if let Some((bt, win)) = backtrack(
-            ctx,
-            state,
-            &window_i,
-            &order[..=i],
-            &allowed,
-            constraints,
-            accept,
-            &options.map_options,
-            evaluations,
-        ) {
-            *banned_through = Some(ctx.lib.cell(cell_i).name.clone());
-            *used_backtracking = true;
-            accepted_iteration(i);
-            let remap =
-                AcceptedRemap { phase, window: win, allowed, map_options: options.map_options };
-            return Some((bt, remap));
-        }
-    }
-    None
+    let (bt, win) = backtrack(
+        ctx,
+        state,
+        &window_i,
+        &order[..=i],
+        &allowed,
+        constraints,
+        accept,
+        &map_options,
+        evaluations,
+    )?;
+    *banned_through = Some(ctx.lib.cell(cell_i).name.clone());
+    *used_backtracking = true;
+    accepted_iteration(i);
+    Some((bt, AcceptedRemap { phase, window: win, allowed, map_options }))
 }
 
 /// Counter bookkeeping for one accepted iteration whose winning candidate
@@ -424,7 +411,7 @@ pub fn resynthesize_from(
             stage: "resynth.p1",
         });
         let mut iter = cursor.iter_in_phase;
-        while iter < options.max_iterations {
+        while iter < MAX_ITERATIONS {
             let _zone = rsyn_observe::trace::zone("resynth.iter.p1", iter as u64);
             let s_pct = state.s_max_percent_of_f();
             if s_pct <= options.p1_percent || state.s_max_size() == 0 {
@@ -449,7 +436,6 @@ pub fn resynthesize_from(
                 &window,
                 constraints,
                 &accept,
-                options,
                 Phase::One,
                 &mut evaluations,
                 &mut bt,
@@ -483,7 +469,7 @@ pub fn resynthesize_from(
     rsyn_observe::events::publish(rsyn_observe::events::FlowEvent::StageEnter {
         stage: "resynth.p2",
     });
-    while iter < options.max_iterations {
+    while iter < MAX_ITERATIONS {
         let _zone = rsyn_observe::trace::zone("resynth.iter.p2", iter as u64);
         if state.undetectable_count() == 0 {
             break;
@@ -507,7 +493,6 @@ pub fn resynthesize_from(
             &window,
             constraints,
             &accept,
-            options,
             Phase::Two,
             &mut evaluations,
             &mut bt,

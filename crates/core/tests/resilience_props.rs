@@ -39,10 +39,7 @@ proptest! {
         let seed_nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper)
             .expect("benchmark");
 
-        let mut options = FlowOptions::new("sparc_ffu", "props");
-        // One accepted iteration per phase keeps each case affordable while
-        // still exercising acceptance, rejection, and recovery paths.
-        options.resynth.max_iterations = 1;
+        let options = FlowOptions::new("sparc_ffu", "props");
 
         let plan = inject::InjectionPlan::new()
             .reject_pdesign(reject)

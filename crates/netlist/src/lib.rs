@@ -43,7 +43,6 @@
 #![warn(clippy::unwrap_used)]
 
 pub mod arena;
-pub mod buffering;
 pub mod canon;
 pub mod cell;
 pub mod ids;

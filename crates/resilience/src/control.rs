@@ -101,11 +101,6 @@ impl RunControl {
         *self.deadline_lock() = Some(at);
     }
 
-    /// Removes any deadline.
-    pub fn clear_deadline(&self) {
-        *self.deadline_lock() = None;
-    }
-
     /// True when a deadline is set and already in the past.
     pub fn deadline_passed(&self) -> bool {
         self.deadline_lock().is_some_and(|at| Instant::now() >= at)
@@ -190,8 +185,6 @@ mod tests {
         assert_eq!(c.poll(), Some(StopCause::Deadline), "expired deadline persists");
         c.cancel();
         assert_eq!(c.poll(), Some(StopCause::Cancelled), "cancel wins");
-        c.clear_deadline();
-        assert!(!c.deadline_passed());
     }
 
     #[test]

@@ -14,19 +14,15 @@
 //!   the run seed, it forces `PDesign()` rejections, PODEM aborts,
 //!   worker-shard failures, and timing inflation at chosen call ordinals
 //!   so recovery paths can be exercised end-to-end in CI;
-//! * [`retry`] — the [`EscalationPolicy`] behind abort-escalation: PODEM
-//!   searches that hit the backtrack limit are re-queued with a
-//!   geometrically growing limit instead of being silently dropped;
+//! * [`retry`] — the deterministic, jittered [`BackoffPolicy`] the flow
+//!   service spaces its retries with;
 //! * [`checkpoint`] — the serialised state of the iterative resynthesis
 //!   loop (replaced-gate log, fault-verdict dictionary, iteration cursor,
 //!   deterministic counters), written after every accepted iteration so
 //!   `run_resumed()` can restart byte-identically;
 //! * [`control`] — the [`RunControl`] handle for cooperative
 //!   cancellation, deadlines, and checkpoint-backed preemption, polled by
-//!   the run driver at iteration boundaries;
-//! * [`journal`] — the write-ahead record codec (checksummed,
-//!   length-prefixed records in rotating segments) the flow service uses
-//!   to make accepted jobs survive process crashes.
+//!   the run driver at iteration boundaries.
 //!
 //! The crate depends only on `rsyn-observe` (for the JSON codec and the
 //! counter registry); the flow crates (`rsyn-atpg`, `rsyn-pdesign`,
@@ -36,12 +32,10 @@ pub mod checkpoint;
 pub mod control;
 pub mod error;
 pub mod inject;
-pub mod journal;
 pub mod retry;
 
 pub use checkpoint::{Checkpoint, RemapRecord, ResumeCursor, CHECKPOINT_SCHEMA};
 pub use control::{RunControl, StopCause};
 pub use error::{FlowError, Severity};
 pub use inject::{ArmedPlan, InjectionPlan};
-pub use journal::{JournalWriter, ReadReport};
-pub use retry::{BackoffPolicy, EscalationPolicy};
+pub use retry::BackoffPolicy;

@@ -1,62 +1,11 @@
-//! Bounded retry policies: abort escalation and deterministic backoff.
+//! Deterministic backoff for retries.
 //!
-//! A PODEM search that hits its backtrack limit returns
-//! `PodemOutcome::Aborted` — the fault is neither detected nor proven
-//! undetectable, a silent test hole. Instead of dropping it, the engine
-//! re-runs the search with a geometrically escalated backtrack limit:
-//! `256 → 1024 → 4096` under the default policy. Escalation happens
-//! *inside the owning shard*, so the retry count and the final verdict are
-//! independent of the worker-thread count.
-//!
-//! [`BackoffPolicy`] is the time-domain sibling used by the flow server:
-//! exponentially growing, capped retry delays with *deterministic* jitter.
-//! The jitter is drawn from a SplitMix64 stream keyed by `(seed, key,
-//! attempt)` — the same ordinal-keyed discipline as
-//! [`crate::inject::InjectionPlan`] — so a backoff schedule replays
-//! identically in tests and across runs, yet distinct jobs still spread
-//! out in time.
-
-/// Geometric escalation of a backtrack limit, bounded by a cap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EscalationPolicy {
-    /// Multiplier applied to the limit at each retry round.
-    pub factor: u32,
-    /// Hard ceiling on the escalated limit; rounds stop once reached.
-    pub cap: u32,
-}
-
-impl Default for EscalationPolicy {
-    fn default() -> Self {
-        EscalationPolicy { factor: 4, cap: 4096 }
-    }
-}
-
-impl EscalationPolicy {
-    /// A policy that never retries (cap at the base limit).
-    pub fn disabled() -> Self {
-        EscalationPolicy { factor: 1, cap: 0 }
-    }
-
-    /// The escalated limits tried after `base` fails, in order.
-    ///
-    /// The base attempt itself is not included. The sequence is strictly
-    /// increasing and ends at (or below) `cap`; an empty sequence means
-    /// "never retry".
-    pub fn limits(&self, base: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        if self.factor <= 1 || self.cap <= base {
-            return out;
-        }
-        let mut limit = base;
-        loop {
-            limit = limit.saturating_mul(self.factor).min(self.cap);
-            out.push(limit);
-            if limit >= self.cap {
-                return out;
-            }
-        }
-    }
-}
+//! [`BackoffPolicy`] gives exponentially growing, capped retry delays
+//! with *deterministic* jitter. The jitter is drawn from a SplitMix64
+//! stream keyed by `(seed, key, attempt)` — the same ordinal-keyed
+//! discipline as [`crate::inject::InjectionPlan`] — so a backoff schedule
+//! replays identically in tests and across runs, yet distinct jobs still
+//! spread out in time.
 
 /// Exponential backoff with a cap and deterministic, replayable jitter.
 ///
@@ -80,12 +29,6 @@ pub struct BackoffPolicy {
     pub seed: u64,
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy { base_ms: 10, factor: 2, cap_ms: 500, jitter_percent: 25, seed: 0xB0FF }
-    }
-}
-
 /// One SplitMix64 output for input `x` (same constants as
 /// [`crate::inject::InjectionPlan::random`]).
 fn splitmix64(x: u64) -> u64 {
@@ -96,11 +39,6 @@ fn splitmix64(x: u64) -> u64 {
 }
 
 impl BackoffPolicy {
-    /// A policy with no delay at all (tests, impatient callers).
-    pub fn immediate() -> Self {
-        BackoffPolicy { base_ms: 0, factor: 1, cap_ms: 0, jitter_percent: 0, seed: 0 }
-    }
-
     /// The delay before retry number `attempt` (0-based) of the schedule
     /// keyed by `key`, in milliseconds. Deterministic in
     /// `(self, key, attempt)`.
@@ -135,28 +73,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_escalates_256_to_4096() {
-        let p = EscalationPolicy::default();
-        assert_eq!(p.limits(256), vec![1024, 4096]);
-    }
-
-    #[test]
-    fn cap_clamps_the_last_round() {
-        let p = EscalationPolicy { factor: 4, cap: 3000 };
-        assert_eq!(p.limits(256), vec![1024, 3000]);
-    }
-
-    #[test]
-    fn disabled_and_degenerate_policies_never_retry() {
-        assert!(EscalationPolicy::disabled().limits(256).is_empty());
-        assert!(EscalationPolicy { factor: 1, cap: 4096 }.limits(256).is_empty());
-        assert!(EscalationPolicy { factor: 4, cap: 256 }.limits(256).is_empty());
-        assert!(EscalationPolicy { factor: 4, cap: 100 }.limits(256).is_empty());
-    }
-
-    #[test]
     fn backoff_is_deterministic_and_replayable() {
-        let p = BackoffPolicy::default();
+        let p =
+            BackoffPolicy { base_ms: 10, factor: 2, cap_ms: 500, jitter_percent: 25, seed: 0xB0FF };
         for attempt in 0..6 {
             assert_eq!(p.delay_ms(7, attempt), p.delay_ms(7, attempt));
         }
@@ -189,13 +108,6 @@ mod tests {
         let spread: std::collections::BTreeSet<u64> =
             (0..64u64).map(|key| p.delay_ms(key, 0)).collect();
         assert!(spread.len() > 8, "keys must spread the schedule");
-    }
-
-    #[test]
-    fn immediate_backoff_never_sleeps() {
-        let p = BackoffPolicy::immediate();
-        assert_eq!(p.delay_ms(3, 0), 0);
-        assert_eq!(p.delay_ms(3, 9), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Job descriptions, content-addressed keys, and completion handles.
 //!
 //! A [`JobSpec`] bundles everything a flow execution needs — the seed
-//! netlist, the circuit name it can be rebuilt from, the quality knobs —
-//! plus two *scheduling* attributes (priority and deadline) that are
+//! netlist, the circuit name it can be rebuilt from, the relaxation `q`
+//! and the physical-design seed — plus two *scheduling* attributes (priority and deadline) that are
 //! deliberately **not** part of the job identity: two tenants asking for
 //! the same resynthesis at different priorities should share one
 //! execution, not run it twice.
@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 
 use rsyn_atpg::fault::FaultStatus;
 use rsyn_cache::StableHasher;
-use rsyn_core::resynth::ResynthOptions;
 use rsyn_core::FlowReport;
 use rsyn_netlist::{library_hash, CanonicalView, Library, Netlist};
 use rsyn_resilience::{FlowError, RunControl};
@@ -80,8 +79,6 @@ pub struct JobSpec {
     /// distinct explicit seeds are distinct jobs — different seeds reach
     /// different designs and must not falsely coalesce.
     pub seed: Option<u64>,
-    /// Inner resynthesis options.
-    pub resynth: ResynthOptions,
     /// Scheduling priority — not part of the job identity.
     pub priority: Priority,
     /// Relative deadline, measured from submission — not part of the job
@@ -99,7 +96,6 @@ impl JobSpec {
             circuit: circuit.to_string(),
             q_percent: 5.0,
             seed: None,
-            resynth: ResynthOptions::default(),
             priority: Priority::Normal,
             deadline: None,
         }
@@ -131,7 +127,8 @@ impl JobSpec {
 }
 
 /// Content-addressed identity of a job: canonical netlist hash, library
-/// hash, circuit name, and every option that affects the result.
+/// hash, circuit name, and every spec field that affects the result
+/// (`q` and the seed; the resynthesis options are the flow's defaults).
 /// Priority, deadline, and thread counts are deliberately excluded —
 /// they change *scheduling*, not the answer — so identical in-flight
 /// requests coalesce across tenants.
@@ -142,7 +139,7 @@ pub fn job_key(spec: &JobSpec, lib: &Library) -> Option<u128> {
     let view = spec.netlist.comb_view().ok()?;
     let canon = CanonicalView::of(&spec.netlist, &view)?;
     let mut h = StableHasher::new();
-    h.write_str("server-job-key-v2");
+    h.write_str("server-job-key-v3");
     let vh = canon.hash();
     h.write_u64(vh as u64);
     h.write_u64((vh >> 64) as u64);
@@ -154,12 +151,6 @@ pub fn job_key(spec: &JobSpec, lib: &Library) -> Option<u128> {
     // An omitted seed hashes as the default: "no override" and "explicit
     // default" are the same work and must coalesce.
     h.write_u64(spec.seed.unwrap_or(rsyn_core::DEFAULT_SEED));
-    h.write_f64(spec.resynth.p1_percent);
-    h.write_usize(spec.resynth.trend_stop);
-    h.write_usize(spec.resynth.max_iterations);
-    h.write_bool(spec.resynth.backtracking);
-    h.write_f64(spec.resynth.map_options.area_weight);
-    h.write_f64(spec.resynth.map_options.delay_weight);
     Some(h.finish())
 }
 
@@ -255,7 +246,6 @@ pub(crate) struct JobInner {
     pub(crate) netlist: Netlist,
     pub(crate) q_percent: f64,
     pub(crate) seed: Option<u64>,
-    pub(crate) resynth: ResynthOptions,
     /// Relative deadline from the spec, kept for journaling (the armed
     /// absolute instant lives in `control`).
     pub(crate) deadline: Option<Duration>,
@@ -292,7 +282,6 @@ impl JobInner {
             netlist: spec.netlist,
             q_percent: spec.q_percent,
             seed: spec.seed,
-            resynth: spec.resynth,
             deadline: spec.deadline,
             control,
             attempts: AtomicU32::new(0),

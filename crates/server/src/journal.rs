@@ -1,8 +1,9 @@
 //! Write-ahead job journal: event schema, replay, and recovery facts.
 //!
 //! Every job state transition the server performs is appended to a
-//! [`rsyn_resilience::journal`] segment *before* the in-memory effect is
-//! relied upon, so a process crash can lose at most the transition being
+//! journal segment (see `segment.rs`: checksummed, length-prefixed
+//! records in rotating files) *before* the in-memory effect is relied
+//! upon, so a process crash can lose at most the transition being
 //! written — never an accepted job. [`JobJournal`] owns the writer side
 //! (fail-soft: a journal I/O error degrades durability, it never takes
 //! down the service); [`replay`] folds a recorded event stream back into
@@ -26,9 +27,13 @@ use std::path::Path;
 
 use rsyn_cache::StableHasher;
 use rsyn_observe::Hist;
-use rsyn_resilience::journal::{read_dir, AppendOutcome, JournalWriter, ReadReport};
 
 use crate::job::Priority;
+
+mod segment;
+
+pub use segment::ReadReport;
+use segment::{read_dir, AppendOutcome, JournalWriter};
 
 /// Spec facts persisted with an `Accepted` event — everything needed to
 /// rebuild and re-admit the job after a crash (the netlist itself is
@@ -45,18 +50,6 @@ pub struct AcceptedSpec {
     pub priority: u8,
     /// Relative deadline in milliseconds, re-armed from recovery time.
     pub deadline_ms: Option<u64>,
-    /// Resynthesis `p1` percentage.
-    pub p1_percent: f64,
-    /// Resynthesis trend-stop window.
-    pub trend_stop: u64,
-    /// Resynthesis iteration cap.
-    pub max_iterations: u64,
-    /// Whether Section III-C backtracking is enabled.
-    pub backtracking: bool,
-    /// Technology-mapping area weight.
-    pub area_weight: f64,
-    /// Technology-mapping delay weight.
-    pub delay_weight: f64,
 }
 
 impl AcceptedSpec {
@@ -260,12 +253,6 @@ impl JournalEvent {
                 e.opt_u64(spec.seed);
                 e.u8(spec.priority);
                 e.opt_u64(spec.deadline_ms);
-                e.f64(spec.p1_percent);
-                e.u64(spec.trend_stop);
-                e.u64(spec.max_iterations);
-                e.u8(u8::from(spec.backtracking));
-                e.f64(spec.area_weight);
-                e.f64(spec.delay_weight);
                 e.buf
             }
             JournalEvent::Started { key, attempt } => {
@@ -333,31 +320,9 @@ impl JournalEvent {
                 let seed = d.opt_u64()?;
                 let priority = d.u8()?;
                 let deadline_ms = d.opt_u64()?;
-                let p1_percent = d.f64()?;
-                let trend_stop = d.u64()?;
-                let max_iterations = d.u64()?;
-                let backtracking = match d.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                let area_weight = d.f64()?;
-                let delay_weight = d.f64()?;
                 JournalEvent::Accepted {
                     key,
-                    spec: AcceptedSpec {
-                        circuit,
-                        q_percent,
-                        seed,
-                        priority,
-                        deadline_ms,
-                        p1_percent,
-                        trend_stop,
-                        max_iterations,
-                        backtracking,
-                        area_weight,
-                        delay_weight,
-                    },
+                    spec: AcceptedSpec { circuit, q_percent, seed, priority, deadline_ms },
                 }
             }
             TAG_STARTED => JournalEvent::Started { key: d.u128()?, attempt: d.u32()? },
@@ -501,11 +466,6 @@ pub struct ReplayedJob {
     /// Acceptance facts; `None` when no (intact) `Accepted` record was
     /// found — such a job is reported but never re-admitted or invented.
     pub spec: Option<AcceptedSpec>,
-    /// `Started` records seen.
-    pub starts: u64,
-    /// Records that account for a finished execution: `Retried`,
-    /// `Requeued`, and the winning terminal.
-    pub follow_ups: u64,
     /// Whether a `Checkpointed` record was seen (a resume is possible).
     pub checkpointed: bool,
     /// The winning (first) terminal, if any.
@@ -513,12 +473,6 @@ pub struct ReplayedJob {
 }
 
 impl ReplayedJob {
-    /// Executions that started but never reported back — the signature
-    /// of a process crash mid-run.
-    pub fn interrupted(&self) -> u64 {
-        self.starts.saturating_sub(self.follow_ups)
-    }
-
     /// True when the job was accepted but never reached a terminal:
     /// recovery must re-admit it.
     pub fn is_open(&self) -> bool {
@@ -545,11 +499,6 @@ impl Replay {
         self.jobs.iter().find(|j| j.key == key)
     }
 
-    /// Jobs that must be re-admitted (accepted, no terminal).
-    pub fn open_jobs(&self) -> impl Iterator<Item = &ReplayedJob> {
-        self.jobs.iter().filter(|j| j.is_open())
-    }
-
     /// Events that referenced a key whose acceptance never surfaced.
     pub fn lost_spec(&self) -> u64 {
         self.jobs.iter().filter(|j| j.spec.is_none()).count() as u64
@@ -563,14 +512,7 @@ pub fn replay(events: &[JournalEvent]) -> Replay {
     let mut index: BTreeMap<u128, usize> = BTreeMap::new();
     let mut job_at = |jobs: &mut Vec<ReplayedJob>, key: u128| -> usize {
         *index.entry(key).or_insert_with(|| {
-            jobs.push(ReplayedJob {
-                key,
-                spec: None,
-                starts: 0,
-                follow_ups: 0,
-                checkpointed: false,
-                terminal: None,
-            });
+            jobs.push(ReplayedJob { key, spec: None, checkpointed: false, terminal: None });
             jobs.len() - 1
         })
     };
@@ -588,19 +530,17 @@ pub fn replay(events: &[JournalEvent]) -> Replay {
                 }
                 continue;
             }
-            JournalEvent::Started { key, .. } => {
-                let at = job_at(&mut out.jobs, *key);
-                out.jobs[at].starts += 1;
-                continue;
-            }
             JournalEvent::Checkpointed { key } => {
                 let at = job_at(&mut out.jobs, *key);
                 out.jobs[at].checkpointed = true;
                 continue;
             }
-            JournalEvent::Retried { key, .. } | JournalEvent::Requeued { key } => {
-                let at = job_at(&mut out.jobs, *key);
-                out.jobs[at].follow_ups += 1;
+            // Execution progress proves the key was journaled; whether
+            // the job is open depends only on acceptance and terminals.
+            JournalEvent::Started { key, .. }
+            | JournalEvent::Retried { key, .. }
+            | JournalEvent::Requeued { key } => {
+                job_at(&mut out.jobs, *key);
                 continue;
             }
             JournalEvent::Completed { key, fingerprint } => {
@@ -615,10 +555,7 @@ pub fn replay(events: &[JournalEvent]) -> Replay {
         let at = job_at(&mut out.jobs, key);
         let job = &mut out.jobs[at];
         match &job.terminal {
-            None => {
-                job.terminal = Some(kind);
-                job.follow_ups += 1;
-            }
+            None => job.terminal = Some(kind),
             Some(existing) if *existing == kind => out.idempotent_terminals += 1,
             Some(_) => out.duplicate_terminals += 1,
         }
@@ -637,12 +574,6 @@ mod tests {
             seed: Some(0x5EED),
             priority: 2,
             deadline_ms: Some(1500),
-            p1_percent: 10.0,
-            trend_stop: 3,
-            max_iterations: 40,
-            backtracking: true,
-            area_weight: 1.0,
-            delay_weight: 4.0,
         }
     }
 
@@ -686,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_reconstructs_lifecycles_and_counts_interruptions() {
+    fn replay_reconstructs_lifecycles() {
         let fp = "cd".repeat(16);
         let events = vec![
             JournalEvent::Accepted { key: 1, spec: spec("sparc_ffu") },
@@ -703,12 +634,10 @@ mod tests {
         assert_eq!(replay.duplicate_terminals, 0);
         let done = replay.job(1).expect("job 1");
         assert_eq!(done.terminal, Some(TerminalKind::Completed(fp)));
-        assert_eq!(done.interrupted(), 1, "the killed attempt is visible");
         assert!(!done.is_open());
         let open = replay.job(2).expect("job 2");
         assert!(open.is_open(), "accepted without terminal must be re-admitted");
-        assert_eq!(open.interrupted(), 1);
-        assert_eq!(replay.open_jobs().count(), 1);
+        assert_eq!(replay.jobs.len(), 2);
     }
 
     #[test]
@@ -732,7 +661,7 @@ mod tests {
         assert_eq!(job.terminal, Some(TerminalKind::Completed("00".repeat(16))), "first wins");
         assert_eq!(replay.lost_spec(), 1, "the orphan is reported");
         assert!(replay.job(4).expect("orphan").spec.is_none(), "never invented");
-        assert_eq!(replay.open_jobs().count(), 0);
+        assert!(replay.jobs.iter().all(|job| !job.is_open()));
     }
 
     #[test]

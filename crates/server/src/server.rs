@@ -13,9 +13,10 @@
 //!    resuming from the latest checkpoint when one exists.
 //! 4. Failures are contained: a worker panic is caught with
 //!    `catch_unwind` and converted into a recoverable error; recoverable
-//!    errors retry with deterministic jittered exponential backoff until
-//!    the attempt budget is spent; a preempted job requeues at its
-//!    current attempt and resumes byte-identically from its checkpoint.
+//!    errors retry with deterministic jittered exponential backoff
+//!    (`RETRY_BACKOFF`) until `MAX_ATTEMPTS` are spent; a preempted job
+//!    requeues at its current attempt and resumes byte-identically from
+//!    its checkpoint.
 //!    A job that crashes its worker [`ServerConfig::poison_threshold`]
 //!    times is quarantined with a terminal
 //!    [`JobOutcome::Poisoned`] verdict —
@@ -36,10 +37,10 @@
 //! nothing is written and recovery has nothing to replay.
 //!
 //! Recovery also **compacts** the journal: every surviving fact (each
-//! re-admission and its checkpoint flag, each recovery-time quarantine)
-//! is first rewritten into the fresh post-recovery segment chain, and
-//! only then — and only if that rewrite saw no damage or write errors —
-//! are the pre-recovery segments deleted. Terminal history does not
+//! re-admission and its checkpoint flag) is first rewritten into the
+//! fresh post-recovery segment chain, and only then — and only if that
+//! rewrite saw no damage or write errors — are the pre-recovery segments
+//! deleted. Terminal history does not
 //! survive compaction; auditors that need it must read the journal
 //! before the next recovery. Segments removed are tallied as
 //! `server.journal.compacted`.
@@ -98,7 +99,6 @@
 //! | `server.lost`      | running executions declared lost by the watchdog |
 //! | `server.recovered.jobs` | jobs re-admitted by [`Server::recover`] |
 //! | `server.recovered.terminal` | journaled jobs already terminal at recovery |
-//! | `server.recovered.poisoned` | jobs quarantined at recovery (crash-loop cap) |
 //! | `server.journal.write_err` | journal appends lost to real I/O errors |
 //! | `server.journal.compacted` | journal segments deleted by recovery compaction |
 //!
@@ -125,6 +125,14 @@ use crate::job::{job_key, report_digest, JobHandle, JobInner, JobOutcome, JobSpe
 use crate::journal::{digest_fingerprint, replay, AcceptedSpec, JobJournal, JournalEvent};
 use crate::queue::{JobQueue, QueueFull};
 
+/// Execution attempts per job before a recoverable failure becomes
+/// terminal.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Backoff schedule between retry attempts, keyed by the job key.
+const RETRY_BACKOFF: BackoffPolicy =
+    BackoffPolicy { base_ms: 10, factor: 2, cap_ms: 500, jitter_percent: 25, seed: 0xB0FF };
+
 /// Tuning of one [`Server`] instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -137,52 +145,33 @@ pub struct ServerConfig {
     /// ATPG threads *per worker* (jobs are bit-identical across thread
     /// counts, so this only trades latency for parallelism).
     pub atpg_threads: usize,
-    /// Execution attempts per job before a recoverable failure becomes
-    /// terminal (min 1).
-    pub max_attempts: u32,
-    /// Backoff schedule between retry attempts.
-    pub backoff: BackoffPolicy,
-    /// Whether a `High` submission may preempt a running lower-priority
-    /// job at its next checkpoint boundary.
-    pub preemption: bool,
     /// Write-ahead journal directory. `None` (and no `RSYN_JOURNAL_DIR`
     /// in the environment) disables journaling entirely — the server
     /// then behaves byte-identically to the non-durable flow.
     pub journal_dir: Option<PathBuf>,
     /// Worker crashes (panics or watchdog losses) one job may cause
     /// before it is quarantined with a terminal `Poisoned` verdict
-    /// (min 1). This cap is independent of the retry budget: a panicking
-    /// job is parked even when `max_attempts` would allow more requeues.
+    /// (min 1). This cap is independent of the attempt budget: a
+    /// panicking job is parked even when that budget would allow more
+    /// requeues.
     pub poison_threshold: u32,
-    /// Scan interval of the stuck-worker watchdog; `None` disables it.
-    pub watchdog_interval: Option<Duration>,
-    /// Recovery-time crash-loop cap: a journaled job with at least this
-    /// many interrupted starts (started, never reported back — the
-    /// signature of a job that kills the whole process) is quarantined at
-    /// recovery instead of re-admitted. `None` disables the check, which
-    /// is the right default when process deaths are exogenous (a healthy
-    /// long job interrupted by unrelated kills must not be poisoned).
-    pub recovery_quarantine: Option<u32>,
+    /// Scan interval of the stuck-worker watchdog.
+    pub watchdog_interval: Duration,
 }
 
 impl ServerConfig {
     /// A small default pool: 2 workers, capacity 64, 1 ATPG thread per
-    /// worker, 4 attempts, default backoff, preemption on, journaling
-    /// from `RSYN_JOURNAL_DIR` (disabled when unset), poison threshold 3,
-    /// 50 ms watchdog, no recovery-time quarantine.
+    /// worker, journaling from `RSYN_JOURNAL_DIR` (disabled when unset),
+    /// poison threshold 3, 50 ms watchdog.
     pub fn new(work_dir: impl Into<PathBuf>) -> Self {
         Self {
             workers: 2,
             queue_capacity: 64,
             work_dir: work_dir.into(),
             atpg_threads: 1,
-            max_attempts: 4,
-            backoff: BackoffPolicy::default(),
-            preemption: true,
             journal_dir: std::env::var_os("RSYN_JOURNAL_DIR").map(PathBuf::from),
             poison_threshold: 3,
-            watchdog_interval: Some(Duration::from_millis(50)),
-            recovery_quarantine: None,
+            watchdog_interval: Duration::from_millis(50),
         }
     }
 }
@@ -231,7 +220,6 @@ struct StatsCells {
     lost: AtomicU64,
     recovered_jobs: AtomicU64,
     recovered_terminal: AtomicU64,
-    recovered_poisoned: AtomicU64,
     journal_compacted: AtomicU64,
 }
 
@@ -256,7 +244,6 @@ pub struct ServerStats {
     pub lost: u64,
     pub recovered_jobs: u64,
     pub recovered_terminal: u64,
-    pub recovered_poisoned: u64,
     pub journal_compacted: u64,
 }
 
@@ -279,7 +266,6 @@ impl StatsCells {
             lost: self.lost.load(Ordering::Relaxed),
             recovered_jobs: self.recovered_jobs.load(Ordering::Relaxed),
             recovered_terminal: self.recovered_terminal.load(Ordering::Relaxed),
-            recovered_poisoned: self.recovered_poisoned.load(Ordering::Relaxed),
             journal_compacted: self.journal_compacted.load(Ordering::Relaxed),
         }
     }
@@ -347,9 +333,6 @@ pub struct RecoveryReport {
     /// Handles to the re-admitted (accepted-but-not-terminal) jobs, in
     /// journal acceptance order.
     pub readmitted: Vec<JobHandle>,
-    /// Keys quarantined at recovery by the crash-loop cap
-    /// ([`ServerConfig::recovery_quarantine`]).
-    pub poisoned: Vec<u128>,
     /// Journaled jobs that already had a terminal record.
     pub terminal: u64,
     /// Open jobs that could not be re-admitted: the acceptance record
@@ -411,17 +394,17 @@ impl Server {
                     .expect("spawn server worker")
             })
             .collect();
-        let watchdog = inner.cfg.watchdog_interval.map(|interval| {
+        let watchdog = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("rsyn-server-watchdog".to_string())
                 .spawn(move || {
                     let _observe = inner.observe.enter();
-                    watchdog_loop(&inner, interval);
+                    watchdog_loop(&inner);
                 })
                 .expect("spawn server watchdog")
-        });
-        Server { inner, workers, watchdog }
+        };
+        Server { inner, workers, watchdog: Some(watchdog) }
     }
 
     /// Starts the pool after replaying the write-ahead journal under the
@@ -466,23 +449,6 @@ impl Server {
                 report.lost_spec += 1;
                 continue;
             };
-            if inner.cfg.recovery_quarantine.is_some_and(|cap| job.interrupted() >= u64::from(cap))
-            {
-                // Crash-loop cap: this job keeps taking the whole process
-                // down with it. Park it instead of crashing again.
-                let crashes = u32::try_from(job.interrupted()).unwrap_or(u32::MAX);
-                journal_event(inner, JournalEvent::Poisoned { key: job.key, crashes });
-                events::publish_for(job.key, FlowEvent::Quarantined { crashes });
-                let ev = events::publish_for_returning(
-                    job.key,
-                    FlowEvent::Terminal { outcome: TerminalOutcome::Poisoned },
-                );
-                lock(&inner.terminal_events).insert(job.key, ev);
-                inner.stats.recovered_poisoned.fetch_add(1, Ordering::Relaxed);
-                inner.stats.poisoned.fetch_add(1, Ordering::Relaxed);
-                report.poisoned.push(job.key);
-                continue;
-            }
             let Some(netlist) = source(&spec.circuit) else {
                 report.lost_spec += 1;
                 continue;
@@ -491,12 +457,6 @@ impl Server {
                 .with_q(spec.q_percent)
                 .with_priority(spec.priority());
             respec.seed = spec.seed;
-            respec.resynth.p1_percent = spec.p1_percent;
-            respec.resynth.trend_stop = spec.trend_stop as usize;
-            respec.resynth.max_iterations = spec.max_iterations as usize;
-            respec.resynth.backtracking = spec.backtracking;
-            respec.resynth.map_options.area_weight = spec.area_weight;
-            respec.resynth.map_options.delay_weight = spec.delay_weight;
             if let Some(ms) = spec.deadline_ms {
                 respec.deadline = Some(Duration::from_millis(ms));
             }
@@ -607,7 +567,7 @@ impl Server {
     /// checkpoint boundary — it requeues and later resumes byte-identically.
     fn maybe_preempt(&self, incoming: Priority) {
         let inner = &*self.inner;
-        if !inner.cfg.preemption || incoming == Priority::Low {
+        if incoming == Priority::Low {
             return;
         }
         let running = lock(&inner.running);
@@ -738,7 +698,6 @@ fn publish_counters(inner: &ServerInner) -> ServerStats {
         ("server.lost", d(stats.lost, prev.lost)),
         ("server.recovered.jobs", d(stats.recovered_jobs, prev.recovered_jobs)),
         ("server.recovered.terminal", d(stats.recovered_terminal, prev.recovered_terminal)),
-        ("server.recovered.poisoned", d(stats.recovered_poisoned, prev.recovered_poisoned)),
         ("server.journal.compacted", d(stats.journal_compacted, prev.journal_compacted)),
     ]);
     published.stats = stats;
@@ -777,12 +736,6 @@ fn accepted_event(job: &JobInner) -> JournalEvent {
             seed: job.seed,
             priority: priority_code(job.priority()),
             deadline_ms: job.deadline.map(|d| d.as_millis() as u64),
-            p1_percent: job.resynth.p1_percent,
-            trend_stop: job.resynth.trend_stop as u64,
-            max_iterations: job.resynth.max_iterations as u64,
-            backtracking: job.resynth.backtracking,
-            area_weight: job.resynth.map_options.area_weight,
-            delay_weight: job.resynth.map_options.delay_weight,
         },
     }
 }
@@ -802,7 +755,8 @@ fn crash_or_quarantine(inner: &ServerInner, job: Arc<JobInner>, err: FlowError) 
 }
 
 /// Injected stall: stop beating until the watchdog bumps the claim epoch
-/// (or a generous cap expires, so a watchdog-less server still drains).
+/// (or a generous cap expires, so a stalled job without a deadline, which
+/// the watchdog never reclaims, still drains).
 fn stall_execution(job: &JobInner, claim: u64) {
     let cap = Instant::now() + Duration::from_secs(20);
     while job.epoch() == claim && Instant::now() < cap {
@@ -898,11 +852,11 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
 /// Watchdog scan loop: declares running jobs lost when they are past
 /// their deadline and their liveness beat (worker heartbeat + flow
 /// control pulses) has not moved across two consecutive scans.
-fn watchdog_loop(inner: &Arc<ServerInner>, interval: Duration) {
+fn watchdog_loop(inner: &Arc<ServerInner>) {
     // Per-worker (key, beat, consecutive-stale-scans) memory.
     let mut last: Vec<(u128, u64, u32)> = vec![(0, 0, 0); inner.cfg.workers.max(1)];
     while !inner.stop.load(Ordering::SeqCst) {
-        std::thread::park_timeout(interval);
+        std::thread::park_timeout(inner.cfg.watchdog_interval);
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
@@ -947,10 +901,6 @@ fn declare_lost(inner: &ServerInner, wid: usize, job: &Arc<JobInner>) {
     crash_or_quarantine(inner, Arc::clone(job), err);
 }
 
-/// One execution attempt: resume from the job's latest checkpoint when a
-/// valid one exists, otherwise run fresh. A checkpoint that fails
-/// validation (stale, injected write damage) falls back to a fresh run
-/// rather than failing the job.
 /// The latest-checkpoint path for a job key under `work_dir` — the file
 /// `execute` writes through the flow's checkpoint machinery and reads
 /// back on resume.
@@ -961,6 +911,10 @@ fn checkpoint_path(work_dir: &Path, key: u128) -> PathBuf {
         .join(format!("checkpoint-job-{key:032x}-latest.json"))
 }
 
+/// One execution attempt: resume from the job's latest checkpoint when a
+/// valid one exists, otherwise run fresh. A checkpoint that fails
+/// validation (stale, injected write damage) falls back to a fresh run
+/// rather than failing the job.
 fn execute(
     inner: &ServerInner,
     ctx: &FlowContext,
@@ -983,7 +937,6 @@ fn execute(
     let dir = inner.cfg.work_dir.join("jobs").join(format!("{:032x}", job.key));
     let mut options = FlowOptions::new(&job.circuit, &run_name);
     options.q_percent = job.q_percent;
-    options.resynth = job.resynth;
     options.checkpoint_dir = Some(dir.clone());
     options.control = job.control.clone();
 
@@ -1020,7 +973,7 @@ fn maybe_log_checkpoint(inner: &ServerInner, job: &JobInner) {
 /// deterministic jittered-backoff retry, or a terminal `Failed`.
 fn retry_or_fail(inner: &ServerInner, job: Arc<JobInner>, err: FlowError) {
     let attempt = job.attempts.fetch_add(1, Ordering::Relaxed);
-    if attempt + 1 >= inner.cfg.max_attempts.max(1) {
+    if attempt + 1 >= MAX_ATTEMPTS {
         finish(inner, &job, JobOutcome::Failed(err));
         return;
     }
@@ -1030,7 +983,7 @@ fn retry_or_fail(inner: &ServerInner, job: Arc<JobInner>, err: FlowError) {
     inner.stats.retries.fetch_add(1, Ordering::Relaxed);
     journal_event(inner, JournalEvent::Retried { key: job.key, attempt });
     events::publish_for(job.key, FlowEvent::Retried { attempt });
-    let delay = inner.cfg.backoff.delay_ms(job.key as u64, attempt);
+    let delay = RETRY_BACKOFF.delay_ms(job.key as u64, attempt);
     if delay > 0 {
         std::thread::sleep(Duration::from_millis(delay));
     }

@@ -146,7 +146,7 @@ fn durability_fates_fire_exactly_once() {
     cfg.workers = 1;
     cfg.journal_dir = Some(work.join("journal"));
     cfg.poison_threshold = 1;
-    cfg.watchdog_interval = Some(Duration::from_millis(20));
+    cfg.watchdog_interval = Duration::from_millis(20);
     let server = Server::start(cfg, ctx.lib.clone());
 
     let poisoned = match server.submit(poison_spec) {

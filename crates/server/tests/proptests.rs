@@ -41,12 +41,6 @@ fn spec(state: &mut u64) -> AcceptedSpec {
         seed: (mix(state) % 2 == 0).then(|| mix(state)),
         priority: (mix(state) % 3) as u8,
         deadline_ms: (mix(state) % 2 == 0).then(|| mix(state)),
-        p1_percent: (mix(state) % 1000) as f64 / 10.0,
-        trend_stop: mix(state),
-        max_iterations: mix(state),
-        backtracking: mix(state) % 2 == 0,
-        area_weight: -((mix(state) % 100) as f64),
-        delay_weight: 0.0,
     }
 }
 

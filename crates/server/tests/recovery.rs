@@ -1,6 +1,6 @@
 //! Crash durability: journal-disabled identity, restart recovery of
-//! journaled open jobs, poison-job quarantine, the stuck-worker
-//! watchdog, and the recovery-time crash-loop cap.
+//! journaled open jobs, poison-job quarantine, and the stuck-worker
+//! watchdog.
 
 use std::path::Path;
 use std::time::Duration;
@@ -25,12 +25,6 @@ fn accepted(spec: &JobSpec, key: u128) -> JournalEvent {
             seed: spec.seed,
             priority: 1, // Normal
             deadline_ms: spec.deadline.map(|d| d.as_millis() as u64),
-            p1_percent: spec.resynth.p1_percent,
-            trend_stop: spec.resynth.trend_stop as u64,
-            max_iterations: spec.resynth.max_iterations as u64,
-            backtracking: spec.resynth.backtracking,
-            area_weight: spec.resynth.map_options.area_weight,
-            delay_weight: spec.resynth.map_options.delay_weight,
         },
     }
 }
@@ -91,7 +85,9 @@ fn journal_disabled_is_identical_to_the_plain_flow() {
 
 /// A journal holding an accepted-but-unfinished job (the on-disk residue
 /// of a crash between acceptance and completion) is re-admitted by
-/// `Server::recover` and runs to the same digest as a direct run.
+/// `Server::recover` and runs to the same digest as a direct run, while
+/// an already-terminal job stays terminal; a second recovery then finds
+/// the re-admitted job terminal and re-admits nothing.
 #[test]
 fn recover_readmits_open_jobs_to_the_direct_result() {
     // Injection plans are process-global: hold an empty one so the
@@ -122,12 +118,12 @@ fn recover_readmits_open_jobs_to_the_direct_result() {
         let ctx = FlowContext::new(lib.clone());
         build_benchmark_with(circuit, &ctx.lib, &ctx.mapper)
     };
-    let (server, recovery) = Server::recover(cfg, ctx.lib.clone(), &source);
+    let (server, recovery) = Server::recover(cfg.clone(), ctx.lib.clone(), &source);
     assert_eq!(recovery.readmitted.len(), 1, "one open job re-admitted");
+    assert_eq!(recovery.readmitted[0].key(), key);
     assert_eq!(recovery.terminal, 1, "the finished job stays finished");
     assert_eq!(recovery.lost_spec, 0);
     assert_eq!(recovery.damaged_segments, 0);
-    assert!(recovery.poisoned.is_empty());
 
     let report = match recovery.readmitted[0].wait() {
         JobOutcome::Completed(report) => report,
@@ -147,6 +143,14 @@ fn recover_readmits_open_jobs_to_the_direct_result() {
         report_digest(&report),
         "recovered execution is result-equivalent to rsyn_core::run"
     );
+
+    // The completion was journaled after compaction: a second recovery
+    // sees the job as terminal and does not run it again.
+    let (server2, recovery2) = Server::recover(cfg, ctx.lib.clone(), &source);
+    assert_eq!(recovery2.terminal, 1, "the recovered job stays terminal");
+    assert!(recovery2.readmitted.is_empty());
+    assert_eq!(recovery2.damaged_segments, 0);
+    server2.shutdown();
     let _ = std::fs::remove_dir_all(&work);
 }
 
@@ -159,18 +163,12 @@ fn done_spec() -> AcceptedSpec {
         seed: None,
         priority: 0,
         deadline_ms: None,
-        p1_percent: 30.0,
-        trend_stop: 5,
-        max_iterations: 200,
-        backtracking: true,
-        area_weight: 1.0,
-        delay_weight: 1.0,
     }
 }
 
 /// Regression for the unbounded panic->requeue loop: a job whose worker
-/// panics on every attempt is quarantined at the poison threshold even
-/// when the retry budget would allow (effectively) unlimited requeues.
+/// panics on every attempt is quarantined at the poison threshold, before
+/// the attempt budget (four attempts) runs out.
 #[test]
 fn panicking_jobs_quarantine_at_the_poison_threshold() {
     let ctx = FlowContext::new(Library::osu018());
@@ -183,16 +181,7 @@ fn panicking_jobs_quarantine_at_the_poison_threshold() {
     let mut cfg = ServerConfig::new(&work);
     cfg.workers = 1;
     cfg.journal_dir = None;
-    cfg.max_attempts = 100; // the retry budget alone would loop ~forever
     cfg.poison_threshold = 3;
-    // Zero out the backoff so three crash->retry rounds are instant.
-    cfg.backoff = rsyn_resilience::BackoffPolicy {
-        base_ms: 0,
-        factor: 1,
-        cap_ms: 0,
-        jitter_percent: 0,
-        seed: 0,
-    };
     let server = Server::start(cfg, ctx.lib.clone());
 
     let handle = match server.submit(spec) {
@@ -227,14 +216,7 @@ fn watchdog_reclaims_a_stalled_worker() {
     cfg.workers = 1;
     cfg.journal_dir = None;
     cfg.poison_threshold = 10; // keep quarantine out of this scenario
-    cfg.watchdog_interval = Some(Duration::from_millis(10));
-    cfg.backoff = rsyn_resilience::BackoffPolicy {
-        base_ms: 0,
-        factor: 1,
-        cap_ms: 0,
-        jitter_percent: 0,
-        seed: 0,
-    };
+    cfg.watchdog_interval = Duration::from_millis(10);
     let server = Server::start(cfg, ctx.lib.clone());
 
     let handle = match server.submit(spec) {
@@ -250,71 +232,5 @@ fn watchdog_reclaims_a_stalled_worker() {
     assert_eq!(stats.deadline, 1, "{stats:?}");
     assert_eq!(stats.poisoned, 0, "{stats:?}");
     drop(armed);
-    let _ = std::fs::remove_dir_all(&work);
-}
-
-/// The recovery-time crash-loop cap: a journaled job with `cap` starts
-/// and no follow-ups (it keeps killing the process) is quarantined at
-/// recovery, while a job below the cap is re-admitted normally.
-#[test]
-fn recovery_quarantine_parks_crash_loopers() {
-    // Injection plans are process-global: hold an empty one so the
-    // armed tests in this file cannot fire inside this flow.
-    let _session = inject::arm(InjectionPlan::new());
-    let ctx = FlowContext::new(Library::osu018());
-    let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
-    let looper = JobSpec::new(nl.clone(), "sparc_ffu").with_q(3.0);
-    let healthy = JobSpec::new(nl, "sparc_ffu").with_q(4.0);
-    let looper_key = job_key(&looper, &ctx.lib).expect("canonical key");
-    let healthy_key = job_key(&healthy, &ctx.lib).expect("canonical key");
-
-    let work = temp_work("quarantine");
-    let journal_dir = work.join("journal");
-    {
-        let mut journal = JobJournal::open(&journal_dir).expect("journal opens");
-        journal.append(&accepted(&looper, looper_key));
-        // Two interrupted starts: started, never retried/requeued/finished.
-        journal.append(&JournalEvent::Started { key: looper_key, attempt: 0 });
-        journal.append(&JournalEvent::Started { key: looper_key, attempt: 0 });
-        journal.append(&accepted(&healthy, healthy_key));
-        journal.append(&JournalEvent::Started { key: healthy_key, attempt: 0 });
-    }
-
-    let mut cfg = ServerConfig::new(&work);
-    cfg.workers = 1;
-    cfg.journal_dir = Some(journal_dir.clone());
-    cfg.recovery_quarantine = Some(2);
-    let lib = ctx.lib.clone();
-    let source = move |circuit: &str| {
-        let ctx = FlowContext::new(lib.clone());
-        build_benchmark_with(circuit, &ctx.lib, &ctx.mapper)
-    };
-    let (server, recovery) = Server::recover(cfg, ctx.lib.clone(), &source);
-    assert_eq!(recovery.poisoned, vec![looper_key], "the crash looper is parked");
-    assert_eq!(recovery.readmitted.len(), 1, "the healthy job is re-admitted");
-    assert_eq!(recovery.readmitted[0].key(), healthy_key);
-
-    assert!(matches!(recovery.readmitted[0].wait(), JobOutcome::Completed(_)));
-    let stats = server.shutdown();
-    assert_eq!(stats.recovered_poisoned, 1, "{stats:?}");
-    assert_eq!(stats.poisoned, 1, "{stats:?}");
-    assert_eq!(stats.recovered_jobs, 1, "{stats:?}");
-
-    // The quarantine itself was journaled: a second recovery sees the
-    // looper as terminal and does not park it twice.
-    let mut cfg2 = ServerConfig::new(&work);
-    cfg2.workers = 1;
-    cfg2.journal_dir = Some(journal_dir);
-    cfg2.recovery_quarantine = Some(2);
-    let lib2 = ctx.lib.clone();
-    let source2 = move |circuit: &str| {
-        let ctx = FlowContext::new(lib2.clone());
-        build_benchmark_with(circuit, &ctx.lib, &ctx.mapper)
-    };
-    let (server2, recovery2) = Server::recover(cfg2, ctx.lib.clone(), &source2);
-    assert!(recovery2.poisoned.is_empty(), "the parked job stays terminal");
-    assert_eq!(recovery2.terminal, 2, "both jobs are now terminal");
-    assert!(recovery2.readmitted.is_empty());
-    server2.shutdown();
     let _ = std::fs::remove_dir_all(&work);
 }

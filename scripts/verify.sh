@@ -2,11 +2,13 @@
 # Repository verification gate. Stages (pass one as $1, default `all`):
 #
 #   lint   — formatting, clippy, rustdoc (fast; no build artifacts needed)
-#   gates  — release build, tier-1 and workspace tests (the suites over
-#            process-wide state once more at 16 test threads), and every
-#            behavioural gate: manifest determinism + baselines, Table I,
-#            guideline stats, Fig. 2, Table II on tv80, failure injection,
-#            checkpoint/resume, warm cross-run cache, perf trajectory
+#   gates  — release build (the `perf` benchmark package too), tier-1 and
+#            workspace tests (the suites over process-wide state once more
+#            at 16 test threads), and every behavioural gate: manifest
+#            determinism + baselines, Table I, guideline stats, Fig. 2,
+#            Table II on seven circuits, the N-detect baseline, failure
+#            injection, checkpoint/resume, warm cross-run cache, perf
+#            trajectory
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / checkpoint-write failures / PODEM
 #            aborts / queue-full sheds, plus checkpoint-backed preemption,
@@ -40,6 +42,12 @@ run_lint() {
 run_gates() {
   echo "== cargo build --release"
   cargo build --release --workspace
+
+  echo "== cargo build --release (perf benchmark package)"
+  # `perf` is its own package outside the workspace; it calls the flow's
+  # option structs, so an API change that breaks it must fail here rather
+  # than when the benchmark first runs.
+  cargo build --release --offline --manifest-path perf/Cargo.toml
 
   echo "== cargo test -q (tier-1)"
   cargo test -q
@@ -97,17 +105,22 @@ run_gates() {
   RSYN_MANIFEST_DIR="$SMOKE_DIR/fig2" target/release/fig2_phases sparc_exu 25 \
     | diff results/fig2_phases.txt -
 
-  echo "== Table II gate (tv80 at q <= 5: every column but Rtime, manifest exact)"
-  # The paper's main experiment on one circuit. Rtime, the last column, is
-  # a ratio of wall times; every other column of both rows must match the
-  # committed results/table2_q5.txt, and the run's counters and results
-  # must match the committed manifest.
-  RSYN_MANIFEST_DIR="$SMOKE_DIR/table2" target/release/table2 --max-q 5 --threads 2 tv80 \
+  echo "== Table II gate (seven circuits at q <= 5: every column but Rtime, manifest exact)"
+  # The paper's main experiment on the seven circuits whose sweeps fit the
+  # lane. Rtime, the last column, is a ratio of wall times; every other
+  # column of every row must match the committed results/table2_q5.txt,
+  # and the run's counters and results must match the committed manifest.
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/table2" target/release/table2 --max-q 5 --threads 2 \
+    sparc_ffu sparc_lsu sparc_tlu systemcaes sparc_ifu aes_core tv80 \
     >"$SMOKE_DIR/table2_q5.txt"
   diff <(awk 'NR > 2 { NF-- } { print }' results/table2_q5.txt) \
     <(awk 'NR > 2 { NF-- } { print }' "$SMOKE_DIR/table2_q5.txt")
   "$CHECK" --no-timings results/baselines/manifest-table2.json \
     "$SMOKE_DIR/table2/manifest-table2.json"
+
+  echo "== N-detect baseline gate (sparc_exu test counts at N = 1, 3, 5, exact text)"
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/ndetect" target/release/baseline_ndetect sparc_exu \
+    | diff results/baseline_ndetect.txt -
 
   echo "== failure-injection smoke gate (forced rejection/inflation/abort/shard loss)"
   # The resilient flow driver must absorb every injected failure (the bin

@@ -18,7 +18,7 @@
 //! * [`core`] — the paper's two-phase resynthesis procedure;
 //! * [`observe`] — stage spans, deterministic counters, run manifests;
 //! * [`resilience`] — typed flow errors, deterministic failure injection,
-//!   abort-escalation retry policies, and checkpoint/resume.
+//!   retry backoff, run control, and checkpoint/resume.
 
 pub use rsyn_atpg as atpg;
 pub use rsyn_cache as cache;
