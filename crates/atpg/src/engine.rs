@@ -15,20 +15,22 @@
 //! and the merge order is fixed, [`run_atpg`] returns bit-identical results
 //! for every `threads` setting, including 1.
 //!
+//! # Deciding every fault
+//!
+//! A fault whose PODEM search gives up at [`BACKTRACK_LIMIT`] without a
+//! detection is decided by the [`sat`](crate::sat) prover inside the same
+//! shard: a model becomes a test that the shard's fault simulator confirms,
+//! UNSAT proves the fault Undetectable. The prover is complete, so a fault
+//! ends `Aborted` only when the simulator rejects a model
+//! (`atpg.sat.unconfirmed`, which the tests assert never happens) or its
+//! shard fails twice. Each verdict depends only on the netlist and the
+//! fault, so statuses stay thread-count independent.
+//!
 //! # Resilience
 //!
-//! Two recovery mechanisms keep transient failures from puncturing the
-//! result, both operating *inside* the owning shard so verdicts and
-//! retry counts stay thread-count independent:
-//!
-//! * **Abort escalation** — a fault whose PODEM search hits
-//!   [`BACKTRACK_LIMIT`] is retried at each of `ESCALATED_LIMITS`
-//!   (256→1024→4096) before being reported `Aborted`; rescues land in
-//!   `atpg.abort_rescued`.
-//! * **Shard retry** — a shard whose pipeline panics (or is failed by the
-//!   `rsyn-resilience` injection harness) is re-executed once; a second
-//!   failure degrades the shard to all-`Aborted` statuses instead of
-//!   crashing the run.
+//! A shard whose pipeline panics (or is failed by the `rsyn-resilience`
+//! injection harness) is re-executed once; a second failure degrades the
+//! shard to all-`Aborted` statuses instead of crashing the run.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,19 +43,16 @@ use rsyn_resilience::inject;
 
 use crate::fault::{Fault, FaultKind, FaultStatus};
 use crate::podem::{Podem, PodemOutcome, Target};
+use crate::sat::{SatAtpg, SatOutcome};
 use crate::sim::FaultSim;
 use crate::testset::{window_mask, window_offsets, Pattern, TestSet};
 
 /// Number of 64-pattern random words each shard simulates before PODEM.
 pub const RANDOM_WORDS: usize = 8;
 
-/// PODEM backtrack limit of a fault's first search; a search beyond it
-/// aborts and escalates.
+/// PODEM backtrack limit per target; a fault whose search passes it
+/// without a detection is decided by SAT.
 pub const BACKTRACK_LIMIT: usize = 256;
-
-/// Backtrack limits of the escalation rounds that retry an aborted fault,
-/// in order. A fault still aborted at the last one is reported `Aborted`.
-pub(crate) const ESCALATED_LIMITS: [usize; 2] = [1024, 4096];
 
 /// Options controlling the ATPG run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,7 +218,8 @@ struct ShardPart {
 /// Runs the full ATPG flow on a fault list.
 ///
 /// Fault statuses come back parallel to `faults`; `Undetectable` is a proof
-/// (complete PODEM search), `Aborted` marks backtrack-limit hits.
+/// (a complete PODEM search, or SAT's UNSAT), and `Aborted` appears only
+/// when a shard fails twice or the simulator rejects a SAT model.
 ///
 /// The fault list is evaluated in deterministic shards spread over
 /// `options.threads` workers (see the module docs); the returned result is
@@ -359,7 +359,7 @@ fn run_atpg_uncached(
 }
 
 /// Deterministic coordinates of a shard within its ATPG run — the keys
-/// failure injection and abort escalation are addressed by.
+/// failure injection and the per-fault trace zones are addressed by.
 #[derive(Clone, Copy)]
 struct ShardIdentity {
     /// Shard index within the run's deterministic split.
@@ -406,87 +406,119 @@ fn run_shard_resilient(
     unreachable!("the second attempt either returns or degrades");
 }
 
-/// One fault's complete PODEM evaluation: every target is tried, confirmed
-/// detections push their patterns into `tests`/`drop_buffer`. Returns
-/// `(detected, any_aborted)`; neither flag set means every target search
-/// completed, i.e. the fault is proven undetectable.
-#[allow(clippy::too_many_arguments)]
+/// Whether the fault simulator detects `fault` with `patterns` loaded in
+/// consecutive lanes (a transition fault's initialisation pattern first).
+///
+/// Every PODEM and SAT detection is confirmed this way before it is
+/// trusted (standard pattern verification). A confirm loads at most two
+/// patterns but pays a full-design good-machine sweep, so it runs at the
+/// narrow `u64` width: a 256-lane block would quadruple the dominant cost
+/// to fill lanes that carry nothing. Detection bits are identical at any
+/// width (each 64-lane word is an independent simulation).
+fn confirms(sim: &mut FaultSim<u64>, fault: &Fault, patterns: &[Pattern], npis: usize) -> bool {
+    let _t = rsyn_observe::span_volatile("sim.confirm");
+    let mut lanes = vec![0u64; npis];
+    for (k, p) in patterns.iter().enumerate() {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if p.get(i) {
+                *lane |= 1 << k;
+            }
+        }
+    }
+    sim.set_patterns(&lanes);
+    sim.detect_lanes(fault) & ((1u64 << patterns.len()) - 1) != 0
+}
+
+/// One fault's PODEM evaluation at [`BACKTRACK_LIMIT`]: every target is
+/// tried, and a confirmed detection pushes its patterns into
+/// `tests`/`drop_buffer`. Returns `(detected, any_aborted)`; neither flag
+/// set means every target search completed, i.e. the fault is proven
+/// undetectable. A detection the simulator cannot confirm counts as
+/// aborted, never as undetectable.
 fn attempt_fault(
     podem: &mut Podem<'_>,
-    backtrack_limit: usize,
     sim: &mut FaultSim<u64>,
     tests: &mut TestSet,
     drop_buffer: &mut Vec<Pattern>,
     fault: &Fault,
     npis: usize,
 ) -> (bool, bool) {
-    // Every PODEM detection is confirmed against the independent fault
-    // simulator before it is trusted (standard pattern-verification). A
-    // detection the simulator cannot confirm — possible only for faults
-    // whose behaviour falls outside the combinational single-fault
-    // semantics, such as feedback bridges — is reported as aborted, never
-    // as undetectable.
-    //
-    // A confirm loads at most two patterns but pays a full-design
-    // good-machine sweep, so it runs at the narrow `u64` width: a 256-lane
-    // block would quadruple the dominant cost to fill lanes that carry
-    // nothing. Detection bits are identical at any width (each 64-lane
-    // word is an independent simulation).
-    let confirm = |sim: &mut FaultSim<u64>, fault: &Fault, pair: &[&Pattern]| -> bool {
-        let _t = rsyn_observe::span_volatile("sim.confirm");
-        let mut lanes = vec![0u64; npis];
-        for (k, p) in pair.iter().enumerate() {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                if p.get(i) {
-                    *lane |= 1 << k;
-                }
-            }
-        }
-        sim.set_patterns(&lanes);
-        sim.detect_lanes(fault) & ((1u64 << pair.len()) - 1) != 0
-    };
     let mut any_aborted = false;
-    let mut detected = false;
     for target in targets_of(fault) {
-        match podem.run_with_limit(&target, backtrack_limit) {
+        match podem.run(&target) {
             PodemOutcome::Detected(p) => {
                 // Transition faults need a preceding initialisation
                 // pattern; justify it (completeness: if initialisation
                 // is impossible the fault is undetectable).
-                if let FaultKind::Transition { net, rising } = fault.kind {
-                    match podem
-                        .run_with_limit(&Target::Justify { net, value: !rising }, backtrack_limit)
-                    {
-                        PodemOutcome::Detected(init) => {
-                            if confirm(sim, fault, &[&init, &p]) {
-                                drop_buffer.push(init.clone());
-                                drop_buffer.push(p.clone());
-                                tests.push(init);
-                                tests.push(p);
-                                detected = true;
-                            } else {
-                                any_aborted = true;
-                            }
+                let test = if let FaultKind::Transition { net, rising } = fault.kind {
+                    match podem.run(&Target::Justify { net, value: !rising }) {
+                        PodemOutcome::Detected(init) => vec![init, p],
+                        PodemOutcome::Undetectable => continue,
+                        PodemOutcome::Aborted => {
+                            any_aborted = true;
+                            continue;
                         }
-                        PodemOutcome::Undetectable => {}
-                        PodemOutcome::Aborted => any_aborted = true,
                     }
-                } else if confirm(sim, fault, &[&p]) {
-                    drop_buffer.push(p.clone());
-                    tests.push(p);
-                    detected = true;
                 } else {
-                    any_aborted = true;
+                    vec![p]
+                };
+                if confirms(sim, fault, &test, npis) {
+                    drop_buffer.extend(test.iter().cloned());
+                    tests.extend(test);
+                    return (true, false);
                 }
-                if detected {
-                    break;
-                }
+                any_aborted = true;
             }
             PodemOutcome::Undetectable => {}
             PodemOutcome::Aborted => any_aborted = true,
         }
     }
-    (detected, any_aborted)
+    (false, any_aborted)
+}
+
+/// Per-shard tallies of the SAT decisions, flushed as `atpg.sat.*`.
+#[derive(Default)]
+struct SatTally {
+    calls: u64,
+    detected: u64,
+    undetectable: u64,
+    unconfirmed: u64,
+    conflicts: u64,
+}
+
+/// Decides a fault PODEM gave up on: a model's patterns are confirmed and
+/// pushed like PODEM's, UNSAT proves the fault Undetectable, and a model
+/// the simulator rejects leaves it `Aborted`.
+fn decide_by_sat(
+    prover: &mut SatAtpg,
+    sim: &mut FaultSim<u64>,
+    tests: &mut TestSet,
+    drop_buffer: &mut Vec<Pattern>,
+    fault: &Fault,
+    npis: usize,
+    tally: &mut SatTally,
+) -> FaultStatus {
+    let outcome = prover.decide(fault);
+    tally.calls += 1;
+    tally.conflicts += prover.conflicts();
+    rsyn_observe::hist_add("atpg.sat.conflicts_per_fault", prover.conflicts());
+    match outcome {
+        SatOutcome::Undetectable => {
+            tally.undetectable += 1;
+            FaultStatus::Undetectable
+        }
+        SatOutcome::Detected(test) => {
+            if confirms(sim, fault, &test, npis) {
+                tally.detected += 1;
+                drop_buffer.extend(test.iter().cloned());
+                tests.extend(test);
+                FaultStatus::Detected
+            } else {
+                tally.unconfirmed += 1;
+                FaultStatus::Aborted
+            }
+        }
+    }
 }
 
 /// The serial random + PODEM pipeline over one shard of the fault list.
@@ -565,67 +597,34 @@ fn run_shard(
     drop(random_span);
 
     // --- deterministic phase -----------------------------------------------------
+    // SAT runs inside this span: it decides the faults PODEM gives up on.
     let podem_span = rsyn_observe::span("atpg.podem");
     let mut podem = Podem::with_arena(nl, view, Arc::clone(arena), BACKTRACK_LIMIT);
+    // Built on the first fault that needs it: most shards never do.
+    let mut prover: Option<SatAtpg> = None;
+    let mut sat = SatTally::default();
+    let mut proved_by_podem = 0u64;
     let mut drop_buffer: Vec<Pattern> = Vec::new();
-    let mut abort_retries = 0u64;
-    let mut abort_rescued = 0u64;
     for fi in 0..faults.len() {
         if statuses[fi] != FaultStatus::Undetected {
             continue;
         }
         let fault = &faults[fi];
+        let global = (id.base_fault + fi) as u64;
         // Per-fault attribution: the zone id is the fault's global index,
         // so a slow search in the trace names the exact fault; the effort
         // histograms below are deterministic because each search depends
-        // only on the netlist, the fault, and the limit.
-        let fault_zone = rsyn_observe::trace::zone("atpg.fault", (id.base_fault + fi) as u64);
+        // only on the netlist and the fault.
+        let fault_zone = rsyn_observe::trace::zone("atpg.fault", global);
         let backtracks_before = podem.backtracks();
         let decisions_before = podem.decisions();
-        // An injected abort skips the base attempt entirely; the
-        // escalation rounds below then rescue the fault, exercising the
-        // same path a genuine backtrack-limit hit takes.
-        let injected = inject::should_abort_podem(id.run_ordinal, (id.base_fault + fi) as u64);
-        let (mut detected, mut any_aborted) = if injected {
+        // An injected abort skips the PODEM attempt entirely and sends the
+        // fault to SAT, the path a genuine backtrack-limit hit takes.
+        let (detected, aborted) = if inject::should_abort_podem(id.run_ordinal, global) {
             (false, true)
         } else {
-            attempt_fault(
-                &mut podem,
-                BACKTRACK_LIMIT,
-                &mut narrow_sim,
-                &mut tests,
-                &mut drop_buffer,
-                fault,
-                npis,
-            )
+            attempt_fault(&mut podem, &mut narrow_sim, &mut tests, &mut drop_buffer, fault, npis)
         };
-
-        // Abort escalation: retry the whole fault with geometrically
-        // larger backtrack limits before giving up. Runs inside the shard,
-        // so retry counts and verdicts are thread-count independent.
-        if !detected && any_aborted {
-            for limit in ESCALATED_LIMITS {
-                abort_retries += 1;
-                let (d, a) = attempt_fault(
-                    &mut podem,
-                    limit,
-                    &mut narrow_sim,
-                    &mut tests,
-                    &mut drop_buffer,
-                    fault,
-                    npis,
-                );
-                if d || !a {
-                    // Rescued: detected, or the search completed and the
-                    // fault is proven undetectable.
-                    detected = d;
-                    any_aborted = false;
-                    abort_rescued += 1;
-                    break;
-                }
-            }
-        }
-        // Both counts include the escalation rounds.
         rsyn_observe::hist_add(
             "atpg.podem.backtracks_per_fault",
             podem.backtracks() - backtracks_before,
@@ -638,13 +637,25 @@ fn run_shard(
 
         statuses[fi] = if detected {
             FaultStatus::Detected
-        } else if any_aborted {
-            FaultStatus::Aborted
-        } else {
+        } else if !aborted {
+            proved_by_podem += 1;
             FaultStatus::Undetectable
+        } else {
+            let _zone = rsyn_observe::trace::zone("atpg.sat", global);
+            let prover = prover.get_or_insert_with(|| SatAtpg::with_arena(Arc::clone(arena)));
+            decide_by_sat(
+                prover,
+                &mut narrow_sim,
+                &mut tests,
+                &mut drop_buffer,
+                fault,
+                npis,
+                &mut sat,
+            )
         };
 
         // Periodically fault-drop with the freshly generated patterns.
+        let detected = statuses[fi] == FaultStatus::Detected;
         if drop_buffer.len() >= 64 || (detected && drop_buffer.len() >= 32) {
             drop_faults(&mut narrow_sim, faults, &mut statuses, &drop_buffer, npis);
             drop_buffer.clear();
@@ -666,8 +677,13 @@ fn run_shard(
         ("atpg.random.detected", random_detected),
         ("atpg.podem.backtracks", podem.backtracks()),
         ("atpg.podem.decisions", podem.decisions()),
-        ("atpg.abort_retries", abort_retries),
-        ("atpg.abort_rescued", abort_rescued),
+        ("atpg.sat.calls", sat.calls),
+        ("atpg.sat.detected", sat.detected),
+        ("atpg.sat.undetectable", sat.undetectable),
+        ("atpg.sat.unconfirmed", sat.unconfirmed),
+        ("atpg.sat.conflicts", sat.conflicts),
+        ("atpg.proof.podem", proved_by_podem),
+        ("atpg.proof.sat", sat.undetectable),
         ("atpg.detected", count(FaultStatus::Detected)),
         ("atpg.undetectable", count(FaultStatus::Undetectable)),
         ("atpg.aborted", count(FaultStatus::Aborted)),
@@ -1134,11 +1150,12 @@ mod tests {
     }
 
     #[test]
-    fn injected_podem_abort_is_rescued_by_escalation() {
+    fn injected_podem_abort_is_decided_by_sat() {
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
         let options = AtpgOptions::default();
+        rsyn_observe::reset();
         let reference = {
             let _session = crate::injection_session();
             run_atpg(&nl, &view, &faults, &options)
@@ -1148,6 +1165,7 @@ mod tests {
         // redundant cone holds several).
         let sites: Vec<usize> = reference.undetectable_indices().into_iter().take(2).collect();
         assert_eq!(sites.len(), 2, "the test circuit has two undetectable faults");
+        assert_eq!(rsyn_observe::counter("atpg.sat.calls"), 0, "PODEM decides the reference");
 
         rsyn_observe::reset();
         let plan = sites
@@ -1156,12 +1174,50 @@ mod tests {
         let armed = inject::arm(plan);
         let r = run_atpg(&nl, &view, &faults, &options);
         drop(armed);
-        // The escalation retry re-runs the aborted faults and rescues them:
-        // the result matches the uninjected run exactly.
+        // SAT decides the aborted faults: the result matches the
+        // uninjected run exactly, and both proofs are SAT's.
         assert_eq!(r.statuses, reference.statuses);
-        assert!(rsyn_observe::counter("atpg.abort_retries") >= 2);
-        assert!(rsyn_observe::counter("atpg.abort_rescued") >= 2);
+        assert_eq!(rsyn_observe::counter("atpg.sat.calls"), 2);
+        assert_eq!(rsyn_observe::counter("atpg.sat.undetectable"), 2);
+        assert_eq!(rsyn_observe::counter("atpg.proof.sat"), 2);
+        assert_eq!(rsyn_observe::counter("atpg.sat.unconfirmed"), 0);
         assert_eq!(rsyn_observe::counter("inject.fired.podem_abort"), 2);
+    }
+
+    /// SAT reaches the same verdict as the engine's PODEM-and-SAT run for
+    /// every fault kind, and the simulator confirms every SAT test.
+    #[test]
+    fn sat_agrees_with_the_engine_on_every_kind() {
+        let nl = build_circuit();
+        let view = nl.comb_view().unwrap();
+        let fa0: GateId = nl.find_gate("fa0").unwrap();
+        let (s0, s1) = (nl.find_net("s0").unwrap(), nl.find_net("s1").unwrap());
+        let r_net = nl.find_net("r").unwrap();
+        let mut faults = all_stuck_at(&nl);
+        faults.extend([
+            Fault::internal(fa0, vec![CellCondition { pattern: 0b011, output: 1 }], 1),
+            Fault::external(FaultKind::Bridge { a: s0, b: s1, kind: BridgeKind::WiredAnd }, 2),
+            Fault::external(FaultKind::Bridge { a: s0, b: s1, kind: BridgeKind::WiredOr }, 2),
+            Fault::external(FaultKind::Transition { net: s0, rising: true }, 3),
+            Fault::external(FaultKind::Transition { net: r_net, rising: true }, 3),
+        ]);
+        let result = {
+            let _session = crate::injection_session();
+            run_atpg(&nl, &view, &faults, &AtpgOptions::default())
+        };
+        let mut prover = SatAtpg::new(&nl, &view);
+        let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
+        for (fi, fault) in faults.iter().enumerate() {
+            match prover.decide(fault) {
+                SatOutcome::Detected(test) => {
+                    assert_eq!(result.statuses[fi], FaultStatus::Detected, "fault {fi}");
+                    assert!(confirms(&mut sim, fault, &test, view.pis.len()), "fault {fi}");
+                }
+                SatOutcome::Undetectable => {
+                    assert_eq!(result.statuses[fi], FaultStatus::Undetectable, "fault {fi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! For circuits with up to [`MAX_EXHAUSTIVE_PIS`] view inputs, every input
 //! pattern can be simulated, giving a ground-truth detectability verdict
-//! against which PODEM's proofs are cross-checked (the property tests do
-//! exactly that). Transition faults are checked over every *ordered pair*
+//! against which PODEM's and SAT's proofs are cross-checked (the property
+//! tests do exactly that). Transition faults are checked over every *ordered pair*
 //! of patterns via the lane-sequence trick.
 
 use rsyn_netlist::{CombView, LaneBlock, Netlist, LANES, LANE_WORDS};

@@ -12,11 +12,14 @@
 //!   event propagation;
 //! * [`podem`] — a complete PODEM implementation (objective, backtrace,
 //!   forward implication, X-path check) for arbitrary library cells; search
-//!   exhaustion is an undetectability *proof*, aborts are reported
-//!   separately and never counted as undetectable;
+//!   exhaustion is an undetectability *proof*, and a search that hits the
+//!   backtrack limit is never counted as undetectable;
+//! * [`sat`] — a CDCL SAT prover over one miter per fault, which decides
+//!   every fault PODEM gives up on (a confirmed test, or UNSAT as a proof);
 //! * [`engine`] — the full flow: fault sharding → random phase with fault
-//!   dropping → deterministic phase → reverse-order test compaction, run
-//!   over a deterministic thread pool ([`AtpgOptions::threads`]);
+//!   dropping → deterministic phase (PODEM, then SAT) → reverse-order test
+//!   compaction, run over a deterministic thread pool
+//!   ([`AtpgOptions::threads`]);
 //! * [`incremental`] — cone-of-influence incremental re-evaluation for the
 //!   resynthesis inner loop: only faults reachable from a remapped window
 //!   are re-simulated.
@@ -50,6 +53,7 @@ pub mod exhaustive;
 pub mod fault;
 pub mod incremental;
 pub mod podem;
+pub mod sat;
 pub mod sim;
 pub mod tester;
 pub mod testset;
@@ -62,6 +66,7 @@ pub use exhaustive::exhaustive_detectable;
 pub use fault::{BridgeKind, CellCondition, Fault, FaultKind, FaultOrigin, FaultStatus};
 pub use incremental::{run_atpg_incremental, Cone, PreviousEvaluation};
 pub use podem::{Podem, PodemOutcome};
+pub use sat::{SatAtpg, SatOutcome};
 pub use sim::FaultSim;
 pub use tester::TesterTime;
 pub use testset::{Pattern, TestSet};

@@ -268,27 +268,17 @@ impl<'a> Podem<'a> {
 
     /// Runs the search for one target (unassigned inputs filled with 0).
     pub fn run(&mut self, target: &Target) -> PodemOutcome {
-        self.search(target, None, self.backtrack_limit)
-    }
-
-    /// Runs the search with a backtrack limit for this call only.
-    pub fn run_with_limit(&mut self, target: &Target, backtrack_limit: usize) -> PodemOutcome {
-        self.search(target, None, backtrack_limit)
+        self.search(target, None)
     }
 
     /// Runs the search, filling unassigned inputs from a seeded random
     /// stream instead of zeros. Different seeds produce *distinct* tests
     /// for the same target — the mechanism behind N-detect augmentation.
     pub fn run_with_fill(&mut self, target: &Target, fill_seed: Option<u64>) -> PodemOutcome {
-        self.search(target, fill_seed, self.backtrack_limit)
+        self.search(target, fill_seed)
     }
 
-    fn search(
-        &mut self,
-        target: &Target,
-        fill_seed: Option<u64>,
-        backtrack_limit: usize,
-    ) -> PodemOutcome {
+    fn search(&mut self, target: &Target, fill_seed: Option<u64>) -> PodemOutcome {
         self.finished_backtracks += self.run_backtracks as u64;
         self.run_backtracks = 0;
         self.finished_decisions += self.run_decisions;
@@ -317,7 +307,7 @@ impl<'a> Podem<'a> {
                     if !self.backtrack() {
                         return PodemOutcome::Undetectable;
                     }
-                    if self.run_backtracks > backtrack_limit {
+                    if self.run_backtracks > self.backtrack_limit {
                         return PodemOutcome::Aborted;
                     }
                 }
@@ -346,7 +336,7 @@ impl<'a> Podem<'a> {
                             if !self.backtrack() {
                                 return PodemOutcome::Undetectable;
                             }
-                            if self.run_backtracks > backtrack_limit {
+                            if self.run_backtracks > self.backtrack_limit {
                                 return PodemOutcome::Aborted;
                             }
                         }

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use rsyn_cache::{Domain, Reader, StableHasher, Writer};
 use rsyn_netlist::{CanonicalView, CombView, Netlist};
 
-use crate::engine::{AtpgOptions, AtpgResult, BACKTRACK_LIMIT, ESCALATED_LIMITS, RANDOM_WORDS};
+use crate::engine::{AtpgOptions, AtpgResult, BACKTRACK_LIMIT, RANDOM_WORDS};
 use crate::fault::{BridgeKind, Fault, FaultKind, FaultOrigin, FaultStatus};
 use crate::testset::{Pattern, TestSet};
 
@@ -51,7 +51,7 @@ pub(crate) fn verdict_key(
 ) -> Option<u128> {
     let canon = CanonicalView::of(nl, view)?;
     let mut h = StableHasher::new();
-    h.write_str("verdict-key-v2");
+    h.write_str("verdict-key-v3");
     let vh = canon.hash();
     h.write_u64(vh as u64);
     h.write_u64((vh >> 64) as u64);
@@ -63,9 +63,6 @@ pub(crate) fn verdict_key(
     h.write_usize(BACKTRACK_LIMIT);
     h.write_u64(options.seed);
     h.write_bool(options.compact);
-    for limit in ESCALATED_LIMITS {
-        h.write_usize(limit);
-    }
     h.write_usize(faults.len());
     for fault in faults {
         absorb_fault(&mut h, &canon, fault)?;

@@ -49,7 +49,8 @@ fn bench_atpg_threads(c: &mut Criterion) {
 
 /// PODEM only: every target of every fault that survives the random
 /// phase's pattern count ([`RANDOM_WORDS`] words of 64 patterns), searched
-/// with the first backtrack limit.
+/// at [`BACKTRACK_LIMIT`] (the faults it gives up on, SAT decides in the
+/// engine).
 fn bench_podem(c: &mut Criterion) {
     let ctx = context();
     let options = AtpgOptions::default();

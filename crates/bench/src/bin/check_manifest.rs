@@ -21,6 +21,11 @@
 //!   checkpoints carry no volatile section, so a resumed run must
 //!   re-produce them exactly.
 //!
+//! In both modes, repeatable `--require NAME` asserts the current (second)
+//! manifest carries a non-zero counter `NAME`, and `--zero NAME` that it
+//! carries none (absent or zero) — how the gates prove no fault ended
+//! `Aborted`.
+//!
 //! Exit status: 0 on pass; 1 with one line per mismatch on stderr on fail;
 //! 2 on usage or I/O errors.
 
@@ -37,9 +42,9 @@ fn is_checkpoint(src: &str, path: &str) -> bool {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: check_manifest [--timing-tolerance R | --no-timings] [--band PREFIX=R ...] \
-         [--ignore PREFIX ...] [--require NAME ...] <baseline> <current>\n\
+         [--ignore PREFIX ...] [--require NAME ...] [--zero NAME ...] <baseline> <current>\n\
          \u{20}      check_manifest --determinism [--ignore PREFIX ...] [--require NAME ...] \
-         <a> <b>"
+         [--zero NAME ...] <a> <b>"
     );
     ExitCode::from(2)
 }
@@ -88,6 +93,14 @@ fn main() -> ExitCode {
             return usage();
         }
         requires.push(args[i + 1].clone());
+        args.drain(i..=i + 1);
+    }
+    let mut zeros: Vec<String> = Vec::new();
+    while let Some(i) = args.iter().position(|a| a == "--zero") {
+        if i + 1 >= args.len() {
+            return usage();
+        }
+        zeros.push(args[i + 1].clone());
         args.drain(i..=i + 1);
     }
     while let Some(i) = args.iter().position(|a| a == "--band") {
@@ -152,6 +165,13 @@ fn main() -> ExitCode {
         let n = right.counters.get(name).copied().unwrap_or(0);
         if n == 0 {
             eprintln!("required counter `{name}` is absent or zero in {b}");
+            missing = true;
+        }
+    }
+    for name in &zeros {
+        let n = right.counters.get(name).copied().unwrap_or(0);
+        if n != 0 {
+            eprintln!("counter `{name}` is {n} in {b}, expected zero");
             missing = true;
         }
     }

@@ -9,7 +9,8 @@
 //!   injection plan: one forced `PDesign()` rejection at the first
 //!   candidate evaluation, a stretch of inflated-delay evaluations that
 //!   drives the Section III-C backtracking path, a forced worker-shard
-//!   failure, and a handful of forced PODEM aborts. The run must still
+//!   failure, and forced PODEM aborts at faults a probe analysis saw reach
+//!   PODEM (each then goes straight to the SAT prover). The run must still
 //!   return `Ok` with a best-so-far design, and the manifest must be
 //!   byte-identical across `--threads 1` and `--threads 4`.
 //! * `resilience_smoke --resume <checkpoint.json> …` — resumes a clean
@@ -23,33 +24,50 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use rsyn_atpg::FaultStatus;
 use rsyn_bench::{context_with_threads, threads_flag, write_manifest};
 use rsyn_circuits::build_benchmark_with;
-use rsyn_core::flow::FlowContext;
+use rsyn_core::flow::{DesignState, FlowContext};
 use rsyn_core::run::{run, run_resumed, FlowOptions, FlowReport};
 use rsyn_netlist::Netlist;
 use rsyn_observe::manifest::Run;
 use rsyn_resilience::{inject, Checkpoint};
 
 /// The injection plan of the smoke gate. Ordinal 0 is the seed analysis;
-/// ordinal 1 is the first candidate's `PDesign()` call (rejected outright).
-/// Ordinal 2 is the next candidate — inflating its delay makes it
+/// ordinal 2 is a candidate whose inflated delay makes it
 /// accepting-but-constraint-violating, and inflating ordinal 3 defeats the
 /// timing-driven retry, which forces the Section III-C backtracking
 /// procedure (and its `resynth.backtrack_shrinks` counter) to run.
-/// Backtracking's own evaluations (ordinal 4 onward) stay clean so the
-/// flow can still converge to an accepted design.
-fn smoke_plan() -> inject::InjectionPlan {
+/// Ordinal 5, a later evaluation, is rejected outright; the others stay
+/// clean so the flow can still converge to an accepted design. The
+/// ordinals follow the flow's trajectory on `sparc_tlu`, which depends on
+/// its verdicts: a change that moves `U` may need them re-chosen. The first
+/// ATPG run (the seed analysis) skips PODEM for `podem_faults`, so the SAT
+/// prover decides them.
+fn smoke_plan(podem_faults: &[u64]) -> inject::InjectionPlan {
     let mut plan = inject::InjectionPlan::new()
-        .reject_pdesign(1)
+        .reject_pdesign(5)
         .inflation_percent(300)
         .inflate_pdesign(2)
         .inflate_pdesign(3)
         .fail_shard(0, 0);
-    for fault in 0..8 {
+    for &fault in podem_faults {
         plan = plan.abort_podem(0, fault);
     }
     plan
+}
+
+/// The first eight faults the seed analysis proves undetectable: no random
+/// pattern detects them, so each is queried before PODEM runs. The probe
+/// analysis runs on a thread of its own, so it records into that thread's
+/// recorder, not into the smoke's manifest.
+fn podem_sites(nl: &Netlist, ctx: &FlowContext) -> Vec<u64> {
+    let probe = || {
+        let statuses = DesignState::analyze(nl.clone(), ctx, None).expect("seed").atpg.statuses;
+        let proved = (0..statuses.len()).filter(|&i| statuses[i] == FaultStatus::Undetectable);
+        proved.take(8).map(|i| i as u64).collect()
+    };
+    std::thread::scope(|s| s.spawn(probe).join().expect("probe analysis"))
 }
 
 fn seed_netlist(ctx: &FlowContext, circuit: &str) -> Netlist {
@@ -125,11 +143,12 @@ fn main() -> ExitCode {
         );
         run_resumed(seed_netlist(&ctx, &circuit), &ctx, &options, &checkpoint)
     } else {
-        let armed = injected.then(|| inject::arm(smoke_plan()));
+        let seed = seed_netlist(&ctx, &circuit);
+        let armed = injected.then(|| inject::arm(smoke_plan(&podem_sites(&seed, &ctx))));
         if injected {
             eprintln!("running {circuit} under the smoke injection plan");
         }
-        let report = run(seed_netlist(&ctx, &circuit), &ctx, &options);
+        let report = run(seed, &ctx, &options);
         drop(armed);
         report
     };
@@ -164,6 +183,7 @@ fn main() -> ExitCode {
             ("the PDesign rejection", "inject.fired.pdesign_reject"),
             ("the delay inflation", "inject.fired.pdesign_inflate"),
             ("the shard failure", "inject.fired.shard"),
+            ("the PODEM aborts", "inject.fired.podem_abort"),
         ] {
             if counter(name) == 0 {
                 failures.push(format!("{what} never fired ({name} == 0)"));

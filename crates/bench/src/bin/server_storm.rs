@@ -76,9 +76,9 @@ const ROUNDS: usize = 5;
 
 /// The server-fate injection plan. Pickup ordinals 0 and 3 crash their
 /// worker, checkpoint-write ordinals 1 and 5 fail, four submission
-/// ordinals are shed (clients retry), and the first ATPG run aborts the
-/// PODEM searches of `podem_faults` (rescued by escalation, so results
-/// stay equivalent to a clean run).
+/// ordinals are shed (clients retry), and the first ATPG run skips the
+/// PODEM searches of `podem_faults` (the SAT prover decides those faults
+/// instead, so results stay equivalent to a clean run).
 fn storm_plan(podem_faults: &BTreeSet<u64>) -> InjectionPlan {
     let mut plan = InjectionPlan::new()
         .crash_worker(0)
@@ -96,8 +96,8 @@ fn storm_plan(podem_faults: &BTreeSet<u64>) -> InjectionPlan {
 }
 
 /// Fault indices that certainly reach PODEM in the seed analysis of each
-/// storm circuit: the first few that PODEM proves undetectable (no random
-/// pattern can detect them, whatever the seed). ATPG run 0 is the seed
+/// storm circuit: the first few proven undetectable (no random pattern can
+/// detect them, whatever the seed, so each is queried before PODEM runs). ATPG run 0 is the seed
 /// analysis of whichever storm job runs first, so its own circuit's sites
 /// fire; another circuit's sites either fire too or are never consulted.
 /// The probe analyses run on a thread of their own, so they record into

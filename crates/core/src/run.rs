@@ -89,8 +89,9 @@ pub struct FlowReport {
     pub accepted: usize,
     /// Accepted iterations replayed from a checkpoint (0 for [`run`]).
     pub replayed: usize,
-    /// Faults whose PODEM search was aborted even after escalation — these
-    /// are excluded from `U` and would otherwise vanish from the report.
+    /// Faults ATPG left undecided — a shard that failed twice, or a SAT
+    /// test the fault simulator rejected. They are excluded from `U` and
+    /// would otherwise vanish from the report; 0 in every committed run.
     pub aborted: usize,
     /// Recoverable failures the run absorbed, in occurrence order.
     pub recovered: Vec<FlowError>,

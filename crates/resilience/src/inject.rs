@@ -3,7 +3,8 @@
 //!
 //! An [`InjectionPlan`] names the exact sites where the flow must fail:
 //! the *n*-th `PDesign()` call rejects, the PODEM search for global fault
-//! *i* of ATPG run *r* aborts, shard *s* of run *r* errors, a
+//! *i* of ATPG run *r* is skipped (the fault goes straight to the SAT
+//! prover), shard *s* of run *r* errors, a
 //! `PDesign()` call reports inflated timing, the *n*-th server worker
 //! pickup crashes, the *n*-th flow checkpoint write fails, or the *n*-th
 //! server submission is shed as if the queue were full. Sites are keyed
@@ -46,9 +47,10 @@ pub struct InjectionPlan {
     pub pdesign_inflations: BTreeSet<u64>,
     /// Delay multiplier (in percent) for inflated calls; 300 = 3×.
     pub inflation_percent: u64,
-    /// `(atpg run ordinal, global fault index)` pairs whose PODEM search
-    /// aborts once. Consume-once: the escalation retry succeeds, which is
-    /// exactly what exercises the rescue path.
+    /// `(atpg run ordinal, global fault index)` pairs whose PODEM attempt
+    /// is skipped as if it had given up: the fault goes straight to the SAT
+    /// prover, which exercises the path a genuine backtrack-limit hit
+    /// takes. Consume-once.
     pub podem_aborts: BTreeSet<(u64, u64)>,
     /// `(atpg run ordinal, shard index)` pairs whose first execution
     /// fails; the engine's shard retry then recovers them.
@@ -102,7 +104,8 @@ impl InjectionPlan {
         self
     }
 
-    /// Aborts the PODEM search for `fault_index` during ATPG run `run`.
+    /// Skips the PODEM attempt for `fault_index` during ATPG run `run`,
+    /// sending the fault straight to the SAT prover.
     pub fn abort_podem(mut self, run: u64, fault_index: u64) -> Self {
         self.podem_aborts.insert((run, fault_index));
         self
@@ -369,9 +372,9 @@ pub fn pdesign_fate() -> PdesignFate {
     PdesignFate::Normal
 }
 
-/// True when the PODEM search for `fault_index` in ATPG run `run` must
-/// abort. Consume-once per site: the escalation retry of the same fault
-/// returns `false`, so the rescue path completes.
+/// True when the PODEM attempt for `fault_index` in ATPG run `run` must be
+/// skipped, as if it had given up: the engine sends the fault straight to
+/// the SAT prover. Consume-once per site.
 pub fn should_abort_podem(run: u64, fault_index: u64) -> bool {
     if !is_armed() {
         return false;

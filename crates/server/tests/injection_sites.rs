@@ -37,8 +37,9 @@ fn every_injection_fate_fires_exactly_once() {
 
     // Disarmed probe: find a fault that certainly reaches PODEM in the
     // seed analysis. A fault whose final status is Undetectable was
-    // *proved* so by PODEM, which means the deterministic re-run inside
-    // the server hits `should_abort_podem` for exactly that (run, fault).
+    // *proved* so by PODEM or SAT, after the random phase, which means the
+    // deterministic re-run inside the server hits `should_abort_podem` for
+    // exactly that (run, fault).
     // The empty session keeps the other test's armed plan out of it.
     let probe = {
         let _session = inject::arm(InjectionPlan::new());

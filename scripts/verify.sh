@@ -6,9 +6,9 @@
 #            workspace tests (the suites over process-wide state once more
 #            at 16 test threads), and every behavioural gate: manifest
 #            determinism + baselines, Table I, guideline stats, Fig. 2,
-#            Table II on seven circuits, the N-detect baseline, failure
+#            Table II on nine circuits, the N-detect baseline, failure
 #            injection, checkpoint/resume, warm cross-run cache, perf
-#            trajectory
+#            trajectory; no fault may end Aborted in any of their manifests
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / checkpoint-write failures / PODEM
 #            aborts / queue-full sheds, plus checkpoint-backed preemption,
@@ -78,14 +78,18 @@ run_gates() {
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "$SMOKE_DIR"' EXIT
   CHECK=target/release/check_manifest
+  # Every fault is decided (a confirmed test, or a PODEM or SAT proof):
+  # no manifest a gate produces may count an Aborted fault.
+  DECIDED=(--zero atpg.aborted --zero flow.aborted)
 
   RSYN_MANIFEST_DIR="$SMOKE_DIR/t1" target/release/table1 --threads 1 sparc_tlu >/dev/null
   RSYN_MANIFEST_DIR="$SMOKE_DIR/t4" target/release/table1 --threads 4 sparc_tlu >/dev/null
   "$CHECK" --determinism "$SMOKE_DIR/t1/manifest-table1.json" "$SMOKE_DIR/t4/manifest-table1.json"
-  "$CHECK" --no-timings results/baselines/manifest-table1.json "$SMOKE_DIR/t1/manifest-table1.json"
+  "$CHECK" --no-timings "${DECIDED[@]}" results/baselines/manifest-table1.json \
+    "$SMOKE_DIR/t1/manifest-table1.json"
 
   RSYN_MANIFEST_DIR="$SMOKE_DIR/gs" target/release/guideline_stats sparc_tlu >/dev/null
-  "$CHECK" --no-timings results/baselines/manifest-guideline_stats.json \
+  "$CHECK" --no-timings "${DECIDED[@]}" results/baselines/manifest-guideline_stats.json \
     "$SMOKE_DIR/gs/manifest-guideline_stats.json"
 
   echo "== Table I gate (the paper's four circuits, exact text)"
@@ -93,6 +97,8 @@ run_gates() {
   # regenerated table must match it exactly.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/table1" target/release/table1 --threads 2 \
     | diff results/table1.txt -
+  "$CHECK" --determinism "${DECIDED[@]}" \
+    "$SMOKE_DIR/table1/manifest-table1.json" "$SMOKE_DIR/table1/manifest-table1.json"
 
   echo "== guideline_stats gate (per-category counts and worst guidelines, exact text)"
   # Translation keeps the first guideline that produced a fault as its
@@ -100,22 +106,24 @@ run_gates() {
   # and the worst-guideline table that depend on it.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/gstats" target/release/guideline_stats \
     | diff results/guideline_stats.txt -
+  "$CHECK" --determinism "${DECIDED[@]}" \
+    "$SMOKE_DIR/gstats/manifest-guideline_stats.json" "$SMOKE_DIR/gstats/manifest-guideline_stats.json"
 
   echo "== Fig. 2 gate (sparc_exu cluster series at q = 25%, exact text)"
   RSYN_MANIFEST_DIR="$SMOKE_DIR/fig2" target/release/fig2_phases sparc_exu 25 \
     | diff results/fig2_phases.txt -
 
-  echo "== Table II gate (seven circuits at q <= 5: every column but Rtime, manifest exact)"
-  # The paper's main experiment on the seven circuits whose sweeps fit the
+  echo "== Table II gate (nine circuits at q <= 5: every column but Rtime, manifest exact)"
+  # The paper's main experiment on the nine circuits whose sweeps fit the
   # lane. Rtime, the last column, is a ratio of wall times; every other
   # column of every row must match the committed results/table2_q5.txt,
   # and the run's counters and results must match the committed manifest.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/table2" target/release/table2 --max-q 5 --threads 2 \
-    sparc_ffu sparc_lsu sparc_tlu systemcaes sparc_ifu aes_core tv80 \
+    sparc_ffu sparc_lsu sparc_tlu systemcaes sparc_ifu aes_core tv80 sparc_exu wb_conmax \
     >"$SMOKE_DIR/table2_q5.txt"
   diff <(awk 'NR > 2 { NF-- } { print }' results/table2_q5.txt) \
     <(awk 'NR > 2 { NF-- } { print }' "$SMOKE_DIR/table2_q5.txt")
-  "$CHECK" --no-timings results/baselines/manifest-table2.json \
+  "$CHECK" --no-timings "${DECIDED[@]}" results/baselines/manifest-table2.json \
     "$SMOKE_DIR/table2/manifest-table2.json"
 
   echo "== N-detect baseline gate (sparc_exu test counts at N = 1, 3, 5, exact text)"
@@ -162,22 +170,22 @@ run_gates() {
     --require cache.cuts.hit --require cache.verdicts.hit)
   RSYN_CACHE_DIR="$CACHE_DIR" RSYN_MANIFEST_DIR="$SMOKE_DIR/c1" \
     target/release/table1 --threads 1 sparc_tlu >/dev/null
-  "$CHECK" --no-timings --ignore cache. \
+  "$CHECK" --no-timings --ignore cache. "${DECIDED[@]}" \
     results/baselines/manifest-table1.json "$SMOKE_DIR/c1/manifest-table1.json"
   RSYN_CACHE_DIR="$CACHE_DIR" RSYN_MANIFEST_DIR="$SMOKE_DIR/w1" \
     target/release/table1 --threads 1 sparc_tlu >/dev/null
-  "$CHECK" --determinism --ignore cache. "${REQUIRE_HITS[@]}" \
+  "$CHECK" --determinism --ignore cache. "${REQUIRE_HITS[@]}" "${DECIDED[@]}" \
     "$SMOKE_DIR/c1/manifest-table1.json" "$SMOKE_DIR/w1/manifest-table1.json"
   RSYN_CACHE_DIR="$CACHE_DIR" RSYN_MANIFEST_DIR="$SMOKE_DIR/w4" \
     target/release/table1 --threads 4 sparc_tlu >/dev/null
-  "$CHECK" --determinism --ignore cache. "${REQUIRE_HITS[@]}" \
+  "$CHECK" --determinism --ignore cache. "${REQUIRE_HITS[@]}" "${DECIDED[@]}" \
     "$SMOKE_DIR/c1/manifest-table1.json" "$SMOKE_DIR/w4/manifest-table1.json"
   # Corruption: truncate every stored entry by one byte (breaks the payload
   # checksum), so every disk lookup must report Corrupt and recompute.
   find "$CACHE_DIR" -name '*.bin' -exec truncate -s -1 {} +
   RSYN_CACHE_DIR="$CACHE_DIR" RSYN_MANIFEST_DIR="$SMOKE_DIR/wc" \
     target/release/table1 --threads 1 sparc_tlu >/dev/null
-  "$CHECK" --determinism --ignore cache. --require cache.corrupt \
+  "$CHECK" --determinism --ignore cache. --require cache.corrupt "${DECIDED[@]}" \
     "$SMOKE_DIR/c1/manifest-table1.json" "$SMOKE_DIR/wc/manifest-table1.json"
 
   echo "== perf-trajectory gate (structured tracing + BENCH_flow regression bands)"
@@ -204,7 +212,7 @@ run_gates() {
     grep -q "\"$span\"" "$SMOKE_DIR/f1/BENCH_flow.json" \
       || { echo "perf gate FAILED: $span missing from BENCH_flow.json"; exit 1; }
   done
-  "$CHECK" --timing-tolerance 1000 --band span.=200 --band run.wall_ms=200 \
+  "$CHECK" --timing-tolerance 1000 --band span.=200 --band run.wall_ms=200 "${DECIDED[@]}" \
     results/baselines/BENCH_flow.json "$SMOKE_DIR/f1/BENCH_flow.json"
 }
 

@@ -103,38 +103,15 @@ proptest! {
     /// PODEM verdicts agree with ground-truth exhaustive enumeration on
     /// random small circuits, for every stuck-at fault and a sample of
     /// cell-aware conditions, transitions and non-feedback bridges — the
-    /// soundness property the paper's `U` counts depend on.
+    /// soundness property the paper's `U` counts depend on. Every fault is
+    /// decided: `Aborted` is not an accepted outcome.
     #[test]
     fn podem_matches_exhaustive_ground_truth(seed in 0u64..40) {
         use rsyn::atpg::exhaustive_detectable;
         use rsyn::atpg::fault::{BridgeKind, CellCondition};
-        // Random 8-PI circuit with reconvergence and redundancy sources.
-        let lib = Library::osu018();
-        let mut nl = Netlist::new("x", lib.clone());
-        let mut nets: Vec<NetId> = (0..8).map(|i| nl.add_input(format!("i{i}"))).collect();
-        let cells = ["NAND2X1", "NOR2X1", "XOR2X1", "AOI21X1", "OAI21X1", "AND2X2", "MUX2X1"];
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut gate_ids = Vec::new();
-        for k in 0..24 {
-            let cell = lib.cell_id(cells[(next() % cells.len() as u64) as usize]).unwrap();
-            let nin = lib.cell(cell).input_count();
-            let ins: Vec<NetId> =
-                (0..nin).map(|_| nets[(next() % nets.len() as u64) as usize]).collect();
-            let out = nl.add_net();
-            let g = nl.add_gate(format!("g{k}"), cell, &ins, &[out]).unwrap();
-            gate_ids.push(g);
-            nets.push(out);
-        }
-        // Observe only the last few nets so masking occurs.
-        for &n in nets.iter().rev().take(3) {
-            nl.mark_output(n);
-        }
+        let mut next = xorshift(seed);
+        let (nl, nets, gate_ids) = random_circuit(&mut next, &[]);
+        let lib = nl.lib().clone();
         let view = nl.comb_view().unwrap();
         let mut faults = Vec::new();
         for &n in nets.iter().skip(8) {
@@ -155,28 +132,11 @@ proptest! {
         }
         // Non-feedback bridges of both kinds (neither net in the other's
         // fanout cone, as the DFM translator guarantees).
-        let reaches = |from: NetId, to: NetId| {
-            let mut stack = vec![from];
-            let mut seen = vec![false; nl.net_count()];
-            while let Some(n) = stack.pop() {
-                if n == to {
-                    return true;
-                }
-                for &(sink, _) in &nl.net(n).loads {
-                    for &o in &nl.gate(sink).unwrap().outputs {
-                        if !std::mem::replace(&mut seen[o.index()], true) {
-                            stack.push(o);
-                        }
-                    }
-                }
-            }
-            false
-        };
         for k in 0..4 {
             let kind = if k % 2 == 0 { BridgeKind::WiredAnd } else { BridgeKind::WiredOr };
             let a = nets[(next() % nets.len() as u64) as usize];
             let b = nets[(next() % nets.len() as u64) as usize];
-            if a != b && !reaches(a, b) && !reaches(b, a) {
+            if a != b && !reaches(&nl, a, b) && !reaches(&nl, b, a) {
                 let (a, b) = (a.min(b), a.max(b));
                 faults.push(Fault::external(FaultKind::Bridge { a, b, kind }, 0));
             }
@@ -189,8 +149,84 @@ proptest! {
                 FaultStatus::Undetectable => {
                     prop_assert!(!truth, "fault {} falsely proven undetectable", fi)
                 }
-                FaultStatus::Aborted => {} // inconclusive is allowed
+                FaultStatus::Aborted => prop_assert!(false, "fault {} left undecided", fi),
                 FaultStatus::Undetected => prop_assert!(false, "fault {} left unprocessed", fi),
+            }
+        }
+    }
+
+    /// The SAT prover's verdicts equal exhaustive enumeration, and the
+    /// fault simulator confirms every SAT test. The prover is called
+    /// directly: PODEM never gives up on 8-PI circuits, so the engine alone
+    /// would not reach it. Every stuck-at fault, transitions of both kinds,
+    /// cell-aware faults with several conditions on multi-output cells, and
+    /// bridges of both kinds between any two nets — pairs that share
+    /// fan-in and pairs where one end feeds the other included.
+    #[test]
+    fn sat_matches_exhaustive(seed in 0u64..32) {
+        use rsyn::atpg::fault::{BridgeKind, CellCondition};
+        use rsyn::atpg::{exhaustive_detectable, FaultSim, SatAtpg, SatOutcome};
+        let mut next = xorshift(seed ^ 0x5A7);
+        let (nl, nets, gate_ids) = random_circuit(&mut next, &["FAX1", "AOI22X1"]);
+        let lib = nl.lib().clone();
+        let view = nl.comb_view().unwrap();
+        let mut faults = Vec::new();
+        for &net in &nets {
+            for value in [false, true] {
+                faults.push(Fault::external(FaultKind::StuckAt { net, value }, 0));
+            }
+        }
+        for rising in [false, true] {
+            for _ in 0..2 {
+                let net = nets[(next() % nets.len() as u64) as usize];
+                faults.push(Fault::external(FaultKind::Transition { net, rising }, 0));
+            }
+        }
+        for _ in 0..8 {
+            let g = gate_ids[(next() % gate_ids.len() as u64) as usize];
+            let cell = lib.cell(nl.gate(g).unwrap().cell);
+            let conditions = (0..1 + next() % 3)
+                .map(|_| CellCondition {
+                    pattern: next() % (1 << cell.input_count()),
+                    output: (next() % cell.outputs.len() as u64) as u8,
+                })
+                .collect();
+            faults.push(Fault::internal(g, conditions, 0));
+        }
+        for k in 0..8 {
+            let kind = if k % 2 == 0 { BridgeKind::WiredAnd } else { BridgeKind::WiredOr };
+            // Half the pairs are the inputs of one gate: they share fan-in
+            // whenever that gate's inputs reconverge.
+            let (a, b) = if k < 4 {
+                let g = nl.gate(gate_ids[(next() % gate_ids.len() as u64) as usize]).unwrap();
+                (g.inputs[0], *g.inputs.last().unwrap())
+            } else {
+                (nets[(next() % nets.len() as u64) as usize], nets[(next() % nets.len() as u64) as usize])
+            };
+            if a != b {
+                faults.push(Fault::external(FaultKind::Bridge { a, b, kind }, 0));
+            }
+        }
+        let mut prover = SatAtpg::new(&nl, &view);
+        let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
+        for (fi, fault) in faults.iter().enumerate() {
+            let truth = exhaustive_detectable(&nl, &view, fault).expect("8 PIs");
+            match prover.decide(fault) {
+                SatOutcome::Detected(test) => {
+                    prop_assert!(truth, "fault {} {:?}: SAT test for an undetectable fault", fi, fault.kind);
+                    let lanes: Vec<u64> = (0..view.pis.len())
+                        .map(|i| test.iter().enumerate().fold(0, |w, (k, p)| w | u64::from(p.get(i)) << k))
+                        .collect();
+                    sim.set_patterns(&lanes);
+                    let last = 1u64 << (test.len() - 1);
+                    prop_assert!(
+                        sim.detect_lanes(fault) & last != 0,
+                        "fault {} {:?}: the simulator rejects the SAT test", fi, fault.kind
+                    );
+                }
+                SatOutcome::Undetectable => {
+                    prop_assert!(!truth, "fault {} {:?}: UNSAT for a detectable fault", fi, fault.kind);
+                }
             }
         }
     }
@@ -237,4 +273,64 @@ proptest! {
         let dist = clusters.size_distribution();
         prop_assert!(dist.windows(2).all(|w| w[0] >= w[1]));
     }
+}
+
+/// A xorshift64 stream seeded from `seed` (never zero).
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// A random 8-PI circuit of 24 gates with reconvergence and redundancy
+/// sources, drawn from a fixed cell list plus `extra` cells; only the last
+/// three gate outputs are observed, so masking occurs. Returns the netlist,
+/// its nets (PIs first, then one output net per gate) and its gates.
+fn random_circuit(
+    next: &mut impl FnMut() -> u64,
+    extra: &[&str],
+) -> (Netlist, Vec<NetId>, Vec<rsyn::netlist::GateId>) {
+    let lib = Library::osu018();
+    let mut nl = Netlist::new("x", lib.clone());
+    let mut nets: Vec<NetId> = (0..8).map(|i| nl.add_input(format!("i{i}"))).collect();
+    let mut cells = vec!["NAND2X1", "NOR2X1", "XOR2X1", "AOI21X1", "OAI21X1", "AND2X2", "MUX2X1"];
+    cells.extend_from_slice(extra);
+    let mut gate_ids = Vec::new();
+    for k in 0..24 {
+        let cell = lib.cell_id(cells[(next() % cells.len() as u64) as usize]).unwrap();
+        let nin = lib.cell(cell).input_count();
+        let ins: Vec<NetId> =
+            (0..nin).map(|_| nets[(next() % nets.len() as u64) as usize]).collect();
+        let outs: Vec<NetId> = (0..lib.cell(cell).outputs.len()).map(|_| nl.add_net()).collect();
+        let g = nl.add_gate(format!("g{k}"), cell, &ins, &outs).unwrap();
+        gate_ids.push(g);
+        nets.extend(outs);
+    }
+    for &n in nets.iter().rev().take(3) {
+        nl.mark_output(n);
+    }
+    (nl, nets, gate_ids)
+}
+
+/// Whether `to` lies in the combinational fanout cone of `from`.
+fn reaches(nl: &Netlist, from: NetId, to: NetId) -> bool {
+    let mut stack = vec![from];
+    let mut seen = vec![false; nl.net_count()];
+    while let Some(n) = stack.pop() {
+        if n == to {
+            return true;
+        }
+        for &(sink, _) in &nl.net(n).loads {
+            for &o in &nl.gate(sink).unwrap().outputs {
+                if !std::mem::replace(&mut seen[o.index()], true) {
+                    stack.push(o);
+                }
+            }
+        }
+    }
+    false
 }
