@@ -8,7 +8,11 @@
 //! The table on stdout is byte-identical for any `--threads` value; a
 //! `runtime:` provenance line per circuit goes to stderr.
 
-use rsyn_bench::{analyzed, context_with_threads, parse_args, threads_flag, write_manifest};
+use std::time::Instant;
+
+use rsyn_bench::{context_with_threads, parse_args, threads_flag, write_manifest};
+use rsyn_circuits::build_benchmark_with;
+use rsyn_core::flow::DesignState;
 use rsyn_core::report::{average_rows, RuntimeReport, Table2Row};
 use rsyn_core::resynth::{run_q_sweep_stepped, ResynthOptions};
 use rsyn_observe::manifest::Run;
@@ -37,13 +41,18 @@ fn main() {
     let mut orig_rows = Vec::new();
     let mut resyn_rows = Vec::new();
     for name in &circuits {
-        let original = analyzed(name, &ctx);
+        let nl = build_benchmark_with(name, &ctx.lib, &ctx.mapper)
+            .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+        // `Rtime`'s unit: one synthesis-free `PDesign()` + test generation.
+        let t0 = Instant::now();
+        let original = DesignState::analyze(nl, &ctx, None).expect("analysis succeeds");
+        let baseline_seconds = t0.elapsed().as_secs_f64();
         let orig_row = Table2Row::original(name, &original);
         println!("{orig_row}");
         let sweep = run_q_sweep_stepped(&original, &ctx, &options, max_q, q_step);
-        let resyn_row = Table2Row::resynthesized(name, &original, &sweep);
+        let resyn_row = Table2Row::resynthesized(name, &original, &sweep, baseline_seconds);
         println!("{resyn_row}");
-        eprintln!("{name}: {}", RuntimeReport::of(&ctx, &sweep));
+        eprintln!("{name}: {}", RuntimeReport::of(&ctx, &sweep, baseline_seconds));
         let resyn = sweep.final_state();
         run.result(format!("{name}.orig.undetectable"), original.undetectable_count().to_string());
         run.result_f64(format!("{name}.orig.coverage"), original.coverage());

@@ -14,7 +14,7 @@ use rsyn_netlist::{CellId, GateId};
 
 use crate::constraints::DesignConstraints;
 use crate::flow::{DesignState, FlowContext};
-use crate::resynth::evaluate_candidate;
+use crate::resynth::{Accept, Candidate, CandidateMemo};
 
 /// Runs the backtracking procedure. `banned` is the prefix
 /// `cell_0..=cell_i` of the internal-fault cell order; `allowed` the
@@ -31,9 +31,9 @@ pub(crate) fn backtrack(
     banned: &[CellId],
     allowed: &[CellId],
     constraints: &DesignConstraints,
-    accept: &(dyn Fn(&DesignState) -> bool + '_),
+    accept: &Accept<'_>,
     map_options: &MapOptions,
-    evaluations: &mut usize,
+    memo: &mut CandidateMemo,
 ) -> Option<(DesignState, Vec<GateId>)> {
     rsyn_observe::add("resynth.backtrack.calls", 1);
     let _zone = rsyn_observe::trace::zone("resynth.backtrack", window.len() as u64);
@@ -66,17 +66,11 @@ pub(crate) fn backtrack(
     let groups = n.div_ceil(step);
     rsyn_observe::hist_add("resynth.backtrack.group_size", step as u64);
 
-    // Evaluate with the last `k` groups of G_i spared (moved to G_back).
-    // Every such evaluation replaces a strictly smaller gate set than the
-    // failed full window — `resynth.backtrack_shrinks` counts exactly these
-    // Section III-C shrink attempts.
-    let mut cache: Vec<Option<Option<DesignState>>> = vec![None; groups + 1];
-    let eval_k = |k: usize, evaluations: &mut usize| -> Option<DesignState> {
-        rsyn_observe::add_many(&[("resynth.backtrack.evals", 1), ("resynth.backtrack_shrinks", 1)]);
-        let spared = (k * step).min(n);
-        let win: Vec<GateId> = g_i[..n - spared].to_vec();
-        evaluate_candidate(ctx, state, &win, allowed, map_options, evaluations)
-    };
+    // The window with the last `k` groups of G_i spared (moved to G_back).
+    // Every k ≥ 1 replaces a strictly smaller gate set than the failed full
+    // window — `resynth.backtrack_shrinks` counts exactly these Section
+    // III-C shrink attempts.
+    let shrunk = |k: usize| &g_i[..n - (k * step).min(n)];
 
     // The constraint violation shrinks monotonically as more (most-critical
     // first) gates are spared, so bisect for the smallest k whose candidate
@@ -84,18 +78,12 @@ pub(crate) fn backtrack(
     // with an equivalent but cheaper search over the same √n grid.
     let mut lo = 1usize; // k = 0 is the already-failed full replacement
     let mut hi = groups;
-    let mut best: Option<(usize, DesignState)> = None;
+    let mut best: Option<(usize, Candidate)> = None;
     while lo <= hi {
         let mid = (lo + hi) / 2;
-        let cand = match &cache[mid] {
-            Some(c) => c.clone(),
-            None => {
-                let c = eval_k(mid, evaluations);
-                cache[mid] = Some(c.clone());
-                c
-            }
-        };
-        let ok = cand.as_ref().is_some_and(|c| constraints.satisfied_by(c));
+        rsyn_observe::add_many(&[("resynth.backtrack.evals", 1), ("resynth.backtrack_shrinks", 1)]);
+        let cand = memo.evaluate(ctx, state, shrunk(mid), allowed, map_options);
+        let ok = cand.as_ref().is_some_and(|c| constraints.admits(&c.score));
         crate::resynth::trace_log(|| {
             format!(
                 "backtrack bisect k={mid}/{groups}: {}",
@@ -103,30 +91,22 @@ pub(crate) fn backtrack(
                     None => "no candidate (pre-check/placement)".to_string(),
                     Some(c) => format!(
                         "U {}, Smax {}, delay {:.0}, power {:.0}, constraints={}",
-                        c.undetectable_count(),
-                        c.s_max_size(),
-                        c.delay_ps(),
-                        c.power_uw(),
-                        ok
+                        c.score.undetectable, c.score.s_max, c.score.delay_ps, c.score.power_uw, ok
                     ),
                 }
             )
         });
         if ok {
             best = Some((mid, cand.expect("ok candidate")));
-            if mid == 0 {
-                break;
-            }
             hi = mid - 1;
         } else {
             lo = mid + 1;
         }
     }
     let (k, cand) = best?;
-    if accept(&cand) {
+    if accept(&cand.score) {
         rsyn_observe::add("resynth.backtrack.accepted", 1);
-        let spared = (k * step).min(n);
-        return Some((cand, g_i[..n - spared].to_vec()));
+        return Some((memo.state_of(ctx, state, cand), shrunk(k).to_vec()));
     }
     // Constraints recovered but the shrunken replacement no longer meets the
     // acceptance criteria: return the last group's gates to G_i one at a
@@ -137,11 +117,11 @@ pub(crate) fn backtrack(
             ("resynth.backtrack.group_shrinks", 1),
             ("resynth.backtrack_shrinks", 1),
         ]);
-        let win: Vec<GateId> = g_i[..n - spared2].to_vec();
-        if let Some(c2) = evaluate_candidate(ctx, state, &win, allowed, map_options, evaluations) {
-            if accept(&c2) && constraints.satisfied_by(&c2) {
+        let win = &g_i[..n - spared2];
+        if let Some(c2) = memo.evaluate(ctx, state, win, allowed, map_options) {
+            if accept(&c2.score) && constraints.admits(&c2.score) {
                 rsyn_observe::add("resynth.backtrack.accepted", 1);
-                return Some((c2, win));
+                return Some((memo.state_of(ctx, state, c2), win.to_vec()));
             }
         }
     }
@@ -151,6 +131,7 @@ pub(crate) fn backtrack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::Score;
     use crate::resynth::MAP_BLEND;
     use rsyn_circuits::build_benchmark_with;
     use rsyn_netlist::Library;
@@ -183,8 +164,8 @@ mod tests {
             floorplan: original.pd.placement.floorplan(),
             q_percent: 0.0,
         };
-        let accept = |c: &DesignState| c.undetectable_count() < original.undetectable_count();
-        let mut evals = 0;
+        let u0 = original.undetectable_count();
+        let accept = |c: &Score| c.undetectable < u0;
         let map_options = MapOptions::blend(MAP_BLEND);
         let out = backtrack(
             &ctx,
@@ -195,7 +176,7 @@ mod tests {
             &tight,
             &accept,
             &map_options,
-            &mut evals,
+            &mut CandidateMemo::default(),
         );
         assert!(out.is_none(), "1% power budget cannot be met");
         // ...while a loose budget lets some candidate through (if any
@@ -206,7 +187,6 @@ mod tests {
             floorplan: original.pd.placement.floorplan(),
             q_percent: 100.0,
         };
-        let mut evals = 0;
         if let Some((s, _win)) = backtrack(
             &ctx,
             &original,
@@ -216,7 +196,7 @@ mod tests {
             &loose,
             &accept,
             &map_options,
-            &mut evals,
+            &mut CandidateMemo::default(),
         ) {
             assert!(s.undetectable_count() < original.undetectable_count());
             assert!(loose.satisfied_by(&s));

@@ -5,7 +5,7 @@
 
 use rsyn_pdesign::Floorplan;
 
-use crate::flow::DesignState;
+use crate::flow::{DesignState, Score};
 
 /// Budgets a resynthesized design must meet.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,7 +37,12 @@ impl DesignConstraints {
     /// structurally: placement into the fixed floorplan fails when the
     /// cells no longer fit, so any analysed state already fits.)
     pub fn satisfied_by(&self, state: &DesignState) -> bool {
-        state.delay_ps() <= self.max_delay_ps + 1e-9 && state.power_uw() <= self.max_power_uw + 1e-9
+        self.admits(&state.score())
+    }
+
+    /// [`DesignConstraints::satisfied_by`] on a design's scores.
+    pub(crate) fn admits(&self, score: &Score) -> bool {
+        score.delay_ps <= self.max_delay_ps + 1e-9 && score.power_uw <= self.max_power_uw + 1e-9
     }
 }
 

@@ -217,6 +217,34 @@ impl DesignState {
     pub fn power_uw(&self) -> f64 {
         self.pd.power.total_uw()
     }
+
+    /// The scores the resynthesis loop decides on.
+    pub(crate) fn score(&self) -> Score {
+        Score {
+            undetectable: self.undetectable_count(),
+            s_max: self.s_max_size(),
+            s_max_percent_of_f: self.s_max_percent_of_f(),
+            delay_ps: self.delay_ps(),
+            power_uw: self.power_uw(),
+        }
+    }
+}
+
+/// What every acceptance, constraint, trend-up and backtracking decision
+/// of the resynthesis loop reads of an analysed design: `U`, `|S_max|`,
+/// `|S_max|` as a percentage of `F`, delay and power.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Score {
+    /// `U`.
+    pub(crate) undetectable: usize,
+    /// `|S_max|`.
+    pub(crate) s_max: usize,
+    /// `|S_max|` as a percentage of `F`.
+    pub(crate) s_max_percent_of_f: f64,
+    /// Critical-path delay in ps.
+    pub(crate) delay_ps: f64,
+    /// Total power in µW.
+    pub(crate) power_uw: f64,
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //!   design and a percentage relaxation `q`;
 //! * [`resynth`] — Section III-B: phase 1 attacks the largest cluster
 //!   `S_max`, phase 2 the whole circuit; cells are banned in decreasing
-//!   internal-fault order and `PDesign()` runs only when the quick internal
-//!   check passes;
+//!   internal-fault order, `PDesign()` runs only when the quick internal
+//!   check passes, and each candidate is evaluated once per design state;
 //! * [`backtrack`] — Section III-C: shrink the replaced-gate set in √n
 //!   groups when the constraints are violated;
 //! * [`report`] — Table I / Table II row extraction.

@@ -115,15 +115,17 @@ impl Table2Row {
         Self::build(circuit, "orig", state, state, 1.0)
     }
 
-    /// The resynthesized row from a finished `q` sweep.
-    pub fn resynthesized(circuit: &str, original: &DesignState, sweep: &QSweepOutcome) -> Self {
-        Self::build(
-            circuit,
-            &format!("{}%", sweep.chosen_q),
-            original,
-            sweep.final_state(),
-            sweep.relative_runtime(),
-        )
+    /// The resynthesized row from a finished `q` sweep; `baseline_seconds`
+    /// is the wall time of the original's analysis, the unit of `Rtime`.
+    pub fn resynthesized(
+        circuit: &str,
+        original: &DesignState,
+        sweep: &QSweepOutcome,
+        baseline_seconds: f64,
+    ) -> Self {
+        let rtime =
+            if baseline_seconds > 0.0 { sweep.sweep_seconds / baseline_seconds } else { 0.0 };
+        Self::build(circuit, &format!("{}%", sweep.chosen_q), original, sweep.final_state(), rtime)
     }
 
     fn build(
@@ -210,13 +212,14 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Builds the report for a finished sweep under `ctx`.
-    pub fn of(ctx: &FlowContext, sweep: &QSweepOutcome) -> Self {
+    /// Builds the report for a finished sweep under `ctx`, whose original
+    /// design took `baseline_seconds` to analyse.
+    pub fn of(ctx: &FlowContext, sweep: &QSweepOutcome, baseline_seconds: f64) -> Self {
         Self {
             threads: ctx.atpg.effective_threads(),
             full_evaluations: sweep.full_evaluations,
             sweep_seconds: sweep.sweep_seconds,
-            baseline_seconds: sweep.baseline_seconds,
+            baseline_seconds,
         }
     }
 }

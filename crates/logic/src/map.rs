@@ -178,10 +178,13 @@ impl Mapper {
         let refs = fanout_refs(aig);
         let n = aig.node_count();
         let mut best: Vec<[Option<PhaseBest>; 2]> = vec![[None, None]; n];
-        let score = |b: &PhaseBest| options.area_weight * b.cost + options.delay_weight * b.arrival;
-        let better = |cand: &PhaseBest, cur: &Option<PhaseBest>| match cur {
+        // A candidate is compared by its cost and arrival before it is
+        // built, so only a winner clones its match and leaves.
+        let score =
+            |cost: f64, arrival: f64| options.area_weight * cost + options.delay_weight * arrival;
+        let better = |cost: f64, arrival: f64, cur: &Option<PhaseBest>| match cur {
             None => true,
-            Some(c) => score(cand) < score(c),
+            Some(c) => score(cost, arrival) < score(c.cost, c.arrival),
         };
 
         for node in 0..n as u32 {
@@ -224,13 +227,12 @@ impl Mapper {
                         if rleaves.is_empty() {
                             let v = rf.bits() & 1 == 1;
                             for (phase, pb) in phase_best.iter_mut().enumerate() {
-                                let cand = PhaseBest {
-                                    choice: PhaseChoice::Const(v ^ (phase == 1)),
-                                    cost: 0.0,
-                                    arrival: 0.0,
-                                };
-                                if better(&cand, pb) {
-                                    *pb = Some(cand);
+                                if better(0.0, 0.0, pb) {
+                                    *pb = Some(PhaseBest {
+                                        choice: PhaseChoice::Const(v ^ (phase == 1)),
+                                        cost: 0.0,
+                                        arrival: 0.0,
+                                    });
                                 }
                             }
                             continue;
@@ -243,13 +245,13 @@ impl Mapper {
                                 let Some(lb) = best[leaf as usize][leaf_phase].as_ref() else {
                                     continue;
                                 };
-                                let cand = PhaseBest {
-                                    choice: PhaseChoice::Alias { leaf, leaf_phase },
-                                    cost: lb.cost / refs[leaf as usize].max(1) as f64,
-                                    arrival: lb.arrival,
-                                };
-                                if better(&cand, pb) {
-                                    *pb = Some(cand);
+                                let cost = lb.cost / refs[leaf as usize].max(1) as f64;
+                                if better(cost, lb.arrival, pb) {
+                                    *pb = Some(PhaseBest {
+                                        choice: PhaseChoice::Alias { leaf, leaf_phase },
+                                        cost,
+                                        arrival: lb.arrival,
+                                    });
                                 }
                             }
                             continue;
@@ -277,16 +279,15 @@ impl Mapper {
                                     continue;
                                 }
                                 arrival += m.intrinsic_delay + m.delay_slope * NOMINAL_LOAD_FF;
-                                let cand = PhaseBest {
-                                    choice: PhaseChoice::Mapped {
-                                        m: m.clone(),
-                                        leaves: rleaves.clone(),
-                                    },
-                                    cost,
-                                    arrival,
-                                };
-                                if better(&cand, pb) {
-                                    *pb = Some(cand);
+                                if better(cost, arrival, pb) {
+                                    *pb = Some(PhaseBest {
+                                        choice: PhaseChoice::Mapped {
+                                            m: m.clone(),
+                                            leaves: rleaves.clone(),
+                                        },
+                                        cost,
+                                        arrival,
+                                    });
                                 }
                             }
                         }
@@ -295,14 +296,14 @@ impl Mapper {
                     // the other (one round suffices: INV of INV never wins).
                     for phase in 0..2 {
                         let other = 1 - phase;
-                        if let Some(ob) = phase_best[other].clone() {
-                            let cand = PhaseBest {
-                                choice: PhaseChoice::FromOther,
-                                cost: ob.cost + inv_area,
-                                arrival: ob.arrival + INV_DELAY_PS,
-                            };
-                            if better(&cand, &phase_best[phase]) {
-                                phase_best[phase] = Some(cand);
+                        if let Some(ob) = &phase_best[other] {
+                            let (cost, arrival) = (ob.cost + inv_area, ob.arrival + INV_DELAY_PS);
+                            if better(cost, arrival, &phase_best[phase]) {
+                                phase_best[phase] = Some(PhaseBest {
+                                    choice: PhaseChoice::FromOther,
+                                    cost,
+                                    arrival,
+                                });
                             }
                         }
                     }

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example sparc_exu_resynth [circuit] [max_q]`
 
+use std::time::Instant;
+
 use rsyn::circuits::build_benchmark_with;
 use rsyn::core::flow::{DesignState, FlowContext};
 use rsyn::core::report::Table2Row;
@@ -20,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .ok_or_else(|| format!("unknown circuit {circuit}"))?;
 
     println!("analysing original {circuit} ({} gates)…", nl.gate_count());
+    let t0 = Instant::now();
     let original = DesignState::analyze(nl, &ctx, None)?;
+    let baseline_seconds = t0.elapsed().as_secs_f64();
     println!("{}", Table2Row::header());
     println!("{}", Table2Row::original(&circuit, &original));
 
@@ -36,6 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * state.power_uw() / original.power_uw(),
         );
     }
-    println!("{}", Table2Row::resynthesized(&circuit, &original, &sweep));
+    println!("{}", Table2Row::resynthesized(&circuit, &original, &sweep, baseline_seconds));
     Ok(())
 }

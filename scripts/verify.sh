@@ -6,7 +6,7 @@
 #            workspace tests (the suites over process-wide state once more
 #            at 16 test threads), and every behavioural gate: manifest
 #            determinism + baselines, Table I, guideline stats, Fig. 2,
-#            Table II on nine circuits, the N-detect baseline, failure
+#            Table II on eleven circuits, the N-detect baseline, failure
 #            injection, checkpoint/resume, warm cross-run cache, perf
 #            trajectory; no fault may end Aborted in any of their manifests
 #   server — flow-service storm: hundreds of concurrent submissions under
@@ -113,14 +113,15 @@ run_gates() {
   RSYN_MANIFEST_DIR="$SMOKE_DIR/fig2" target/release/fig2_phases sparc_exu 25 \
     | diff results/fig2_phases.txt -
 
-  echo "== Table II gate (nine circuits at q <= 5: every column but Rtime, manifest exact)"
-  # The paper's main experiment on the nine circuits whose sweeps fit the
-  # lane. Rtime, the last column, is a ratio of wall times; every other
-  # column of every row must match the committed results/table2_q5.txt,
-  # and the run's counters and results must match the committed manifest.
+  echo "== Table II gate (eleven circuits at q <= 5: every column but Rtime, manifest exact)"
+  # The paper's main experiment on the eleven circuits whose sweeps fit
+  # the lane (all but des_perf). Rtime, the last column, is a ratio of
+  # wall times; every other column of every row must match the committed
+  # results/table2_q5.txt, and the run's counters and results must match
+  # the committed manifest.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/table2" target/release/table2 --max-q 5 --threads 2 \
     sparc_ffu sparc_lsu sparc_tlu systemcaes sparc_ifu aes_core tv80 sparc_exu wb_conmax \
-    >"$SMOKE_DIR/table2_q5.txt"
+    sparc_fpu sparc_spu >"$SMOKE_DIR/table2_q5.txt"
   diff <(awk 'NR > 2 { NF-- } { print }' results/table2_q5.txt) \
     <(awk 'NR > 2 { NF-- } { print }' "$SMOKE_DIR/table2_q5.txt")
   "$CHECK" --no-timings "${DECIDED[@]}" results/baselines/manifest-table2.json \
