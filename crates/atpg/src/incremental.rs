@@ -1,34 +1,41 @@
-//! Cone-of-influence incremental ATPG.
+//! Incremental ATPG for the resynthesis inner loop.
 //!
-//! The resynthesis inner loop (Section III-B of the paper) re-evaluates a
-//! full design candidate for every banned-cell prefix, and each evaluation
-//! used to re-run ATPG on the *entire* DFM fault set. But a candidate only
-//! replaces one window of gates with a functionally equivalent
-//! implementation: a fault whose site cannot reach the remapped region —
-//! and which already existed, verbatim, in the previous fault set — keeps
-//! its classification. [`run_atpg_incremental`] exploits this by
-//! re-simulating only the faults in the remapped window's cone of
-//! influence (the window's gates plus their transitive fanout) and any
-//! fault with no match in the previous fault set, carrying every other
-//! status over from the previous [`AtpgResult`].
+//! The resynthesis inner loop (Section III-B of the paper) analyses a full
+//! design candidate for every banned-cell prefix. A candidate replaces one
+//! window of gates through `Window::resynthesize_with`, which maps the
+//! window's logic over the window's own input nets onto the same output
+//! nets, so the new gates compute the same function of the window inputs
+//! on every input vector, faulty ones included. By substitution, a fault
+//! that touches none of the *window* — the new gates, the nets they drive,
+//! and every net no gate drives (the old window's internal nets are left
+//! undriven, and an output may be tied to a constant) — behaves exactly as
+//! it did before the remap: the same tests detect it, and it is
+//! undetectable exactly when it was. A verdict depends only on the fault's
+//! [`FaultKind`] and the netlist, so [`run_atpg_incremental`] works by
+//! kind, in three steps:
 //!
-//! Carried-over `Detected` classifications are additionally *verified*
-//! against the merged test set, by the same reverse fault-simulation pass
-//! that compacts it: the pass finds each Detected fault's last detecting
-//! test, so the Detected faults it cannot place are exactly the ones no
-//! merged test detects. Any carried one among them (possible only if the
-//! remap was not perfectly equivalence-preserving) is re-run through the
-//! full engine, so the engine's invariant — the final test set covers
-//! every fault reported detected — holds unconditionally.
+//! 1. A fault whose kind touches no window net or gate and occurs in the
+//!    previous fault list takes that kind's previous status.
+//! 2. Every other distinct kind is simulated once against the previous
+//!    tests (one reverse fault-simulation pass, the one compaction uses);
+//!    the kinds they detect are Detected.
+//! 3. Only the kinds no previous test detects go through [`run_atpg`]
+//!    (random phase, PODEM, SAT): one call per incremental run, so the ATPG
+//!    run ordinals that injection plans address stay where they are.
+//!
+//! The result's tests are the previous tests followed by the new ones,
+//! neither verified nor compacted: a candidate is scored on its verdicts
+//! alone. [`verify_and_compact`] is the reverse pass that re-checks every
+//! Detected verdict against the tests and compacts them; the resynthesis
+//! loop runs it once per accepted design, not once per candidate.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use rsyn_netlist::{CombView, GateId, NetId, Netlist, SimArena};
+use rsyn_netlist::{CombView, Driver, GateId, NetId, Netlist, SimArena};
 
 use crate::engine::{last_detections, retain_last_detections, run_atpg, AtpgOptions, AtpgResult};
-use crate::fault::{Fault, FaultKind, FaultOrigin, FaultStatus};
-use crate::testset::TestSet;
+use crate::fault::{Fault, FaultKind, FaultStatus};
 
 /// The previous evaluation an incremental run carries statuses over from.
 #[derive(Clone, Copy, Debug)]
@@ -39,65 +46,47 @@ pub struct PreviousEvaluation<'a> {
     pub result: &'a AtpgResult,
 }
 
-/// The cone of influence of a set of remapped gates: the gates themselves
-/// plus their transitive fanout, with every net they drive.
-#[derive(Clone, Debug, Default)]
-pub struct Cone {
+/// The part of a netlist a remap changed: the gates it added, the nets
+/// they drive, and every net no gate drives that is not a primary input.
+#[derive(Debug)]
+struct RemapWindow {
     gates: HashSet<GateId>,
     nets: HashSet<NetId>,
 }
 
-impl Cone {
-    /// Computes the cone of `changed` in `nl`. Gate ids not present in the
-    /// netlist (e.g. the ids of *removed* window gates) are kept in the
-    /// gate set — faults still referencing them must always re-run.
-    pub fn of_changed_gates(nl: &Netlist, changed: &[GateId]) -> Self {
-        let mut gates: HashSet<GateId> = changed.iter().copied().collect();
-        let mut nets: HashSet<NetId> = HashSet::new();
-        let mut queue: VecDeque<GateId> =
-            changed.iter().copied().filter(|&g| nl.gate(g).is_some()).collect();
-        let mut seen: HashSet<GateId> = queue.iter().copied().collect();
-        while let Some(g) = queue.pop_front() {
-            let gate = nl.gate(g).expect("queued gates are live");
-            nets.extend(gate.outputs.iter().copied());
-            for sink in nl.fanout_gates(g) {
-                if seen.insert(sink) {
-                    gates.insert(sink);
-                    queue.push_back(sink);
-                }
-            }
-        }
+impl RemapWindow {
+    /// The window of the remap that added `changed` to `nl`.
+    fn of(nl: &Netlist, changed: &[GateId]) -> Self {
+        let gates: HashSet<GateId> = changed.iter().copied().collect();
+        let mut nets: HashSet<NetId> =
+            changed.iter().filter_map(|&g| nl.gate(g)).flat_map(|g| g.outputs.clone()).collect();
+        nets.extend(
+            nl.nets()
+                .filter(|(_, net)| !matches!(net.driver, Some(Driver::Gate(..) | Driver::Input)))
+                .map(|(id, _)| id),
+        );
         Self { gates, nets }
     }
 
-    /// True if the fault's support (site nets / site gate) intersects the
-    /// cone, i.e. the fault's behaviour may have changed.
-    pub fn touches(&self, fault: &Fault) -> bool {
-        let kind_hit = match &fault.kind {
+    /// True if a fault of this kind may behave differently after the remap.
+    fn touches(&self, kind: &FaultKind) -> bool {
+        match kind {
             FaultKind::StuckAt { net, .. } | FaultKind::Transition { net, .. } => {
                 self.nets.contains(net)
             }
             FaultKind::Bridge { a, b, .. } => self.nets.contains(a) || self.nets.contains(b),
             FaultKind::CellAware { gate, .. } => self.gates.contains(gate),
-        };
-        if kind_hit {
-            return true;
         }
-        match &fault.origin {
-            FaultOrigin::Internal { gate } => self.gates.contains(gate),
-            FaultOrigin::External { nets } => nets.iter().any(|n| self.nets.contains(n)),
-        }
-    }
-
-    /// Number of gates in the cone.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
     }
 }
 
-/// Incremental [`run_atpg`]: re-evaluates only the faults affected by the
-/// remap of `changed_gates`, carrying all other statuses over from
-/// `previous` and reusing its test set.
+/// Incremental [`run_atpg`] after a remap that added `changed_gates`:
+/// carries the previous status of every fault kind outside the remap's
+/// window, re-verifies the other kinds against the previous tests, and
+/// generates tests only for the kinds those miss (see the module docs).
+///
+/// The returned tests are `previous`'s followed by the new ones, neither
+/// verified nor compacted ([`verify_and_compact`] settles them).
 ///
 /// Falls back to a full run when the primary-input interface changed (the
 /// previous patterns would not apply) or when there is no previous result
@@ -118,62 +107,85 @@ pub fn run_atpg_incremental(
         return run_atpg(nl, view, faults, options);
     }
 
-    // Carry every fault the remap cannot affect; `rerun` ascends.
+    // Carry every kind outside the window; collect the others, each once.
     let classify = rsyn_observe::span_volatile("atpg.incremental.classify");
-    let prev_index: HashMap<&Fault, usize> =
-        previous.faults.iter().enumerate().map(|(i, f)| (f, i)).collect();
-    let cone = Cone::of_changed_gates(nl, changed_gates);
+    let window = RemapWindow::of(nl, changed_gates);
+    let carried: HashMap<&FaultKind, FaultStatus> = previous
+        .faults
+        .iter()
+        .map(|f| &f.kind)
+        .zip(previous.result.statuses.iter().copied())
+        .collect();
     let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-    let mut rerun: Vec<usize> = Vec::new();
+    let mut slot_of: HashMap<&FaultKind, usize> = HashMap::new();
+    // One fault per re-run kind, and (fault index, kind slot) per re-run fault.
+    let mut kinds: Vec<Fault> = Vec::new();
+    let mut rerun: Vec<(usize, usize)> = Vec::new();
     for (i, f) in faults.iter().enumerate() {
-        match prev_index.get(f) {
-            Some(&pi) if !cone.touches(f) => statuses[i] = previous.result.statuses[pi],
-            _ => rerun.push(i),
+        if !window.touches(&f.kind) {
+            if let Some(&status) = carried.get(&f.kind) {
+                statuses[i] = status;
+                continue;
+            }
         }
+        let slot = *slot_of.entry(&f.kind).or_insert_with(|| {
+            kinds.push(f.clone());
+            kinds.len() - 1
+        });
+        rerun.push((i, slot));
     }
     drop(classify);
 
+    // The previous tests first: every kind one of them detects is Detected.
+    let mut kind_statuses = vec![FaultStatus::Detected; kinds.len()];
+    let missed = {
+        let _reuse = rsyn_observe::span_volatile("atpg.incremental.reuse");
+        let arena = Arc::new(SimArena::build(nl, view));
+        let threads = options.effective_threads();
+        last_detections(&arena, view, &kinds, &kind_statuses, &previous.result.tests, threads).1
+    };
     rsyn_observe::add_many(&[
         ("atpg.incremental.runs", 1),
         ("atpg.incremental.carried", (faults.len() - rerun.len()) as u64),
         ("atpg.incremental.rerun", rerun.len() as u64),
+        ("atpg.incremental.rerun_kinds", kinds.len() as u64),
+        ("atpg.incremental.engine_kinds", missed.len() as u64),
     ]);
     rsyn_observe::hist_add("atpg.incremental.rerun_per_call", rerun.len() as u64);
 
-    // Re-run the affected subset through the (parallel) engine, without
-    // per-subset compaction: compaction happens once, globally, below.
-    let sub_options = AtpgOptions { compact: false, ..*options };
-    let sub_faults: Vec<Fault> = rerun.iter().map(|&i| faults[i].clone()).collect();
-    let sub = run_atpg(nl, view, &sub_faults, &sub_options);
-    for (k, &i) in rerun.iter().enumerate() {
-        statuses[i] = sub.statuses[k];
+    // The rest through the engine, uncompacted: compaction waits for
+    // `verify_and_compact`.
+    let engine_options = AtpgOptions { compact: false, ..*options };
+    let engine_faults: Vec<Fault> = missed.iter().map(|&k| kinds[k].clone()).collect();
+    let generated = run_atpg(nl, view, &engine_faults, &engine_options);
+    for (&k, &status) in missed.iter().zip(&generated.statuses) {
+        kind_statuses[k] = status;
     }
-
-    let mut tests: TestSet = previous.result.tests.patterns().iter().cloned().collect();
-    tests.extend(sub.tests.patterns().iter().cloned());
-    verify_and_compact(nl, view, faults, options, &rerun, statuses, tests)
+    for (i, slot) in rerun {
+        statuses[i] = kind_statuses[slot];
+    }
+    let mut tests = previous.result.tests.clone();
+    tests.extend(generated.tests.patterns().iter().cloned());
+    AtpgResult { statuses, tests }
 }
 
-/// The tail of [`run_atpg_incremental`], given the merged statuses and
-/// tests and the (ascending) indices of the re-run faults.
+/// Verifies every Detected verdict of `result` against its tests in `nl`,
+/// and compacts the tests when `options.compact` is set.
 ///
-/// One reverse pass over the merged tests both verifies every carried
-/// detection in the *new* netlist and finds the tests compaction keeps
-/// (see [`last_detections`]). Carried Detected faults that no merged test
-/// detects are rescued through the engine, after which the grown set is
-/// compacted again.
-fn verify_and_compact(
+/// One reverse fault-simulation pass over the tests both checks each
+/// Detected fault and finds the tests compaction keeps. A Detected
+/// fault that no test detects is rescued through the engine
+/// (`atpg.incremental.rescued`), after which the grown set is compacted
+/// again. After [`run_atpg_incremental`] the substitution argument of the
+/// module docs says no rescue is needed.
+pub fn verify_and_compact(
     nl: &Netlist,
     view: &CombView,
     faults: &[Fault],
     options: &AtpgOptions,
-    rerun: &[usize],
-    mut statuses: Vec<FaultStatus>,
-    mut tests: TestSet,
-) -> AtpgResult {
-    if tests.is_empty() {
-        return AtpgResult { statuses, tests };
-    }
+    result: &mut AtpgResult,
+) {
+    let AtpgResult { statuses, tests } = result;
     let arena = {
         let _build = rsyn_observe::span_volatile("sim.build");
         Arc::new(SimArena::build(nl, view))
@@ -184,33 +196,30 @@ fn verify_and_compact(
     } else {
         rsyn_observe::span_volatile("atpg.verify")
     };
-    let (keep, undetected) = last_detections(&arena, view, faults, &statuses, &tests, threads);
+    let (keep, undetected) = last_detections(&arena, view, faults, statuses, tests, threads);
     drop(pass);
-    let rescue: Vec<usize> =
-        undetected.iter().copied().filter(|i| rerun.binary_search(i).is_err()).collect();
-    if rescue.is_empty() {
+    if undetected.is_empty() {
         if options.compact {
-            retain_last_detections(&mut tests, &keep, &undetected);
+            retain_last_detections(tests, &keep, &undetected);
         }
-        return AtpgResult { statuses, tests };
+        return;
     }
 
-    // Rare path: carried detections the merged tests no longer reproduce.
-    rsyn_observe::add("atpg.incremental.rescued", rescue.len() as u64);
+    // Detected verdicts the tests no longer reproduce.
+    rsyn_observe::add("atpg.incremental.rescued", undetected.len() as u64);
     let rescue_options = AtpgOptions { compact: false, ..*options };
-    let rescue_faults: Vec<Fault> = rescue.iter().map(|&i| faults[i].clone()).collect();
+    let rescue_faults: Vec<Fault> = undetected.iter().map(|&i| faults[i].clone()).collect();
     let rescued = run_atpg(nl, view, &rescue_faults, &rescue_options);
-    for (k, &i) in rescue.iter().enumerate() {
-        statuses[i] = rescued.statuses[k];
+    for (&i, &status) in undetected.iter().zip(&rescued.statuses) {
+        statuses[i] = status;
     }
     tests.extend(rescued.tests.patterns().iter().cloned());
     if options.compact {
         // The first pass already counted as this run's compaction.
         let _recompact = rsyn_observe::span_volatile("atpg.compact");
-        let (keep, undetected) = last_detections(&arena, view, faults, &statuses, &tests, threads);
-        retain_last_detections(&mut tests, &keep, &undetected);
+        let (keep, undetected) = last_detections(&arena, view, faults, statuses, tests, threads);
+        retain_last_detections(tests, &keep, &undetected);
     }
-    AtpgResult { statuses, tests }
 }
 
 #[cfg(test)]
@@ -218,7 +227,7 @@ mod tests {
     use super::*;
     use crate::engine::{compact, covers};
     use crate::fault::{BridgeKind, CellCondition};
-    use crate::testset::Pattern;
+    use crate::testset::{Pattern, TestSet};
     use rsyn_netlist::Library;
 
     /// Two independent output cones: `x = !(a·b)` and `y = !(c·d)`, with a
@@ -261,16 +270,21 @@ mod tests {
     }
 
     #[test]
-    fn cone_contains_fanout_not_siblings() {
-        let nl = split_circuit();
+    fn window_is_the_new_gates_their_nets_and_undriven_nets() {
+        let mut nl = split_circuit();
         let gx = nl.find_gate("gx").unwrap();
-        let cone = Cone::of_changed_gates(&nl, &[gx]);
         let x = nl.find_net("x").unwrap();
         let y = nl.find_net("y").unwrap();
-        assert!(cone.nets.contains(&x));
-        assert!(!cone.nets.contains(&y));
-        assert!(cone.gates.contains(&gx));
-        assert!(!cone.gates.contains(&nl.find_gate("gy").unwrap()));
+        let window = RemapWindow::of(&nl, &[gx]);
+        assert!(window.nets.contains(&x));
+        assert!(!window.nets.contains(&y), "a sibling cone is outside the window");
+        assert!(window.gates.contains(&gx));
+        assert!(!window.gates.contains(&nl.find_gate("gy").unwrap()));
+        // Removing `gi` leaves its output undriven: in every window after.
+        let cn = nl.gate(nl.find_gate("gi").unwrap()).unwrap().outputs[0];
+        nl.remove_gate(nl.find_gate("gi").unwrap());
+        assert!(RemapWindow::of(&nl, &[]).nets.contains(&cn));
+        assert!(!RemapWindow::of(&nl, &[]).nets.contains(&nl.find_net("c").unwrap()));
     }
 
     #[test]
@@ -298,20 +312,19 @@ mod tests {
     }
 
     #[test]
-    fn cone_touches_only_changed_cone_faults() {
+    fn window_touches_only_faults_on_the_remap() {
         let nl = split_circuit();
         let faults = stuck_at_faults(&nl);
-        let gy = nl.find_gate("gy").unwrap();
-        let cone = Cone::of_changed_gates(&nl, &[gy]);
+        let window = RemapWindow::of(&nl, &[nl.find_gate("gy").unwrap()]);
         let x = nl.find_net("x").unwrap();
         let y = nl.find_net("y").unwrap();
         for f in &faults {
             if let FaultKind::StuckAt { net, .. } = f.kind {
                 if net == x {
-                    assert!(!cone.touches(f), "sibling-cone fault flagged");
+                    assert!(!window.touches(&f.kind), "sibling-cone fault flagged");
                 }
                 if net == y {
-                    assert!(cone.touches(f), "changed-cone fault not flagged");
+                    assert!(window.touches(&f.kind), "remapped-net fault not flagged");
                 }
             }
         }
@@ -333,37 +346,31 @@ mod tests {
     }
 
     /// The tail the one-pass [`verify_and_compact`] replaced: [`covers`]
-    /// checks every fault against the merged tests, the carried Detected
-    /// faults it finds uncovered are rescued through the engine, and
-    /// [`compact`] then runs over the grown set. The reference for
+    /// checks every fault against the tests, the Detected faults it finds
+    /// uncovered are rescued through the engine, and [`compact`] then runs
+    /// over the grown set. The reference for
     /// `tail_matches_covers_rescue_compact`.
     fn verify_and_compact_reference(
         nl: &Netlist,
         view: &CombView,
         faults: &[Fault],
         options: &AtpgOptions,
-        rerun: &[usize],
         mut statuses: Vec<FaultStatus>,
         mut tests: TestSet,
     ) -> AtpgResult {
         let sub_options = AtpgOptions { compact: false, ..*options };
-        let rerun_set: HashSet<usize> = rerun.iter().copied().collect();
-        if !tests.is_empty() {
-            let covered = covers(nl, view, faults, &tests);
-            let rescue: Vec<usize> = (0..faults.len())
-                .filter(|i| {
-                    statuses[*i] == FaultStatus::Detected && !covered[*i] && !rerun_set.contains(i)
-                })
-                .collect();
-            if !rescue.is_empty() {
-                rsyn_observe::add("atpg.incremental.rescued", rescue.len() as u64);
-                let rescue_faults: Vec<Fault> = rescue.iter().map(|&i| faults[i].clone()).collect();
-                let rescued = run_atpg(nl, view, &rescue_faults, &sub_options);
-                for (k, &i) in rescue.iter().enumerate() {
-                    statuses[i] = rescued.statuses[k];
-                }
-                tests.extend(rescued.tests.patterns().iter().cloned());
+        let covered = covers(nl, view, faults, &tests);
+        let rescue: Vec<usize> = (0..faults.len())
+            .filter(|i| statuses[*i] == FaultStatus::Detected && !covered[*i])
+            .collect();
+        if !rescue.is_empty() {
+            rsyn_observe::add("atpg.incremental.rescued", rescue.len() as u64);
+            let rescue_faults: Vec<Fault> = rescue.iter().map(|&i| faults[i].clone()).collect();
+            let rescued = run_atpg(nl, view, &rescue_faults, &sub_options);
+            for (k, &i) in rescue.iter().enumerate() {
+                statuses[i] = rescued.statuses[k];
             }
+            tests.extend(rescued.tests.patterns().iter().cloned());
         }
         if options.compact && !tests.is_empty() {
             compact(nl, view, faults, &statuses, &mut tests, 1);
@@ -376,11 +383,10 @@ mod tests {
 
         /// The one-pass tail returns the statuses, tests and rescue count
         /// of the `covers` → rescue → `compact` reference: random netlists,
-        /// all four fault kinds, 1–1,200 merged tests (up to five window
-        /// blocks), re-run faults, compaction on and off, 1–3 workers, and
-        /// Detected verdicts — carried or re-run — that no merged test
-        /// reproduces, so the rescue path and the undetected-fault rule of
-        /// compaction both run.
+        /// all four fault kinds, 1–1,200 tests (up to five window blocks),
+        /// compaction on and off, 1–3 workers, and Detected verdicts that
+        /// no test reproduces, so the rescue path and the undetected-fault
+        /// rule of compaction both run.
         #[test]
         fn tail_matches_covers_rescue_compact(seed in 0u64..u64::MAX) {
             let mut state = seed | 1;
@@ -439,7 +445,6 @@ mod tests {
                     _ => FaultStatus::Undetectable,
                 })
                 .collect();
-            let rerun: Vec<usize> = (0..faults.len()).filter(|_| next() % 4 == 0).collect();
             let options = AtpgOptions {
                 compact: next() % 2 == 0,
                 threads: 1 + (next() % 3) as usize,
@@ -449,11 +454,12 @@ mod tests {
             let _session = crate::injection_session();
             rsyn_observe::reset();
             let want = verify_and_compact_reference(
-                &nl, &view, &faults, &options, &rerun, statuses.clone(), tests.clone(),
+                &nl, &view, &faults, &options, statuses.clone(), tests.clone(),
             );
             let want_rescued = rsyn_observe::counter("atpg.incremental.rescued");
             rsyn_observe::reset();
-            let got = verify_and_compact(&nl, &view, &faults, &options, &rerun, statuses, tests);
+            let mut got = AtpgResult { statuses, tests };
+            verify_and_compact(&nl, &view, &faults, &options, &mut got);
             let got_rescued = rsyn_observe::counter("atpg.incremental.rescued");
             proptest::prop_assert_eq!(&got.statuses, &want.statuses);
             proptest::prop_assert!(

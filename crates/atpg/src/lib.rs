@@ -20,9 +20,10 @@
 //!   dropping → deterministic phase (PODEM, then SAT) → reverse-order test
 //!   compaction, run over a deterministic thread pool
 //!   ([`AtpgOptions::threads`]);
-//! * [`incremental`] — cone-of-influence incremental re-evaluation for the
-//!   resynthesis inner loop: only faults reachable from a remapped window
-//!   are re-simulated.
+//! * [`incremental`] — incremental re-evaluation for the resynthesis inner
+//!   loop: verdicts carried by fault kind outside a remapped window, the
+//!   other kinds tried on the previous tests first, and one verify/compact
+//!   pass per accepted design.
 //!
 //! # Example
 //!
@@ -64,7 +65,7 @@ pub use dictionary::FaultDictionary;
 pub use engine::{run_atpg, AtpgOptions, AtpgResult};
 pub use exhaustive::exhaustive_detectable;
 pub use fault::{BridgeKind, CellCondition, Fault, FaultKind, FaultOrigin, FaultStatus};
-pub use incremental::{run_atpg_incremental, Cone, PreviousEvaluation};
+pub use incremental::{run_atpg_incremental, verify_and_compact, PreviousEvaluation};
 pub use podem::{Podem, PodemOutcome};
 pub use sat::{SatAtpg, SatOutcome};
 pub use sim::FaultSim;

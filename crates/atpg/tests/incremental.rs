@@ -1,10 +1,11 @@
-//! Integration tests for the cone-of-influence incremental ATPG path:
-//! the carried-verdict safety net, and thread-count independence of the
-//! observability counters that CI's manifest gate relies on.
+//! Integration tests for the incremental ATPG path: the verify/compact
+//! pass as a safety net for stale carried verdicts, and thread-count
+//! independence of the observability counters that CI's manifest gate
+//! relies on.
 
 use rsyn_atpg::engine::{run_atpg, AtpgOptions};
 use rsyn_atpg::fault::{Fault, FaultKind, FaultStatus};
-use rsyn_atpg::incremental::{run_atpg_incremental, PreviousEvaluation};
+use rsyn_atpg::incremental::{run_atpg_incremental, verify_and_compact, PreviousEvaluation};
 use rsyn_netlist::{Library, Netlist};
 use rsyn_observe::manifest::Run;
 
@@ -43,15 +44,16 @@ fn split_circuit() -> Netlist {
     nl
 }
 
-/// The safety net must correct a stale carried-over `Detected` verdict.
+/// The verify/compact pass must correct a stale carried-over `Detected`
+/// verdict.
 ///
 /// The previous evaluation classified `y` stuck-at-1 as detected (`y` was
 /// `!(c·d)`, so the pattern `c = d = 1` exposes it). The netlist is then
 /// edited into `y = c + !c` — constant 1 — which makes that same fault
 /// *undetectable*. An incremental run lied to about the change
-/// (`changed_gates = []`, so the cone is empty and every verdict is
-/// carried) would report the stale `Detected` without the covers()
-/// verification pass; with it, the fault is caught, re-run, and proven
+/// (`changed_gates = []`, so the window holds no gate and every verdict is
+/// carried) reports the stale `Detected`; [`verify_and_compact`], the pass
+/// an accepted design gets, catches it, re-runs it, and proves it
 /// undetectable — matching a from-scratch run on the edited netlist.
 #[test]
 fn safety_net_corrects_stale_carried_detection() {
@@ -86,9 +88,11 @@ fn safety_net_corrects_stale_carried_detection() {
 
     rsyn_observe::reset();
     let previous = PreviousEvaluation { faults: &faults, result: &previous_run };
-    // Empty changed set: without the safety net every verdict — including
-    // the now-wrong y SA1 `Detected` — would be carried over verbatim.
-    let inc = run_atpg_incremental(&edited, &edited_view, &edited_faults, &options, &previous, &[]);
+    // Empty changed set: every verdict — including the now-wrong y SA1
+    // `Detected` — is carried over verbatim, and only the pass corrects it.
+    let mut inc =
+        run_atpg_incremental(&edited, &edited_view, &edited_faults, &options, &previous, &[]);
+    verify_and_compact(&edited, &edited_view, &edited_faults, &options, &mut inc);
     assert_eq!(
         inc.statuses[y_sa1],
         FaultStatus::Undetectable,

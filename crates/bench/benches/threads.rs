@@ -1,5 +1,5 @@
 //! Criterion bench: thread-count sweep of the parallel fault-evaluation
-//! engine, and the cone-of-influence incremental path against a full
+//! engine, and the incremental path against a full
 //! re-evaluation, on a no-op change set and on a real candidate — the two
 //! levers that keep the Section III-B candidate loop cheap (motivated by
 //! the in-design DFM scoring flows of PAPERS.md, which only work when
@@ -36,8 +36,8 @@ fn bench_threads_sweep(c: &mut Criterion) {
 
 /// Incremental re-evaluation against a full ATPG re-run on the same fault
 /// set, with an empty change set: the pure carry-over overhead of
-/// matching, the verify/compact pass, and nothing to re-run. Real
-/// candidates re-run 16–90% of the faults; see `candidate`.
+/// matching by kind, and nothing to re-run. Real candidates re-check
+/// about a third of the faults; see `candidate`.
 fn bench_incremental_vs_full(c: &mut Criterion) {
     let ctx = context();
     let state = analyzed("sparc_tlu", &ctx);

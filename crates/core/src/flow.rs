@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use rsyn_atpg::engine::{run_atpg, AtpgOptions, AtpgResult};
 use rsyn_atpg::fault::Fault;
-use rsyn_atpg::incremental::{run_atpg_incremental, PreviousEvaluation};
+use rsyn_atpg::incremental::{run_atpg_incremental, verify_and_compact, PreviousEvaluation};
 use rsyn_cluster::{cluster_faults, Clusters};
 use rsyn_dfm::{extract_faults, GuidelineSet, InternalCatalog};
 use rsyn_logic::Mapper;
@@ -105,12 +105,16 @@ impl DesignState {
         Ok(Self { nl, pd, faults, atpg, clusters })
     }
 
-    /// Like [`DesignState::analyze`], but reuses the ATPG verdicts of a
-    /// previous analysis for every fault outside the cone of influence of
-    /// `changed_gates` (the gates a resynthesis candidate remapped). This
-    /// is the fast path of the candidate-evaluation inner loop: only the
-    /// faults the remap can affect go back through fault simulation and
-    /// PODEM.
+    /// Like [`DesignState::analyze`], but reuses the ATPG verdicts and
+    /// tests of a previous analysis: the gates a resynthesis candidate
+    /// remapped (`changed_gates`) bound the window outside of which every
+    /// fault kind keeps its verdict, and the previous tests are tried on
+    /// the rest before any is generated (see `rsyn_atpg::incremental`).
+    /// This is the fast path of the candidate-evaluation inner loop.
+    ///
+    /// The state's tests are the previous ones followed by the new ones,
+    /// unverified and uncompacted; [`verify_and_compact`] settles them, and
+    /// the resynthesis loop runs it once a state is accepted.
     ///
     /// # Errors
     ///
@@ -136,6 +140,25 @@ impl DesignState {
         let undetectable = atpg.undetectable_indices();
         let clusters = cluster_faults(&nl, &faults, &undetectable);
         Ok(Self { nl, pd, faults, atpg, clusters })
+    }
+
+    /// Verifies every Detected verdict against the tests and compacts them
+    /// ([`verify_and_compact`]): the one reverse pass an incrementally
+    /// analysed state gets, when the resynthesis loop accepts it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pass changes the state's score. The loop scored the
+    /// candidate before this pass, on carried verdicts no test had
+    /// checked; a change here would mean the remap broke the substitution
+    /// argument those verdicts rest on (DESIGN.md §8).
+    #[must_use]
+    pub(crate) fn verified(mut self, ctx: &FlowContext) -> Self {
+        let score = self.score();
+        let view = self.nl.comb_view().expect("valid netlist");
+        verify_and_compact(&self.nl, &view, &self.faults, &ctx.atpg, &mut self.atpg);
+        assert_eq!(self.score(), score, "verifying an accepted design's tests changed its score");
+        self
     }
 
     /// Total fault count `F`.

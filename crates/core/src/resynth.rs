@@ -232,21 +232,22 @@ impl CandidateMemo {
         Some(Candidate { score: score?, state, key })
     }
 
-    /// The analysed state of a candidate the loop accepts: the one
-    /// [`CandidateMemo::evaluate`] built, or a rebuild of a memo hit.
+    /// The analysed state of a candidate the loop accepts — the one
+    /// [`CandidateMemo::evaluate`] built, or a rebuild of a memo hit — with
+    /// its tests verified and compacted ([`DesignState::verified`]).
     pub(crate) fn state_of(
         &mut self,
         ctx: &FlowContext,
         base: &DesignState,
         cand: Candidate,
     ) -> DesignState {
-        if let Some(state) = cand.state {
-            return state;
-        }
-        rsyn_observe::add("resynth.memo_rebuilds", 1);
-        let state = self.analyze(ctx, base, &cand.key).expect("a memoised candidate rebuilds");
-        assert_eq!(state.score(), cand.score, "a rebuilt candidate scores as memoised");
-        state
+        let state = cand.state.unwrap_or_else(|| {
+            rsyn_observe::add("resynth.memo_rebuilds", 1);
+            let state = self.analyze(ctx, base, &cand.key).expect("a memoised candidate rebuilds");
+            assert_eq!(state.score(), cand.score, "a rebuilt candidate scores as memoised");
+            state
+        });
+        state.verified(ctx)
     }
 
     /// Drops every entry: the design state they were evaluated on changed.
@@ -297,9 +298,9 @@ impl CandidateMemo {
         }
         self.evaluations += 1;
         let fp = base.pd.placement.floorplan();
-        // The cone-of-influence fast path: only faults the remapped gates can
-        // influence are re-simulated; everything else carries its verdict over
-        // from `base` (see `rsyn_atpg::incremental`).
+        // The incremental fast path: only fault kinds on the remapped window
+        // are re-checked; everything else carries its verdict over from
+        // `base` (see `rsyn_atpg::incremental`).
         let result = DesignState::analyze_incremental(
             nl,
             ctx,
@@ -729,6 +730,8 @@ pub fn run_q_sweep_stepped(
 mod tests {
     use super::*;
     use crate::report::Table2Row;
+    use rsyn_atpg::engine::covers;
+    use rsyn_atpg::fault::FaultStatus;
     use rsyn_circuits::build_benchmark_with;
     use rsyn_netlist::Library;
 
@@ -812,11 +815,12 @@ mod tests {
                 Some((cand, window_i, allowed))
             })
             .expect("some sparc_ffu candidate is analysed");
-        let first = first.state.expect("a memo miss carries its state");
+        assert!(first.state.is_some(), "a memo miss carries its state");
         let hits = rsyn_observe::counter("resynth.memo_hits");
         let again = memo.evaluate(&ctx, &original, &window_i, &allowed, &map_options).expect("hit");
         assert!(again.state.is_none(), "the second evaluation is a memo hit");
         assert_eq!(rsyn_observe::counter("resynth.memo_hits"), hits + 1);
+        let first = memo.state_of(&ctx, &original, first);
         let rebuilt = memo.state_of(&ctx, &original, again);
 
         let gates = |s: &DesignState| -> Vec<_> {
@@ -860,6 +864,26 @@ mod tests {
             .expect("committed sparc_ffu row");
         let row = Table2Row::resynthesized("sparc_ffu", &original, &sweep, 1.0).to_string();
         assert_eq!(columns(&row), columns(committed));
+    }
+
+    /// Every design the sweep returns — each `q` step's and the chosen one
+    /// — has tests that detect every fault it reports Detected: accepted
+    /// states leave the loop through `DesignState::verified`.
+    #[test]
+    fn every_swept_state_has_tests_covering_its_detected_faults() {
+        let (ctx, original) = setup("sparc_ffu");
+        let sweep = run_q_sweep_stepped(&original, &ctx, &ResynthOptions::default(), 5, 5);
+        assert!(!sweep.trace.is_empty(), "the sweep accepts a candidate");
+        let states = sweep.per_q.iter().map(|(_, s)| s).chain([sweep.final_state()]);
+        for (k, state) in states.enumerate() {
+            let view = state.nl.comb_view().unwrap();
+            let covered = covers(&state.nl, &view, &state.faults, &state.atpg.tests);
+            for (i, status) in state.atpg.statuses.iter().enumerate() {
+                if *status == FaultStatus::Detected {
+                    assert!(covered[i], "state {k}: fault {i} is Detected but no test detects it");
+                }
+            }
+        }
     }
 
     #[test]

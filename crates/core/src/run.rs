@@ -385,8 +385,8 @@ fn replay_remap(
         .resynthesize_with(&mut nl, &ctx.mapper, &allowed, &map_options)
         .map_err(|e| cp_err(format!("replay {idx}: remap failed: {e}")))?;
     let fp = base.pd.placement.floorplan();
-    // Mirror `evaluate_candidate`'s analysis exactly so the replayed state
-    // carries the same verdicts the original evaluation produced.
+    // Mirror the accepted candidate's analysis exactly so the replayed state
+    // carries the same verdicts and tests the original acceptance produced.
     DesignState::analyze_incremental(
         nl,
         ctx,
@@ -394,6 +394,7 @@ fn replay_remap(
         base,
         &new_gates,
     )
+    .map(|state| state.verified(ctx))
     .map_err(|e| cp_err(format!("replay {idx}: analysis failed: {e}")))
 }
 

@@ -6,7 +6,7 @@ use rsyn_resilience::inject::{self, PdesignFate};
 
 use crate::floorplan::Floorplan;
 use crate::layout::Layout;
-use crate::place::{PlaceError, Placement};
+use crate::place::{unplaced_sites, PlaceError, Placement};
 use crate::power::{estimate, PowerReport};
 use crate::route::route;
 use crate::timing::{analyze, TimingReport};
@@ -70,8 +70,10 @@ pub fn physical_design_in(
         },
     ]);
     if fate == PdesignFate::Reject {
-        // An injected rejection mimics the floorplan running out of sites.
-        return Err(PlaceError::AreaExceeded { needed_sites: nl.gate_count(), free_sites: 0 });
+        // An injected rejection mimics the floorplan running out of sites
+        // for every gate the previous placement does not hold.
+        let needed_sites = unplaced_sites(nl, previous);
+        return Err(PlaceError::AreaExceeded { needed_sites, free_sites: 0 });
     }
     let place_span = rsyn_observe::span("pdesign.place");
     let placement = match previous {

@@ -60,6 +60,16 @@ fn gate_width_sites(nl: &Netlist, g: GateId) -> u32 {
     (cell.area / (SITE_WIDTH_UM * ROW_HEIGHT_UM)).round().max(1.0) as u32
 }
 
+/// Sites the gates of `nl` without a slot in `placement` need (every gate
+/// when there is no placement).
+pub(crate) fn unplaced_sites(nl: &Netlist, placement: Option<&Placement>) -> usize {
+    nl.gates()
+        .map(|(g, _)| g)
+        .filter(|&g| placement.map_or(true, |p| p.slot(g).is_none()))
+        .map(|g| gate_width_sites(nl, g) as usize)
+        .sum()
+}
+
 impl Placement {
     /// Performs global placement of all gates of `nl` into `fp`.
     ///
@@ -218,8 +228,9 @@ impl Placement {
     ///
     /// # Errors
     ///
-    /// Returns [`PlaceError::AreaExceeded`] if a new gate does not fit; the
-    /// placement is left partially updated (callers snapshot before trying).
+    /// Returns [`PlaceError::AreaExceeded`] if a new gate does not fit,
+    /// reporting the sites every gate still unplaced needs; the placement
+    /// is left partially updated (callers snapshot before trying).
     pub fn sync(&mut self, nl: &Netlist) -> Result<(), PlaceError> {
         self.slots.resize(nl.gate_capacity(), None);
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -242,7 +253,10 @@ impl Placement {
             let centroid = self.neighbor_centroid(nl, g);
             let slot = self.find_gap(&occ, w, centroid).ok_or_else(|| {
                 let free = occ.iter().flatten().filter(|&&o| !o).count();
-                PlaceError::AreaExceeded { needed_sites: w, free_sites: free }
+                PlaceError::AreaExceeded {
+                    needed_sites: unplaced_sites(nl, Some(self)),
+                    free_sites: free,
+                }
             })?;
             for s in slot.site..slot.site + slot.width {
                 occ[slot.row as usize][s as usize] = true;
@@ -428,5 +442,26 @@ mod tests {
             }
         }
         assert!(matches!(err, Some(PlaceError::AreaExceeded { .. })));
+    }
+
+    /// A rejection reports the sites every still-unplaced gate needs.
+    #[test]
+    fn sync_reports_the_sites_all_unplaced_gates_need() {
+        let mut nl = chain(40);
+        let fp = Floorplan::for_cell_area(nl.total_area(), 0.7);
+        let mut p = Placement::global(&nl, fp, 1).unwrap();
+        let free = fp.rows * fp.sites_per_row - unplaced_sites(&nl, None);
+        // One-site inverters, ten more than the free sites hold: no gap is
+        // too narrow, so the floorplan overflows by exactly ten sites.
+        let inv = nl.lib().cell_id("INVX1").unwrap();
+        let a = nl.find_net("a").unwrap();
+        for i in 0..free + 10 {
+            let y = nl.add_net();
+            let g = nl.add_gate(format!("extra{i}"), inv, &[a], &[y]).unwrap();
+            assert_eq!(gate_width_sites(&nl, g), 1);
+        }
+        assert_eq!(unplaced_sites(&nl, Some(&p)), free + 10);
+        let err = p.sync(&nl).unwrap_err();
+        assert_eq!(err, PlaceError::AreaExceeded { needed_sites: 10, free_sites: 0 });
     }
 }

@@ -666,6 +666,10 @@ mod tests {
 
     #[test]
     fn journal_round_trips_through_segments() {
+        // Journal writes consume injection ordinals: hold a session, so a
+        // test arming a tear plan in parallel neither sees these writes
+        // nor tears them.
+        let _session = rsyn_resilience::inject::arm(rsyn_resilience::inject::InjectionPlan::new());
         let dir = std::env::temp_dir().join(format!("rsyn-server-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let events = all_events();

@@ -6,9 +6,10 @@
 #            workspace tests (the suites over process-wide state once more
 #            at 16 test threads), and every behavioural gate: manifest
 #            determinism + baselines, Table I, guideline stats, Fig. 2,
-#            Table II on eleven circuits, the N-detect baseline, failure
-#            injection, checkpoint/resume, warm cross-run cache, perf
-#            trajectory; no fault may end Aborted in any of their manifests
+#            Table II on all twelve circuits, the N-detect baseline, the
+#            p1 sweep, the library ablation, failure injection,
+#            checkpoint/resume, warm cross-run cache, perf trajectory; no
+#            fault may end Aborted in any of their manifests
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / checkpoint-write failures / PODEM
 #            aborts / queue-full sheds, plus checkpoint-backed preemption,
@@ -113,15 +114,14 @@ run_gates() {
   RSYN_MANIFEST_DIR="$SMOKE_DIR/fig2" target/release/fig2_phases sparc_exu 25 \
     | diff results/fig2_phases.txt -
 
-  echo "== Table II gate (eleven circuits at q <= 5: every column but Rtime, manifest exact)"
-  # The paper's main experiment on the eleven circuits whose sweeps fit
-  # the lane (all but des_perf). Rtime, the last column, is a ratio of
+  echo "== Table II gate (all twelve circuits at q <= 5: every column but Rtime, manifest exact)"
+  # The paper's main experiment. Rtime, the last column, is a ratio of
   # wall times; every other column of every row must match the committed
   # results/table2_q5.txt, and the run's counters and results must match
   # the committed manifest.
   RSYN_MANIFEST_DIR="$SMOKE_DIR/table2" target/release/table2 --max-q 5 --threads 2 \
     sparc_ffu sparc_lsu sparc_tlu systemcaes sparc_ifu aes_core tv80 sparc_exu wb_conmax \
-    sparc_fpu sparc_spu >"$SMOKE_DIR/table2_q5.txt"
+    sparc_fpu sparc_spu des_perf >"$SMOKE_DIR/table2_q5.txt"
   diff <(awk 'NR > 2 { NF-- } { print }' results/table2_q5.txt) \
     <(awk 'NR > 2 { NF-- } { print }' "$SMOKE_DIR/table2_q5.txt")
   "$CHECK" --no-timings "${DECIDED[@]}" results/baselines/manifest-table2.json \
@@ -130,6 +130,19 @@ run_gates() {
   echo "== N-detect baseline gate (sparc_exu test counts at N = 1, 3, 5, exact text)"
   RSYN_MANIFEST_DIR="$SMOKE_DIR/ndetect" target/release/baseline_ndetect sparc_exu \
     | diff results/baseline_ndetect.txt -
+
+  echo "== p1 calibration gate (sparc_exu p1 sweep, exact text)"
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/sweep_p1" target/release/sweep_p1 sparc_exu \
+    | diff results/sweep_p1.txt -
+  "$CHECK" --determinism "${DECIDED[@]}" \
+    "$SMOKE_DIR/sweep_p1/manifest-sweep_p1.json" "$SMOKE_DIR/sweep_p1/manifest-sweep_p1.json"
+
+  echo "== library ablation gate (restricted library vs targeted resynthesis, exact text)"
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/ablation" target/release/ablation_library \
+    | diff results/ablation_library.txt -
+  "$CHECK" --determinism "${DECIDED[@]}" \
+    "$SMOKE_DIR/ablation/manifest-ablation_library.json" \
+    "$SMOKE_DIR/ablation/manifest-ablation_library.json"
 
   echo "== failure-injection smoke gate (forced rejection/inflation/abort/shard loss)"
   # The resilient flow driver must absorb every injected failure (the bin

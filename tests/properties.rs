@@ -231,6 +231,119 @@ proptest! {
         }
     }
 
+    /// The substitution argument behind incremental ATPG: a window remapped
+    /// through `Window::resynthesize_with` computes the same function of
+    /// its input nets, so every fault kind outside the remap's window keeps
+    /// its verdict and its detecting tests. Random circuits, random windows
+    /// and random allowed cells; stuck-at and transition faults on the
+    /// window inputs, on the old window's nets (left undriven, or driven by
+    /// new gates) and on the nets the new gates drive; cell-aware faults of
+    /// the old and the new gates (new gates reuse old gate ids, and a
+    /// reused id gets the same condition); bridges whose two ends straddle
+    /// the window. The incremental statuses equal a full run on the new
+    /// netlist, and the verify/compact pass rescues nothing.
+    #[test]
+    fn incremental_verdicts_survive_a_window_remap(seed in 0u64..1 << 32) {
+        use rsyn::atpg::fault::{BridgeKind, CellCondition};
+        use rsyn::atpg::incremental::{run_atpg_incremental, verify_and_compact, PreviousEvaluation};
+        use rsyn::logic::Window;
+        use rsyn::netlist::{CellClass, CellId, GateId};
+
+        let mut next = xorshift(seed ^ 0x1C4E);
+        let (nl, nets, gate_ids) = random_circuit(&mut next, &["FAX1", "AOI22X1", "INVX1"]);
+        let lib = nl.lib().clone();
+        let mut window_gates: Vec<GateId> =
+            (0..2 + next() % 6).map(|_| gate_ids[(next() % gate_ids.len() as u64) as usize]).collect();
+        window_gates.sort();
+        window_gates.dedup();
+        let window = Window::extract(&nl, &window_gates);
+        let mapper = shared_mapper();
+        let comb: Vec<CellId> =
+            lib.iter().filter(|(_, c)| c.class == CellClass::Comb).map(|(id, _)| id).collect();
+        let mut allowed: Vec<CellId> = comb.iter().copied().filter(|_| next() % 3 != 0).collect();
+        let mut mask = vec![false; lib.len()];
+        for c in &allowed {
+            mask[c.index()] = true;
+        }
+        if !mapper.is_complete(&mask) {
+            allowed = comb;
+        }
+        let mut new_nl = nl.clone();
+        let new_gates = window
+            .resynthesize_with(&mut new_nl, mapper, &allowed, &MapOptions::blend(0.35))
+            .expect("a complete cell set maps any window");
+
+        let old_nets: Vec<NetId> =
+            window.gates.iter().flat_map(|&g| nl.gate(g).unwrap().outputs.clone()).collect();
+        let new_nets: Vec<NetId> =
+            new_gates.iter().flat_map(|&g| new_nl.gate(g).unwrap().outputs.clone()).collect();
+        let mut window_nets: Vec<NetId> =
+            window.inputs.iter().chain(&old_nets).chain(&new_nets).copied().collect();
+        window_nets.dedup();
+        let outside: Vec<NetId> =
+            nets.iter().copied().filter(|n| !window_nets.contains(n)).collect();
+        let mut kinds = Vec::new();
+        for &net in window_nets.iter().chain(&outside) {
+            for value in [false, true] {
+                kinds.push(FaultKind::StuckAt { net, value });
+                kinds.push(FaultKind::Transition { net, rising: value });
+            }
+        }
+        for k in 0..12 {
+            let kind = if k % 2 == 0 { BridgeKind::WiredAnd } else { BridgeKind::WiredOr };
+            let a = window_nets[(next() % window_nets.len() as u64) as usize];
+            let b = if k < 4 {
+                window.inputs[(next() % window.inputs.len() as u64) as usize]
+            } else {
+                outside[(next() % outside.len() as u64) as usize]
+            };
+            if a != b {
+                kinds.push(FaultKind::Bridge { a, b, kind });
+            }
+        }
+        // Every gate's condition follows from its id and cell shape, so a
+        // new gate that reuses an old id and shape gets the old fault's kind.
+        let faults_of = |nl: &Netlist| -> Vec<Fault> {
+            let exists = |n: &NetId| n.index() < nl.net_count();
+            let mut faults: Vec<Fault> = kinds
+                .iter()
+                .filter(|kind| match kind {
+                    FaultKind::StuckAt { net, .. } | FaultKind::Transition { net, .. } => exists(net),
+                    FaultKind::Bridge { a, b, .. } => exists(a) && exists(b),
+                    FaultKind::CellAware { .. } => unreachable!("net kinds only"),
+                })
+                .map(|kind| Fault::external(kind.clone(), 0))
+                .collect();
+            for (g, gate) in nl.gates() {
+                let cell = lib.cell(gate.cell);
+                let code = (g.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                let condition = CellCondition {
+                    pattern: code % (1 << cell.input_count()),
+                    output: (code % cell.outputs.len() as u64) as u8,
+                };
+                faults.push(Fault::internal(g, vec![condition], 0));
+            }
+            faults
+        };
+        let (old_faults, new_faults) = (faults_of(&nl), faults_of(&new_nl));
+
+        let options = AtpgOptions::default().with_threads(1 + (next() % 2) as usize);
+        let old_view = nl.comb_view().unwrap();
+        let before = run_atpg(&nl, &old_view, &old_faults, &options);
+        let new_view = new_nl.comb_view().unwrap();
+        let full = run_atpg(&new_nl, &new_view, &new_faults, &options);
+        let previous = PreviousEvaluation { faults: &old_faults, result: &before };
+        let mut inc =
+            run_atpg_incremental(&new_nl, &new_view, &new_faults, &options, &previous, &new_gates);
+        for (i, (got, want)) in inc.statuses.iter().zip(&full.statuses).enumerate() {
+            prop_assert_eq!(got, want, "fault {} {:?}", i, new_faults[i].kind);
+        }
+        let rescued = rsyn::observe::counter("atpg.incremental.rescued");
+        verify_and_compact(&new_nl, &new_view, &new_faults, &options, &mut inc);
+        prop_assert_eq!(rsyn::observe::counter("atpg.incremental.rescued"), rescued);
+        prop_assert_eq!(&inc.statuses, &full.statuses);
+    }
+
     /// Clustering is a partition: every subset fault appears in exactly one
     /// cluster, and cluster sizes sum to the subset size.
     #[test]
@@ -273,6 +386,12 @@ proptest! {
         let dist = clusters.size_distribution();
         prop_assert!(dist.windows(2).all(|w| w[0] >= w[1]));
     }
+}
+
+/// One mapper for every case: building its match table is the slow part.
+fn shared_mapper() -> &'static Mapper {
+    static MAPPER: std::sync::OnceLock<Mapper> = std::sync::OnceLock::new();
+    MAPPER.get_or_init(|| Mapper::new(&Library::osu018()))
 }
 
 /// A xorshift64 stream seeded from `seed` (never zero).
