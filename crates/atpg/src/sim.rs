@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use rsyn_netlist::arena::{eval_cell, SimArena};
 use rsyn_netlist::tt::MAX_TT_INPUTS;
-use rsyn_netlist::{CombView, LaneBlock, NetId, Netlist, SimWord};
+use rsyn_netlist::{CombView, LaneBlock, Netlist, SimWord};
 
 use crate::fault::{BridgeKind, Fault, FaultKind};
 
@@ -89,12 +89,6 @@ impl<W: SimWord> FaultSim<W> {
         let arena = Arc::clone(&self.arena);
         arena.set_inputs(&mut self.good, lanes);
         arena.eval_all(&mut self.good);
-    }
-
-    /// Good-machine value of a net for the loaded patterns.
-    #[inline]
-    pub fn good_value(&self, net: NetId) -> W {
-        self.good[net.index()]
     }
 
     #[inline]

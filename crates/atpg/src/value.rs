@@ -28,11 +28,6 @@ impl Tri {
         }
     }
 
-    /// True if the value is known.
-    pub fn is_known(self) -> bool {
-        self != Tri::U
-    }
-
     /// The known boolean value, if any.
     pub fn known(self) -> Option<bool> {
         match self {

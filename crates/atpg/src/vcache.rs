@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use rsyn_cache::{Domain, Reader, StableHasher, Writer};
+use rsyn_cache::{Reader, StableHasher, Writer};
 use rsyn_netlist::{CanonicalView, CombView, Netlist};
 
 use crate::engine::{AtpgOptions, AtpgResult, BACKTRACK_LIMIT, RANDOM_WORDS};
@@ -37,7 +37,7 @@ use crate::fault::{BridgeKind, Fault, FaultKind, FaultOrigin, FaultStatus};
 use crate::testset::{Pattern, TestSet};
 
 /// Payload layout version (bump on any format change; combined with the
-/// domain version in the on-disk path this invalidates stale entries).
+/// entry version in the on-disk path this invalidates stale entries).
 const PAYLOAD_TAG: &str = "verdict-payload-v1";
 
 /// Derives the cache key for an ATPG run, or `None` when the subject
@@ -247,7 +247,7 @@ pub(crate) fn run_cached(
         return compute();
     };
     let npis = view.pis.len();
-    if let Some(payload) = rsyn_cache::lookup(Domain::Verdicts, key) {
+    if let Some(payload) = rsyn_cache::lookup(key) {
         if let Some((result, delta)) = decode(&payload, faults.len(), npis) {
             rsyn_observe::add_counters(&delta);
             return result;
@@ -265,7 +265,7 @@ pub(crate) fn run_cached(
     }
     let after = rsyn_observe::counters();
     if let Some(delta) = counter_delta(&before, &after) {
-        rsyn_cache::store(Domain::Verdicts, key, &encode(&result, npis, &delta));
+        rsyn_cache::store(key, &encode(&result, npis, &delta));
     }
     result
 }
@@ -383,7 +383,7 @@ mod tests {
         let mut after = BTreeMap::new();
         after.insert("atpg.runs".to_owned(), 3);
         after.insert("atpg.tests.final".to_owned(), 0); // created at zero
-        after.insert("cache.verdicts.miss".to_owned(), 1); // never replayed
+        after.insert("cache.miss".to_owned(), 1); // never replayed
         after.insert("hist.x.count".to_owned(), 4);
         after.insert("hist.x.sum".to_owned(), 0); // all-zero samples
         after.insert("hist.x.min".to_owned(), 0);
@@ -391,7 +391,7 @@ mod tests {
         let delta = counter_delta(&before, &after).expect("clean run");
         assert_eq!(delta.get("atpg.runs"), Some(&1), "additive difference");
         assert_eq!(delta.get("atpg.tests.final"), Some(&0), "key created at zero");
-        assert_eq!(delta.get("cache.verdicts.miss"), None, "cache traffic excluded");
+        assert_eq!(delta.get("cache.miss"), None, "cache traffic excluded");
         assert_eq!(delta.get("hist.x.min"), Some(&0), "absolute extreme kept");
         assert_eq!(delta.get("hist.x.sum"), Some(&0), "zero sum creates its key");
 

@@ -18,16 +18,6 @@ impl Writer {
         Writer { buf: Vec::new() }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the encoded payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -53,15 +43,10 @@ impl Writer {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends a length-prefixed byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
+    /// Appends a `u64`-length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
+        self.put_u64(v.len() as u64);
+        self.buf.extend_from_slice(v.as_bytes());
     }
 }
 
@@ -119,15 +104,10 @@ impl<'a> Reader<'a> {
         usize::try_from(self.get_u64()?).ok()
     }
 
-    /// Reads a length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.get_len()?;
-        self.take(len)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a `u64`-length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Option<&'a str> {
-        std::str::from_utf8(self.get_bytes()?).ok()
+        let len = self.get_len()?;
+        std::str::from_utf8(self.take(len)?).ok()
     }
 }
 
@@ -142,7 +122,6 @@ mod tests {
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
         w.put_f64(-0.5);
-        w.put_bytes(b"raw");
         w.put_str("text");
         let bytes = w.into_bytes();
 
@@ -151,7 +130,6 @@ mod tests {
         assert_eq!(r.get_u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.get_u64(), Some(0x0123_4567_89AB_CDEF));
         assert_eq!(r.get_f64(), Some(-0.5));
-        assert_eq!(r.get_bytes(), Some(&b"raw"[..]));
         assert_eq!(r.get_str(), Some("text"));
         assert!(r.finished());
     }
@@ -171,6 +149,6 @@ mod tests {
         w.put_u64(u64::MAX);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.get_bytes(), None);
+        assert_eq!(r.get_str(), None);
     }
 }

@@ -14,25 +14,26 @@
 //! every run without the variable byte-identical to the pre-cache flow —
 //! the determinism, injection, and checkpoint/resume gates all run cold.
 //!
-//! # Domains
+//! # Scope
 //!
-//! Keys are namespaced by [`Domain`] — one per choke point (cell
-//! matching, cut enumeration, ATPG verdicts). Each domain carries its
-//! own version; bumping it orphans all old entries (invalidation by
-//! version — there is no migration code, see `store`).
+//! The cache memoizes one computation: a complete ATPG run (fault
+//! verdicts, test set and counter deltas, encoded by `rsyn-atpg`'s
+//! `vcache`). Its entries live under one versioned directory; bumping
+//! `ENTRY_VERSION` orphans every old entry (invalidation by version —
+//! there is no migration code, see `store`).
 //!
 //! # Determinism contract
 //!
 //! A cache hit must be byte-identical to a recompute. The flow enforces
 //! this by construction (canonical keys cover every input the payload
 //! depends on) and observes it through deterministic `rsyn-observe`
-//! counters: `cache.{hit,miss,evict,corrupt,write_err}` plus per-domain
-//! `cache.<domain>.{hit,miss}`. All cache operations happen on the flow
-//! thread, so the counters are thread-count independent and ride through
-//! the existing manifest determinism gate. Cold and warm runs disagree
-//! *only* on `cache.*` counters (`check_manifest --ignore cache.`
-//! compares everything else). Wall time spent in the cache is reported
-//! through the volatile spans `span.cache.lookup` / `span.cache.store`.
+//! counters: `cache.{hit,miss,evict,corrupt,write_err}`. All cache
+//! operations happen on the flow thread, so the counters are thread-count
+//! independent and ride through the existing manifest determinism gate.
+//! Cold and warm runs disagree *only* on `cache.*` counters
+//! (`check_manifest --ignore cache.` compares everything else). Wall time
+//! spent in the cache is reported through the volatile spans
+//! `span.cache.lookup` / `span.cache.store`.
 
 #![warn(clippy::unwrap_used)]
 
@@ -47,65 +48,11 @@ use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cache namespaces, one per choke point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Domain {
-    /// Truth-table → matched-cell candidate table (`rsyn-logic`),
-    /// keyed by library content hash.
-    Match,
-    /// AIG cut enumeration, keyed by structural hash of the region.
-    Cuts,
-    /// ATPG fault verdicts + test set + counter deltas, keyed by
-    /// (canonical view hash, fault list, option fingerprint).
-    Verdicts,
-}
-
-impl Domain {
-    /// Directory-name component of the domain.
-    pub fn name(self) -> &'static str {
-        match self {
-            Domain::Match => "match",
-            Domain::Cuts => "cuts",
-            Domain::Verdicts => "verdicts",
-        }
-    }
-
-    /// Payload format version; bump to orphan all existing entries of
-    /// this domain whenever the encoded layout or the computation it
-    /// memoizes changes.
-    pub fn version(self) -> u32 {
-        match self {
-            Domain::Match => 1,
-            Domain::Cuts => 1,
-            Domain::Verdicts => 1,
-        }
-    }
-
-    /// Stable shard-map tag (never reuse values across domains).
-    fn tag(self) -> u8 {
-        match self {
-            Domain::Match => 0,
-            Domain::Cuts => 1,
-            Domain::Verdicts => 2,
-        }
-    }
-
-    fn hit_counter(self) -> &'static str {
-        match self {
-            Domain::Match => "cache.match.hit",
-            Domain::Cuts => "cache.cuts.hit",
-            Domain::Verdicts => "cache.verdicts.hit",
-        }
-    }
-
-    fn miss_counter(self) -> &'static str {
-        match self {
-            Domain::Match => "cache.match.miss",
-            Domain::Cuts => "cache.cuts.miss",
-            Domain::Verdicts => "cache.verdicts.miss",
-        }
-    }
-}
+/// Directory-name component of the entries (`<root>/v1/verdicts-v1/…`).
+const ENTRY_DIR: &str = "verdicts";
+/// Payload format version; bump to orphan every existing entry whenever
+/// the encoded layout or the computation it memoizes changes.
+const ENTRY_VERSION: u32 = 1;
 
 /// Number of independent in-memory shards (keys spread by low bits).
 const SHARD_COUNT: usize = 16;
@@ -116,8 +63,8 @@ const SHARD_BYTE_CAP: usize = 8 << 20;
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<(u8, u128), Arc<Vec<u8>>>,
-    order: VecDeque<(u8, u128)>,
+    map: HashMap<u128, Arc<Vec<u8>>>,
+    order: VecDeque<u128>,
     bytes: usize,
 }
 
@@ -177,25 +124,24 @@ pub fn clear_memory() {
     }
 }
 
-fn mem_get(domain: Domain, key: u128) -> Option<Arc<Vec<u8>>> {
-    lock_shard(shard_for(key)).map.get(&(domain.tag(), key)).cloned()
+fn mem_get(key: u128) -> Option<Arc<Vec<u8>>> {
+    lock_shard(shard_for(key)).map.get(&key).cloned()
 }
 
 /// Inserts into the memory front, evicting FIFO past the shard budget.
 /// Oversized payloads skip the memory tier (disk only) rather than
 /// flushing the whole shard.
-fn mem_insert(domain: Domain, key: u128, payload: Arc<Vec<u8>>) {
+fn mem_insert(key: u128, payload: Arc<Vec<u8>>) {
     if payload.len() > SHARD_BYTE_CAP {
         return;
     }
-    let full_key = (domain.tag(), key);
     let mut shard = lock_shard(shard_for(key));
-    if let Some(old) = shard.map.insert(full_key, payload.clone()) {
+    if let Some(old) = shard.map.insert(key, payload.clone()) {
         // Replacement: size delta only; the key keeps its FIFO position.
         shard.bytes = shard.bytes - old.len() + payload.len();
     } else {
         shard.bytes += payload.len();
-        shard.order.push_back(full_key);
+        shard.order.push_back(key);
     }
     let mut evicted = 0u64;
     while shard.bytes > SHARD_BYTE_CAP {
@@ -203,7 +149,7 @@ fn mem_insert(domain: Domain, key: u128, payload: Arc<Vec<u8>>) {
         // eviction can never pop it while older entries remain; the
         // oversize guard above keeps a lone entry from evicting itself.
         let Some(victim) = shard.order.pop_front() else { break };
-        if victim == full_key {
+        if victim == key {
             shard.order.push_back(victim);
             break;
         }
@@ -217,33 +163,29 @@ fn mem_insert(domain: Domain, key: u128, payload: Arc<Vec<u8>>) {
 }
 
 /// Looks up a key: memory front first, then the on-disk store. Records
-/// `cache.{hit,miss,corrupt}` and the per-domain hit/miss counters; a
-/// corrupt disk entry is counted and treated as a miss. Returns `None`
-/// (with no counters) when the cache is disabled.
-pub fn lookup(domain: Domain, key: u128) -> Option<Arc<Vec<u8>>> {
+/// `cache.{hit,miss,corrupt}`; a corrupt disk entry is counted and
+/// treated as a miss. Returns `None` (with no counters) when the cache
+/// is disabled.
+pub fn lookup(key: u128) -> Option<Arc<Vec<u8>>> {
     let root = disk_root()?;
     let _span = rsyn_observe::span_volatile("cache.lookup");
-    if let Some(hit) = mem_get(domain, key) {
-        rsyn_observe::add_many(&[("cache.hit", 1), (domain.hit_counter(), 1)]);
+    if let Some(hit) = mem_get(key) {
+        rsyn_observe::add("cache.hit", 1);
         return Some(hit);
     }
-    match store::load(&root, domain.name(), domain.version(), key) {
+    match store::load(&root, ENTRY_DIR, ENTRY_VERSION, key) {
         store::Load::Hit(bytes) => {
             let payload = Arc::new(bytes);
-            mem_insert(domain, key, payload.clone());
-            rsyn_observe::add_many(&[("cache.hit", 1), (domain.hit_counter(), 1)]);
+            mem_insert(key, payload.clone());
+            rsyn_observe::add("cache.hit", 1);
             Some(payload)
         }
         store::Load::Corrupt => {
-            rsyn_observe::add_many(&[
-                ("cache.corrupt", 1),
-                ("cache.miss", 1),
-                (domain.miss_counter(), 1),
-            ]);
+            rsyn_observe::add_many(&[("cache.corrupt", 1), ("cache.miss", 1)]);
             None
         }
         store::Load::Miss => {
-            rsyn_observe::add_many(&[("cache.miss", 1), (domain.miss_counter(), 1)]);
+            rsyn_observe::add("cache.miss", 1);
             None
         }
     }
@@ -259,11 +201,11 @@ pub fn lookup(domain: Domain, key: u128) -> Option<Arc<Vec<u8>>> {
 /// lookups simply recompute. `cache.write_err` lives in the `cache.*`
 /// namespace, which every determinism gate either never populates (the
 /// cache is disabled there) or explicitly ignores (`--ignore cache.`).
-pub fn store(domain: Domain, key: u128, payload: &[u8]) {
+pub fn store(key: u128, payload: &[u8]) {
     let Some(root) = disk_root() else { return };
     let _span = rsyn_observe::span_volatile("cache.store");
-    mem_insert(domain, key, Arc::new(payload.to_vec()));
-    if store::save(&root, domain.name(), domain.version(), key, payload).is_err() {
+    mem_insert(key, Arc::new(payload.to_vec()));
+    if store::save(&root, ENTRY_DIR, ENTRY_VERSION, key, payload).is_err() {
         rsyn_observe::add("cache.write_err", 1);
         rsyn_observe::volatile_add("cache.io_errors", 1.0);
     }
@@ -301,48 +243,38 @@ mod tests {
         set_disk_root(None);
         clear_memory();
         assert!(!enabled());
-        store(Domain::Match, 1, b"ignored");
-        assert!(lookup(Domain::Match, 1).is_none());
+        store(1, b"ignored");
+        assert!(lookup(1).is_none());
     }
 
     #[test]
     fn store_then_lookup_hits_memory_and_disk() {
         with_scratch_root("hit", |_root| {
-            store(Domain::Cuts, 42, b"cut-set");
-            let hit = lookup(Domain::Cuts, 42).expect("memory hit");
-            assert_eq!(hit.as_slice(), b"cut-set");
+            store(42, b"verdicts");
+            let hit = lookup(42).expect("memory hit");
+            assert_eq!(hit.as_slice(), b"verdicts");
             // Drop the memory front: the disk copy must still answer.
             clear_memory();
-            let hit = lookup(Domain::Cuts, 42).expect("disk hit");
-            assert_eq!(hit.as_slice(), b"cut-set");
-        });
-    }
-
-    #[test]
-    fn domains_do_not_alias() {
-        with_scratch_root("alias", |_root| {
-            store(Domain::Match, 7, b"match");
-            assert!(lookup(Domain::Cuts, 7).is_none());
-            assert!(lookup(Domain::Verdicts, 7).is_none());
+            let hit = lookup(42).expect("disk hit");
+            assert_eq!(hit.as_slice(), b"verdicts");
         });
     }
 
     #[test]
     fn corrupt_disk_entry_counts_and_misses() {
         with_scratch_root("corrupt", |root| {
-            store(Domain::Verdicts, 9, b"precious verdicts");
+            store(9, b"precious verdicts");
             clear_memory();
-            let path =
-                store::entry_path(root, Domain::Verdicts.name(), Domain::Verdicts.version(), 9);
+            let path = store::entry_path(root, ENTRY_DIR, ENTRY_VERSION, 9);
             let data = std::fs::read(&path).expect("entry exists");
             std::fs::write(&path, &data[..data.len() - 1]).expect("truncate");
             let before = rsyn_observe::counter("cache.corrupt");
-            assert!(lookup(Domain::Verdicts, 9).is_none(), "corrupt entry must miss");
+            assert!(lookup(9).is_none(), "corrupt entry must miss");
             assert_eq!(rsyn_observe::counter("cache.corrupt"), before + 1);
             // Self-heal: a fresh store overwrites and the entry hits again.
-            store(Domain::Verdicts, 9, b"precious verdicts");
+            store(9, b"precious verdicts");
             clear_memory();
-            assert!(lookup(Domain::Verdicts, 9).is_some());
+            assert!(lookup(9).is_some());
         });
     }
 
@@ -362,17 +294,14 @@ mod tests {
 
         // The store must not abort; the memory front still serves the
         // entry within this run.
-        store(Domain::Match, 11, b"survives in memory");
+        store(11, b"survives in memory");
         assert_eq!(rsyn_observe::counter("cache.write_err"), before + 1);
-        assert_eq!(
-            lookup(Domain::Match, 11).expect("memory front").as_slice(),
-            b"survives in memory"
-        );
+        assert_eq!(lookup(11).expect("memory front").as_slice(), b"survives in memory");
 
         // Across a "restart" (memory dropped) nothing was persisted: the
         // lookup is a plain miss and the caller recomputes.
         clear_memory();
-        assert!(lookup(Domain::Match, 11).is_none(), "nothing reached disk");
+        assert!(lookup(11).is_none(), "nothing reached disk");
         assert_eq!(rsyn_observe::counter("cache.write_err"), before + 1, "lookup adds none");
 
         set_disk_root(None);
@@ -388,12 +317,12 @@ mod tests {
             let payload = vec![0xA5u8; 1 << 20];
             let before = rsyn_observe::counter("cache.evict");
             for i in 0..10u128 {
-                store(Domain::Match, i << 64, &payload);
+                store(i << 64, &payload);
             }
             let evicted = rsyn_observe::counter("cache.evict") - before;
             assert_eq!(evicted, 2, "ten 1 MiB entries into an 8 MiB shard");
             // The evicted key degrades to a disk hit, not a miss.
-            assert!(lookup(Domain::Match, 0).is_some());
+            assert!(lookup(0).is_some());
         });
     }
 }

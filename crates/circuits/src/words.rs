@@ -28,11 +28,6 @@ impl LogicBlock {
         Self { aig: Aig::new(), pi_nets: Vec::new(), po_nets: Vec::new() }
     }
 
-    /// Direct access to the underlying AIG.
-    pub fn aig_mut(&mut self) -> &mut Aig {
-        &mut self.aig
-    }
-
     /// Binds existing nets as block inputs, returning them as a word.
     pub fn feed(&mut self, nets: &[NetId]) -> Word {
         nets.iter()
@@ -187,11 +182,6 @@ impl LogicBlock {
     /// OR-reduction of a word.
     pub fn reduce_or(&mut self, a: &Word) -> Lit {
         a.iter().fold(Lit::FALSE, |acc, &l| self.aig.or(acc, l))
-    }
-
-    /// AND-reduction of a word.
-    pub fn reduce_and(&mut self, a: &Word) -> Lit {
-        a.iter().fold(Lit::TRUE, |acc, &l| self.aig.and(acc, l))
     }
 
     /// XOR-reduction (parity) of a word.

@@ -150,37 +150,6 @@ impl Aig {
         self.nodes[node as usize].kind
     }
 
-    /// Stable 128-bit structural hash: node kinds and fanin literals in
-    /// index order plus the PO literal list. AIG node indices are
-    /// creation-order canonical (structural hashing dedupes ANDs), so
-    /// two AIGs extracted from the same region the same way hash equal
-    /// across processes — the cut-enumeration cache key.
-    pub fn structural_hash(&self) -> u128 {
-        let mut h = rsyn_cache::StableHasher::new();
-        h.write_str("aig-v1");
-        h.write_usize(self.node_count());
-        for node in 0..self.node_count() as u32 {
-            match self.kind(node) {
-                NodeKind::Const => h.write_u8(0),
-                NodeKind::Pi(i) => {
-                    h.write_u8(1);
-                    h.write_u32(i);
-                }
-                NodeKind::And => {
-                    h.write_u8(2);
-                    for lit in self.fanins(node) {
-                        h.write_u32((lit.node() << 1) | u32::from(lit.is_complement()));
-                    }
-                }
-            }
-        }
-        h.write_usize(self.pos.len());
-        for lit in &self.pos {
-            h.write_u32((lit.node() << 1) | u32::from(lit.is_complement()));
-        }
-        h.finish()
-    }
-
     /// Fanin literals of an AND node.
     ///
     /// # Panics

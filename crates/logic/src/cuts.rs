@@ -61,74 +61,6 @@ impl CutSet {
         Self { cuts }
     }
 
-    /// Enumerates cuts through the cross-run cache, keyed by the AIG's
-    /// structural hash ([`Aig::structural_hash`]): the same extracted
-    /// region — across windows, iterations, and runs — deserialises the
-    /// finished cut sets instead of re-merging them. Falls back to
-    /// [`CutSet::enumerate`] when the cache is disabled or the entry is
-    /// missing/corrupt.
-    pub fn enumerate_cached(aig: &Aig) -> Self {
-        let key = aig.structural_hash();
-        if let Some(payload) = rsyn_cache::lookup(rsyn_cache::Domain::Cuts, key) {
-            if let Some(set) = Self::from_bytes(&payload) {
-                return set;
-            }
-        }
-        let set = Self::enumerate(aig);
-        rsyn_cache::store(rsyn_cache::Domain::Cuts, key, &set.to_bytes());
-        set
-    }
-
-    /// Serialises every node's cut list, in node order, into the cache
-    /// payload format (cut order is part of observable behaviour: the
-    /// mapper prefers earlier cuts on cost ties).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = rsyn_cache::Writer::new();
-        w.put_u64(self.cuts.len() as u64);
-        for node_cuts in &self.cuts {
-            w.put_u32(node_cuts.len() as u32);
-            for cut in node_cuts {
-                w.put_u64(cut.leaves.len() as u64);
-                for &leaf in &cut.leaves {
-                    w.put_u32(leaf);
-                }
-                w.put_u8(cut.function.input_count() as u8);
-                w.put_u64(cut.function.bits());
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a payload written by [`CutSet::to_bytes`]; `None` on any
-    /// malformation (the caller re-enumerates).
-    pub fn from_bytes(payload: &[u8]) -> Option<Self> {
-        let mut r = rsyn_cache::Reader::new(payload);
-        let node_count = usize::try_from(r.get_u64()?).ok()?;
-        let mut cuts = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            let cut_count = r.get_u32()? as usize;
-            let mut node_cuts = Vec::with_capacity(cut_count);
-            for _ in 0..cut_count {
-                let leaf_count = usize::try_from(r.get_u64()?).ok()?;
-                if leaf_count > MAX_CUT_SIZE {
-                    return None;
-                }
-                let leaves = (0..leaf_count).map(|_| r.get_u32()).collect::<Option<Vec<u32>>>()?;
-                let inputs = r.get_u8()? as usize;
-                if inputs > MAX_CUT_SIZE {
-                    return None;
-                }
-                let bits = r.get_u64()?;
-                node_cuts.push(Cut { leaves, function: TruthTable::new(inputs, bits) });
-            }
-            cuts.push(node_cuts);
-        }
-        if !r.finished() {
-            return None;
-        }
-        Some(Self { cuts })
-    }
-
     /// Cuts of one node.
     pub fn of(&self, node: u32) -> &[Cut] {
         &self.cuts[node as usize]
@@ -301,45 +233,6 @@ mod tests {
             }
             assert!(cuts.of(node).len() <= CUTS_PER_NODE);
         }
-    }
-
-    #[test]
-    fn serialisation_roundtrip_preserves_cut_order() {
-        let mut g = Aig::new();
-        let pis: Vec<Lit> = (0..6).map(|_| g.add_pi()).collect();
-        let ab = g.and(pis[0], pis[1]);
-        let cd = g.and(pis[2], pis[3]);
-        let ef = g.and(pis[4], pis[5]);
-        let abcd = g.and(ab, cd);
-        let y = g.and(abcd, ef);
-        g.add_po(y);
-        let built = CutSet::enumerate(&g);
-        let decoded = CutSet::from_bytes(&built.to_bytes()).expect("roundtrip");
-        assert_eq!(decoded.cuts, built.cuts, "per-node cut lists and their order must survive");
-        let bytes = built.to_bytes();
-        assert!(CutSet::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-    }
-
-    #[test]
-    fn structural_hash_distinguishes_aigs() {
-        let mut g = Aig::new();
-        let a = g.add_pi();
-        let b = g.add_pi();
-        let ab = g.and(a, b);
-        g.add_po(ab);
-        let mut h = Aig::new();
-        let a = h.add_pi();
-        let b = h.add_pi();
-        let ab_or = h.or(a, b);
-        h.add_po(ab_or);
-        assert_ne!(g.structural_hash(), h.structural_hash());
-        // Rebuilding the identical graph reproduces the hash.
-        let mut g2 = Aig::new();
-        let a = g2.add_pi();
-        let b = g2.add_pi();
-        let ab2 = g2.and(a, b);
-        g2.add_po(ab2);
-        assert_eq!(g.structural_hash(), g2.structural_hash());
     }
 
     #[test]

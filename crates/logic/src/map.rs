@@ -122,10 +122,7 @@ pub struct Mapper {
 
 impl Mapper {
     /// Creates the mapper for a library. The match table itself is built
-    /// lazily on first use — through the cross-run cache when enabled
-    /// (a previously-seen library, keyed by content hash, deserialises
-    /// its finished table) — so the lookup lands inside the caller's
-    /// observation window rather than at context-construction time.
+    /// lazily on first use, so a context that never maps never builds it.
     pub fn new(lib: &Arc<Library>) -> Self {
         let cell_area = lib.iter().map(|(id, c)| (id, c.area)).collect();
         Self { lib: Arc::clone(lib), table: OnceLock::new(), cell_area }
@@ -133,7 +130,7 @@ impl Mapper {
 
     /// The underlying match table (built on first call).
     pub fn table(&self) -> &MatchTable {
-        self.table.get_or_init(|| MatchTable::build_cached(&self.lib))
+        self.table.get_or_init(|| MatchTable::build(&self.lib))
     }
 
     /// Whether an allowed subset can map arbitrary logic.
@@ -171,10 +168,7 @@ impl Mapper {
         let inv_cell = self.table().inverter(allowed).expect("complete subset has inverter");
         let inv_area = self.cell_area[&inv_cell];
 
-        // Through the cross-run cache: a structurally-identical region (same
-        // AIG up to the extraction-order canonical node numbering) reuses
-        // its enumerated cut sets across windows, iterations, and runs.
-        let cuts = CutSet::enumerate_cached(aig);
+        let cuts = CutSet::enumerate(aig);
         let refs = fanout_refs(aig);
         let n = aig.node_count();
         let mut best: Vec<[Option<PhaseBest>; 2]> = vec![[None, None]; n];

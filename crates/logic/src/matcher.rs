@@ -124,102 +124,6 @@ impl MatchTable {
         self.cell_count
     }
 
-    /// Builds the table through the cross-run cache: keyed by the
-    /// library's content hash, so any library edit recomputes while a
-    /// byte-identical library (across processes and runs) deserialises
-    /// the finished table. Falls back to [`MatchTable::build`] when the
-    /// cache is disabled or the entry is missing/corrupt.
-    pub fn build_cached(lib: &Library) -> Self {
-        let mut h = rsyn_cache::StableHasher::new();
-        h.write_str("match-table-v1");
-        let lib_hash = rsyn_netlist::library_hash(lib);
-        h.write_u64((lib_hash >> 64) as u64);
-        h.write_u64(lib_hash as u64);
-        let key = h.finish();
-        if let Some(payload) = rsyn_cache::lookup(rsyn_cache::Domain::Match, key) {
-            if let Some(table) = Self::from_bytes(&payload) {
-                return table;
-            }
-        }
-        let table = Self::build(lib);
-        rsyn_cache::store(rsyn_cache::Domain::Match, key, &table.to_bytes());
-        table
-    }
-
-    /// Serialises the table into the cache payload format. Hash-map keys
-    /// are written in sorted order (the map itself has no canonical
-    /// order) but each key's match list keeps its build order — the
-    /// mapper breaks cost ties by first match, so list order is part of
-    /// the table's observable behaviour.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = rsyn_cache::Writer::new();
-        w.put_u64(self.cell_count as u64);
-        w.put_u64(self.inverters.len() as u64);
-        for id in &self.inverters {
-            w.put_u32(id.0);
-        }
-        w.put_u64(self.buffers.len() as u64);
-        for id in &self.buffers {
-            w.put_u32(id.0);
-        }
-        let mut keys: Vec<&(u8, u64)> = self.table.keys().collect();
-        keys.sort();
-        w.put_u64(keys.len() as u64);
-        for key in keys {
-            w.put_u8(key.0);
-            w.put_u64(key.1);
-            let entries = &self.table[key];
-            w.put_u64(entries.len() as u64);
-            for m in entries {
-                w.put_u32(m.cell.0);
-                w.put_bytes(&m.pins);
-                w.put_u8(m.inv_mask);
-                w.put_f64(m.area);
-                w.put_f64(m.intrinsic_delay);
-                w.put_f64(m.delay_slope);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a payload written by [`MatchTable::to_bytes`]; `None` on
-    /// any malformation (the caller rebuilds).
-    pub fn from_bytes(payload: &[u8]) -> Option<Self> {
-        let mut r = rsyn_cache::Reader::new(payload);
-        let cell_count = usize::try_from(r.get_u64()?).ok()?;
-        let read_ids = |r: &mut rsyn_cache::Reader| -> Option<Vec<CellId>> {
-            let len = usize::try_from(r.get_u64()?).ok()?;
-            (0..len).map(|_| r.get_u32().map(CellId)).collect()
-        };
-        let inverters = read_ids(&mut r)?;
-        let buffers = read_ids(&mut r)?;
-        let key_count = usize::try_from(r.get_u64()?).ok()?;
-        let mut table: HashMap<(u8, u64), Vec<CellMatch>> = HashMap::with_capacity(key_count);
-        for _ in 0..key_count {
-            let k = r.get_u8()?;
-            let bits = r.get_u64()?;
-            let entry_count = usize::try_from(r.get_u64()?).ok()?;
-            let mut entries = Vec::with_capacity(entry_count);
-            for _ in 0..entry_count {
-                entries.push(CellMatch {
-                    cell: CellId(r.get_u32()?),
-                    pins: r.get_bytes()?.to_vec(),
-                    inv_mask: r.get_u8()?,
-                    area: r.get_f64()?,
-                    intrinsic_delay: r.get_f64()?,
-                    delay_slope: r.get_f64()?,
-                });
-            }
-            if table.insert((k, bits), entries).is_some() {
-                return None;
-            }
-        }
-        if !r.finished() {
-            return None;
-        }
-        Some(Self { table, inverters, buffers, cell_count })
-    }
-
     /// Whether the allowed subset is functionally complete for mapping:
     /// an inverter plus a two-input AND realisable without input phases
     /// beyond what that inverter can provide.
@@ -396,27 +300,6 @@ mod tests {
             table.matches(xor).iter().any(|m| lib.cell(m.cell).name == "AOI22X1"),
             "xor should match AOI22 with repeated complemented leaves"
         );
-    }
-
-    #[test]
-    fn serialisation_roundtrip_preserves_table() {
-        let lib = Library::osu018();
-        let built = MatchTable::build(&lib);
-        let decoded = MatchTable::from_bytes(&built.to_bytes()).expect("roundtrip");
-        assert_eq!(decoded.cell_count, built.cell_count);
-        assert_eq!(decoded.inverters, built.inverters);
-        assert_eq!(decoded.buffers, built.buffers);
-        assert_eq!(decoded.table.len(), built.table.len());
-        for (key, entries) in built.table.iter() {
-            assert_eq!(
-                decoded.table.get(key),
-                Some(entries),
-                "entry order must survive for {key:?}"
-            );
-        }
-        // Truncated payloads decode to None, never panic.
-        let bytes = built.to_bytes();
-        assert!(MatchTable::from_bytes(&bytes[..bytes.len() / 2]).is_none());
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //!
 //! [`LaneBlock`]: crate::lanes::LaneBlock
 
-use crate::ids::NetId;
 use crate::lanes::SimWord;
 use crate::netlist::{CombView, Driver, Netlist};
 use crate::tt::{TruthTable, MAX_TT_INPUTS};
@@ -347,12 +346,6 @@ impl SimArena {
             gate: self.op_gate[k],
             level: self.op_level[k],
         }
-    }
-
-    /// The [`NetId`] of net slot `n` (inverse of `NetId::index`).
-    #[inline]
-    pub fn slot_net(&self, n: u32) -> NetId {
-        NetId(n)
     }
 }
 

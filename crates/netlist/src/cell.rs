@@ -279,19 +279,9 @@ impl Cell {
         self.outputs.len()
     }
 
-    /// Looks up an input pin index by name.
-    pub fn input_index(&self, name: &str) -> Option<usize> {
-        self.inputs.iter().position(|p| p == name)
-    }
-
     /// Looks up an output pin index by name.
     pub fn output_index(&self, name: &str) -> Option<usize> {
         self.outputs.iter().position(|p| p.name == name)
-    }
-
-    /// True for single-output cells implementing an inverter or buffer.
-    pub fn is_inverter_or_buffer(&self) -> bool {
-        self.class == CellClass::Comb && self.inputs.len() == 1 && self.outputs.len() == 1
     }
 
     /// Evaluates all stages switch-level for one input pattern, with an

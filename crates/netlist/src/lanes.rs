@@ -107,12 +107,6 @@ impl LaneBlock {
         self.0.iter().any(|&w| w != 0)
     }
 
-    /// True if no lane is set.
-    #[inline]
-    pub fn is_zero(&self) -> bool {
-        !self.any()
-    }
-
     /// Value of lane `i` (word-major: word `i / 64`, bit `i % 64`).
     ///
     /// # Panics

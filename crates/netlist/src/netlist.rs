@@ -102,11 +102,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the netlist.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The bound library.
     pub fn lib(&self) -> &Arc<Library> {
         &self.lib

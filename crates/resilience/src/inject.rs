@@ -159,37 +159,6 @@ impl InjectionPlan {
         self
     }
 
-    /// A pseudo-random plan derived from `seed` (SplitMix64): `rejects`
-    /// PDesign rejections, `inflations` timing inflations, `aborts` PODEM
-    /// aborts, and `shard_fails` shard failures, spread over small
-    /// ordinals so short flows still hit them. Deterministic in `seed`.
-    pub fn random(seed: u64, rejects: u32, inflations: u32, aborts: u32, shard_fails: u32) -> Self {
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let mut plan = InjectionPlan::new();
-        for _ in 0..rejects {
-            // Ordinal 0 is the seed analysis; keep it alive so the flow
-            // always has a best-so-far design to fall back on.
-            plan.pdesign_rejects.insert(1 + next() % 8);
-        }
-        for _ in 0..inflations {
-            plan.pdesign_inflations.insert(1 + next() % 8);
-        }
-        for _ in 0..aborts {
-            plan.podem_aborts.insert((next() % 3, next() % 64));
-        }
-        for _ in 0..shard_fails {
-            plan.shard_failures.insert((next() % 3, next() % 4));
-        }
-        plan
-    }
-
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.pdesign_rejects.is_empty()
@@ -627,16 +596,5 @@ mod tests {
         let fired = armed.fired_counts();
         assert_eq!(fired.get("inject.fired.poison_job"), Some(&2));
         assert_eq!(fired.get("inject.fired.worker_stall"), Some(&1));
-    }
-
-    #[test]
-    fn random_plans_are_deterministic_and_spare_ordinal_zero() {
-        let a = InjectionPlan::random(42, 2, 1, 3, 1);
-        let b = InjectionPlan::random(42, 2, 1, 3, 1);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        assert!(!a.pdesign_rejects.contains(&0), "seed analysis must survive");
-        let c = InjectionPlan::random(43, 2, 1, 3, 1);
-        assert_ne!(a, c, "different seeds give different plans");
     }
 }

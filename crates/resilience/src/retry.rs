@@ -29,8 +29,7 @@ pub struct BackoffPolicy {
     pub seed: u64,
 }
 
-/// One SplitMix64 output for input `x` (same constants as
-/// [`crate::inject::InjectionPlan::random`]).
+/// One SplitMix64 output for input `x`.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use rsyn_cache::StableHasher;
+use rsyn_cache::{Reader, StableHasher, Writer};
 use rsyn_observe::Hist;
 
 use crate::job::Priority;
@@ -157,187 +157,120 @@ const TAG_CANCELLED: u8 = 8;
 const TAG_DEADLINE: u8 = 9;
 const TAG_POISONED: u8 = 10;
 
-struct Enc {
-    buf: Vec<u8>,
+/// Writes a job key as two little-endian `u64` halves, low half first —
+/// the bytes of `key.to_le_bytes()`.
+fn put_key(w: &mut Writer, key: u128) {
+    w.put_u64(key as u64);
+    w.put_u64((key >> 64) as u64);
 }
 
-impl Enc {
-    fn new(tag: u8) -> Self {
-        Self { buf: vec![tag] }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
+fn get_key(r: &mut Reader) -> Option<u128> {
+    let low = r.get_u64()?;
+    let high = r.get_u64()?;
+    Some(u128::from(high) << 64 | u128::from(low))
+}
+
+/// Writes an optional value as a flag byte (0 = absent, 1 = present)
+/// followed, when present, by the value.
+fn put_opt_u64(w: &mut Writer, v: Option<u64>) {
+    match v {
+        None => w.put_u8(0),
+        Some(v) => {
+            w.put_u8(1);
+            w.put_u64(v);
         }
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn opt_u64(&mut self) -> Option<Option<u64>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.u64()?)),
-            _ => None,
-        }
-    }
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
+fn get_opt_u64(r: &mut Reader) -> Option<Option<u64>> {
+    match r.get_u8()? {
+        0 => Some(None),
+        1 => Some(Some(r.get_u64()?)),
+        _ => None,
     }
 }
 
 impl JournalEvent {
-    /// Serialises the event to its record payload.
-    pub fn encode(&self) -> Vec<u8> {
+    fn tag(&self) -> u8 {
         match self {
-            JournalEvent::Accepted { key, spec } => {
-                let mut e = Enc::new(TAG_ACCEPTED);
-                e.u128(*key);
-                e.str(&spec.circuit);
-                e.f64(spec.q_percent);
-                e.opt_u64(spec.seed);
-                e.u8(spec.priority);
-                e.opt_u64(spec.deadline_ms);
-                e.buf
-            }
-            JournalEvent::Started { key, attempt } => {
-                let mut e = Enc::new(TAG_STARTED);
-                e.u128(*key);
-                e.u32(*attempt);
-                e.buf
-            }
-            JournalEvent::Checkpointed { key } => {
-                let mut e = Enc::new(TAG_CHECKPOINTED);
-                e.u128(*key);
-                e.buf
-            }
-            JournalEvent::Retried { key, attempt } => {
-                let mut e = Enc::new(TAG_RETRIED);
-                e.u128(*key);
-                e.u32(*attempt);
-                e.buf
-            }
-            JournalEvent::Requeued { key } => {
-                let mut e = Enc::new(TAG_REQUEUED);
-                e.u128(*key);
-                e.buf
-            }
-            JournalEvent::Shed => Enc::new(TAG_SHED).buf,
-            JournalEvent::Completed { key, fingerprint } => {
-                let mut e = Enc::new(TAG_COMPLETED);
-                e.u128(*key);
-                e.str(fingerprint);
-                e.buf
-            }
-            JournalEvent::Failed { key } => {
-                let mut e = Enc::new(TAG_FAILED);
-                e.u128(*key);
-                e.buf
-            }
-            JournalEvent::Cancelled { key } => {
-                let mut e = Enc::new(TAG_CANCELLED);
-                e.u128(*key);
-                e.buf
-            }
-            JournalEvent::DeadlineExceeded { key } => {
-                let mut e = Enc::new(TAG_DEADLINE);
-                e.u128(*key);
-                e.buf
-            }
-            JournalEvent::Poisoned { key, crashes } => {
-                let mut e = Enc::new(TAG_POISONED);
-                e.u128(*key);
-                e.u32(*crashes);
-                e.buf
-            }
+            JournalEvent::Accepted { .. } => TAG_ACCEPTED,
+            JournalEvent::Started { .. } => TAG_STARTED,
+            JournalEvent::Checkpointed { .. } => TAG_CHECKPOINTED,
+            JournalEvent::Retried { .. } => TAG_RETRIED,
+            JournalEvent::Requeued { .. } => TAG_REQUEUED,
+            JournalEvent::Shed => TAG_SHED,
+            JournalEvent::Completed { .. } => TAG_COMPLETED,
+            JournalEvent::Failed { .. } => TAG_FAILED,
+            JournalEvent::Cancelled { .. } => TAG_CANCELLED,
+            JournalEvent::DeadlineExceeded { .. } => TAG_DEADLINE,
+            JournalEvent::Poisoned { .. } => TAG_POISONED,
         }
+    }
+
+    /// Serialises the event to its record payload: the tag byte, the job
+    /// key (every event but `Shed`), then the event's own fields.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(self.tag());
+        if let Some(key) = self.key() {
+            put_key(&mut w, key);
+        }
+        match self {
+            JournalEvent::Accepted { spec, .. } => {
+                w.put_str(&spec.circuit);
+                w.put_f64(spec.q_percent);
+                put_opt_u64(&mut w, spec.seed);
+                w.put_u8(spec.priority);
+                put_opt_u64(&mut w, spec.deadline_ms);
+            }
+            JournalEvent::Started { attempt, .. } | JournalEvent::Retried { attempt, .. } => {
+                w.put_u32(*attempt);
+            }
+            JournalEvent::Completed { fingerprint, .. } => w.put_str(fingerprint),
+            JournalEvent::Poisoned { crashes, .. } => w.put_u32(*crashes),
+            JournalEvent::Checkpointed { .. }
+            | JournalEvent::Requeued { .. }
+            | JournalEvent::Shed
+            | JournalEvent::Failed { .. }
+            | JournalEvent::Cancelled { .. }
+            | JournalEvent::DeadlineExceeded { .. } => {}
+        }
+        w.into_bytes()
     }
 
     /// Parses a record payload. `None` on any malformation (unknown tag,
     /// short buffer, trailing bytes) — never panics on arbitrary input.
     pub fn decode(payload: &[u8]) -> Option<JournalEvent> {
-        let mut d = Dec { buf: payload, pos: 0 };
-        let event = match d.u8()? {
+        let mut r = Reader::new(payload);
+        let tag = r.get_u8()?;
+        if tag == TAG_SHED {
+            return r.finished().then_some(JournalEvent::Shed);
+        }
+        let key = get_key(&mut r)?;
+        let event = match tag {
             TAG_ACCEPTED => {
-                let key = d.u128()?;
-                let circuit = d.str()?;
-                let q_percent = d.f64()?;
-                let seed = d.opt_u64()?;
-                let priority = d.u8()?;
-                let deadline_ms = d.opt_u64()?;
+                let circuit = r.get_str()?.to_owned();
+                let q_percent = r.get_f64()?;
+                let seed = get_opt_u64(&mut r)?;
+                let priority = r.get_u8()?;
+                let deadline_ms = get_opt_u64(&mut r)?;
                 JournalEvent::Accepted {
                     key,
                     spec: AcceptedSpec { circuit, q_percent, seed, priority, deadline_ms },
                 }
             }
-            TAG_STARTED => JournalEvent::Started { key: d.u128()?, attempt: d.u32()? },
-            TAG_CHECKPOINTED => JournalEvent::Checkpointed { key: d.u128()? },
-            TAG_RETRIED => JournalEvent::Retried { key: d.u128()?, attempt: d.u32()? },
-            TAG_REQUEUED => JournalEvent::Requeued { key: d.u128()? },
-            TAG_SHED => JournalEvent::Shed,
-            TAG_COMPLETED => JournalEvent::Completed { key: d.u128()?, fingerprint: d.str()? },
-            TAG_FAILED => JournalEvent::Failed { key: d.u128()? },
-            TAG_CANCELLED => JournalEvent::Cancelled { key: d.u128()? },
-            TAG_DEADLINE => JournalEvent::DeadlineExceeded { key: d.u128()? },
-            TAG_POISONED => JournalEvent::Poisoned { key: d.u128()?, crashes: d.u32()? },
+            TAG_STARTED => JournalEvent::Started { key, attempt: r.get_u32()? },
+            TAG_CHECKPOINTED => JournalEvent::Checkpointed { key },
+            TAG_RETRIED => JournalEvent::Retried { key, attempt: r.get_u32()? },
+            TAG_REQUEUED => JournalEvent::Requeued { key },
+            TAG_COMPLETED => JournalEvent::Completed { key, fingerprint: r.get_str()?.to_owned() },
+            TAG_FAILED => JournalEvent::Failed { key },
+            TAG_CANCELLED => JournalEvent::Cancelled { key },
+            TAG_DEADLINE => JournalEvent::DeadlineExceeded { key },
+            TAG_POISONED => JournalEvent::Poisoned { key, crashes: r.get_u32()? },
             _ => return None,
         };
-        d.done().then_some(event)
+        r.finished().then_some(event)
     }
 
     /// The job key the event concerns (`None` for `Shed`).

@@ -6,9 +6,8 @@
 //! discipline; the parent module owns event semantics.
 //!
 //! The on-disk idiom mirrors the `rsyn-cache` entry format: a fixed
-//! magic + format-version header, then length-prefixed payloads guarded
-//! by an FNV-1a-64 checksum. What a journal adds on top is *torn-tail
-//! tolerance*:
+//! magic + format-version header, then length-prefixed, checksummed
+//! payloads. What a journal adds on top is *torn-tail tolerance*:
 //!
 //! * A writer never appends to an existing segment. [`JournalWriter::open`]
 //!   always starts a fresh segment (`wal-NNNNNN.rsj`, monotonically
@@ -37,7 +36,7 @@ const JOURNAL_MAGIC: [u8; 4] = *b"RSJ1";
 /// On-disk format version recorded in each segment header. A segment
 /// written under another version reads as damaged, so a record layout
 /// change never half-decodes old records.
-const JOURNAL_FORMAT: u32 = 2;
+const JOURNAL_FORMAT: u32 = 3;
 /// Bytes in a segment header: magic, format version, reserved word.
 const SEGMENT_HEADER_LEN: usize = 16;
 /// Bytes prefixed to every record payload: length + checksum.
@@ -50,9 +49,9 @@ const MAX_RECORD_LEN: u32 = 1 << 26;
 /// Records per segment before the writer rotates to a fresh file.
 const ROTATE_EVERY: u64 = 1024;
 
-/// FNV-1a 64-bit checksum, the same construction `rsyn-cache` uses to
-/// guard its entries. Stable across platforms and fast enough to run on
-/// every append.
+/// FNV-1a 64-bit checksum. Stable across platforms and fast enough to
+/// run on every append. (`rsyn-cache` guards its entries with a 128-bit
+/// `StableHasher` digest instead.)
 fn checksum64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -125,18 +125,18 @@ fn cold_warm_and_disabled_runs_are_byte_equivalent() {
 
     with_scratch_cache(|_root| {
         let cold = measured_run(&nl, &faults, &options);
-        assert!(rsyn_observe::counter("cache.verdicts.miss") > 0, "cold run must miss");
+        assert!(rsyn_observe::counter("cache.miss") > 0, "cold run must miss");
         assert_equivalent("cold vs disabled", &cold, &disabled);
 
         // Warm via the in-memory tier.
         let warm_mem = measured_run(&nl, &faults, &options);
-        assert!(rsyn_observe::counter("cache.verdicts.hit") > 0, "warm run must hit");
+        assert!(rsyn_observe::counter("cache.hit") > 0, "warm run must hit");
         assert_equivalent("warm(mem) vs disabled", &warm_mem, &disabled);
 
         // Warm via disk only (fresh process simulation: drop the memory tier).
         rsyn::cache::clear_memory();
         let warm_disk = measured_run(&nl, &faults, &options);
-        assert!(rsyn_observe::counter("cache.verdicts.hit") > 0, "disk warm run must hit");
+        assert!(rsyn_observe::counter("cache.hit") > 0, "disk warm run must hit");
         assert_equivalent("warm(disk) vs disabled", &warm_disk, &disabled);
     });
 }
@@ -152,7 +152,7 @@ fn warm_hits_are_thread_count_independent() {
         // A run at a different thread count shares the verdict key.
         rsyn::cache::clear_memory();
         let warm4 = measured_run(&nl, &faults, &AtpgOptions::default().with_threads(4));
-        assert!(rsyn_observe::counter("cache.verdicts.hit") > 0, "threads must not key");
+        assert!(rsyn_observe::counter("cache.hit") > 0, "threads must not key");
         assert_equivalent("warm(4 threads) vs cold(1 thread)", &warm4, &cold);
     });
 }
@@ -177,7 +177,7 @@ fn corrupted_entries_fall_back_to_recompute() {
         rsyn::cache::clear_memory();
         let recomputed = measured_run(&nl, &faults, &options);
         assert!(rsyn_observe::counter("cache.corrupt") > 0, "corruption must be detected");
-        assert_eq!(rsyn_observe::counter("cache.verdicts.hit"), 0);
+        assert_eq!(rsyn_observe::counter("cache.hit"), 0);
         assert_equivalent("recompute-after-corruption vs cold", &recomputed, &cold);
     });
 }
@@ -221,7 +221,7 @@ proptest! {
             let cold = measured_run(&nl, &faults, &options);
             rsyn::cache::clear_memory();
             let warm = measured_run(&nl, &faults, &options);
-            prop_assert!(rsyn_observe::counter("cache.verdicts.hit") > 0);
+            prop_assert!(rsyn_observe::counter("cache.hit") > 0);
             assert_equivalent("cold vs disabled", &cold, &disabled);
             assert_equivalent("warm vs disabled", &warm, &disabled);
         });
