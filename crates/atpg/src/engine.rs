@@ -22,17 +22,14 @@
 //! shard: a model becomes a test that the shard's fault simulator confirms,
 //! UNSAT proves the fault Undetectable. The prover is complete, so a fault
 //! ends `Aborted` only when the simulator rejects a model
-//! (`atpg.sat.unconfirmed`, which the tests assert never happens) or its
-//! shard fails twice. Each verdict depends only on the netlist and the
-//! fault, so statuses stay thread-count independent.
+//! (`atpg.sat.unconfirmed`, which the tests assert never happens). Each
+//! verdict depends only on the netlist and the fault, so statuses stay
+//! thread-count independent.
 //!
-//! # Resilience
-//!
-//! A shard whose pipeline panics (or is failed by the `rsyn-resilience`
-//! injection harness) is re-executed once; a second failure degrades the
-//! shard to all-`Aborted` statuses instead of crashing the run.
+//! A shard is deterministic, so a shard that panics would panic again on a
+//! retry: the panic propagates out of [`run_atpg`] (through the worker
+//! join) to the flow driver's or the server's containment.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -219,7 +216,7 @@ struct ShardPart {
 ///
 /// Fault statuses come back parallel to `faults`; `Undetectable` is a proof
 /// (a complete PODEM search, or SAT's UNSAT), and `Aborted` appears only
-/// when a shard fails twice or the simulator rejects a SAT model.
+/// when the simulator rejects a SAT model.
 ///
 /// The fault list is evaluated in deterministic shards spread over
 /// `options.threads` workers (see the module docs); the returned result is
@@ -257,19 +254,19 @@ fn run_atpg_uncached(
         Arc::new(SimArena::build(nl, view))
     };
     let spans = shard_spans(faults.len());
-    let mut parts: Vec<Option<ShardPart>> = Vec::new();
+    let mut parts: Vec<ShardPart> = Vec::new();
     let workers = options.effective_threads().min(spans.len()).max(1);
     if workers <= 1 {
         let t0 = std::time::Instant::now();
         for (i, span) in spans.iter().enumerate() {
-            parts.push(Some(run_shard_resilient(
+            parts.push(run_shard(
                 nl,
                 view,
                 &arena,
                 &faults[span.clone()],
                 options,
                 ShardIdentity { index: i, base_fault: span.start, run_ordinal },
-            )));
+            ));
             rsyn_observe::events::publish(rsyn_observe::events::FlowEvent::ShardDone {
                 shard: i as u64,
                 faults: span.len() as u64,
@@ -297,7 +294,7 @@ fn run_atpg_uncached(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(span) = spans.get(i) else { break };
-                        let part = run_shard_resilient(
+                        let part = run_shard(
                             nl,
                             view,
                             arena,
@@ -322,7 +319,10 @@ fn run_atpg_uncached(
                 });
             }
         });
-        parts = slots.into_iter().map(|s| s.into_inner().expect("shard slot")).collect();
+        parts = slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("shard slot").expect("all shards computed"))
+            .collect();
     }
 
     // Merge in shard (= fault) order: statuses concatenate back into a
@@ -332,7 +332,6 @@ fn run_atpg_uncached(
     let mut statuses = Vec::with_capacity(faults.len());
     let mut tests = TestSet::new();
     for part in parts {
-        let part = part.expect("all shards computed");
         statuses.extend(part.statuses);
         tests.extend(part.tests.patterns().iter().cloned());
     }
@@ -359,7 +358,8 @@ fn run_atpg_uncached(
 }
 
 /// Deterministic coordinates of a shard within its ATPG run — the keys
-/// failure injection and the per-fault trace zones are addressed by.
+/// the shard's RNG stream, injected PODEM aborts and the trace zones are
+/// addressed by.
 #[derive(Clone, Copy)]
 struct ShardIdentity {
     /// Shard index within the run's deterministic split.
@@ -369,41 +369,6 @@ struct ShardIdentity {
     /// Serial ordinal of the owning `run_atpg` call (0 when injection is
     /// disarmed).
     run_ordinal: u64,
-}
-
-/// Runs one shard with panic containment: a shard that panics (or is
-/// failed by the injection harness) is retried once; a second failure
-/// degrades to all-`Aborted` statuses so the run completes and the hole
-/// stays visible in the `aborted` accounting.
-fn run_shard_resilient(
-    nl: &Netlist,
-    view: &CombView,
-    arena: &Arc<SimArena>,
-    faults: &[Fault],
-    options: &AtpgOptions,
-    id: ShardIdentity,
-) -> ShardPart {
-    for attempt in 0..2 {
-        let injected = attempt == 0 && inject::should_fail_shard(id.run_ordinal, id.index as u64);
-        if !injected {
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_shard(nl, view, arena, faults, options, id)
-            }));
-            match outcome {
-                Ok(part) => return part,
-                Err(_) if attempt == 0 => {}
-                Err(_) => {
-                    rsyn_observe::add("atpg.shard_failed", 1);
-                    return ShardPart {
-                        statuses: vec![FaultStatus::Aborted; faults.len()],
-                        tests: TestSet::new(),
-                    };
-                }
-            }
-        }
-        rsyn_observe::add("atpg.shard_retries", 1);
-    }
-    unreachable!("the second attempt either returns or degrades");
 }
 
 /// Whether the fault simulator detects `fault` with `patterns` loaded in
@@ -1218,32 +1183,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn injected_shard_failure_is_retried_transparently() {
-        let nl = build_circuit();
-        let view = nl.comb_view().unwrap();
-        let base = all_stuck_at(&nl);
-        let mut faults = Vec::new();
-        for _ in 0..4 {
-            faults.extend(base.iter().cloned());
-        }
-        assert!(shard_spans(faults.len()).len() > 1, "test needs multiple shards");
-        let reference = {
-            let _session = crate::injection_session();
-            run_atpg(&nl, &view, &faults, &AtpgOptions::default().with_threads(2))
-        };
-
-        rsyn_observe::reset();
-        let armed = inject::arm(inject::InjectionPlan::new().fail_shard(0, 1));
-        let r = run_atpg(&nl, &view, &faults, &AtpgOptions::default().with_threads(2));
-        drop(armed);
-        assert_eq!(r.statuses, reference.statuses, "retry must reproduce the shard exactly");
-        assert_eq!(r.tests.patterns(), reference.tests.patterns());
-        assert_eq!(rsyn_observe::counter("atpg.shard_retries"), 1);
-        assert_eq!(rsyn_observe::counter("atpg.shard_failed"), 0);
-        assert_eq!(rsyn_observe::counter("inject.fired.shard"), 1);
     }
 
     /// The detection-matrix compaction that last-detection dropping

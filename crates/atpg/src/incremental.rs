@@ -29,6 +29,7 @@
 //! Detected verdict against the tests and compacts them; the resynthesis
 //! loop runs it once per accepted design, not once per candidate.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -38,12 +39,29 @@ use crate::engine::{last_detections, retain_last_detections, run_atpg, AtpgOptio
 use crate::fault::{Fault, FaultKind, FaultStatus};
 
 /// The previous evaluation an incremental run carries statuses over from.
-#[derive(Clone, Copy, Debug)]
+/// Every candidate evaluated against one design state shares one, so its
+/// fault kind → status map is built once, by the first incremental run
+/// that needs it (a candidate that fails placement never does).
+#[derive(Debug)]
 pub struct PreviousEvaluation<'a> {
-    /// The previous fault list.
-    pub faults: &'a [Fault],
-    /// The previous ATPG result (statuses parallel to `faults`).
-    pub result: &'a AtpgResult,
+    faults: &'a [Fault],
+    result: &'a AtpgResult,
+    statuses: OnceCell<HashMap<&'a FaultKind, FaultStatus>>,
+}
+
+impl<'a> PreviousEvaluation<'a> {
+    /// The evaluation of `faults` that produced `result` (statuses parallel
+    /// to `faults`).
+    pub fn new(faults: &'a [Fault], result: &'a AtpgResult) -> Self {
+        Self { faults, result, statuses: OnceCell::new() }
+    }
+
+    /// The previous status of every fault kind.
+    fn statuses(&self) -> &HashMap<&'a FaultKind, FaultStatus> {
+        self.statuses.get_or_init(|| {
+            self.faults.iter().map(|f| &f.kind).zip(self.result.statuses.iter().copied()).collect()
+        })
+    }
 }
 
 /// The part of a netlist a remap changed: the gates it added, the nets
@@ -110,12 +128,7 @@ pub fn run_atpg_incremental(
     // Carry every kind outside the window; collect the others, each once.
     let classify = rsyn_observe::span_volatile("atpg.incremental.classify");
     let window = RemapWindow::of(nl, changed_gates);
-    let carried: HashMap<&FaultKind, FaultStatus> = previous
-        .faults
-        .iter()
-        .map(|f| &f.kind)
-        .zip(previous.result.statuses.iter().copied())
-        .collect();
+    let carried = previous.statuses();
     let mut statuses = vec![FaultStatus::Undetected; faults.len()];
     let mut slot_of: HashMap<&FaultKind, usize> = HashMap::new();
     // One fault per re-run kind, and (fault index, kind slot) per re-run fault.
@@ -299,7 +312,7 @@ mod tests {
         // Pretend gate `gx` was just remapped (to itself): the incremental
         // run may only re-evaluate the x-cone, yet must reproduce the full
         // classification.
-        let previous = PreviousEvaluation { faults: &faults, result: &full };
+        let previous = PreviousEvaluation::new(&faults, &full);
         let gx = nl.find_gate("gx").unwrap();
         let inc = run_atpg_incremental(&nl, &view, &faults, &options, &previous, &[gx]);
         assert_eq!(inc.statuses, full.statuses);
@@ -339,7 +352,7 @@ mod tests {
         let full = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
         // Previous evaluation knew about none of the faults.
         let empty_result = AtpgResult { statuses: Vec::new(), tests: TestSet::new() };
-        let previous = PreviousEvaluation { faults: &[], result: &empty_result };
+        let previous = PreviousEvaluation::new(&[], &empty_result);
         let inc =
             run_atpg_incremental(&nl, &view, &faults, &AtpgOptions::default(), &previous, &[]);
         assert_eq!(inc.statuses, full.statuses);

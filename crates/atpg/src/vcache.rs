@@ -11,21 +11,16 @@
 //! # Correctness contract
 //!
 //! A hit must be byte-identical to a recompute: statuses and tests are
-//! stored verbatim, and the deterministic counters the engine would have
-//! bumped are stored as a delta and replayed through
-//! [`rsyn_observe::add_counters`] (only `cache.*` counters diverge between
-//! a cold and a warm run). Situations where that contract cannot hold
-//! bypass the cache entirely:
+//! stored verbatim, and a miss computes inside an `rsyn_observe` child
+//! scope, whose own deterministic counters are stored with the result and
+//! replayed through [`rsyn_observe::add_counters`] on a hit (only
+//! `cache.*` counters, recorded outside the child, diverge between a cold
+//! and a warm run). Situations where that contract cannot hold bypass the
+//! cache entirely:
 //!
-//! * failure injection armed — retry counters depend on injection ordinals;
-//! * a fault net/gate outside the canonical view — no stable code exists;
-//! * counters paused (checkpoint replay) — the recorded delta would be
-//!   empty, so nothing is stored (hits are still served: `add_counters`
-//!   drops the delta exactly as a paused recompute would);
-//! * the run extended a deterministic histogram that already existed in
-//!   the registry — per-run `.min`/`.max` extremes cannot be recovered
-//!   from the cumulative merge, so the store is skipped (hits recorded
-//!   from clean runs replay exactly).
+//! * failure injection armed — injected PODEM aborts are keyed by ATPG run
+//!   ordinals, and they change the run's counters;
+//! * a fault net/gate outside the canonical view — no stable code exists.
 
 use std::collections::BTreeMap;
 
@@ -137,12 +132,12 @@ fn status_from_tag(t: u8) -> Option<FaultStatus> {
     }
 }
 
-/// Serialises a result plus the deterministic counter delta its
-/// computation produced.
+/// Serialises a result plus the deterministic counters its computation
+/// recorded.
 pub(crate) fn encode(
     result: &AtpgResult,
     npis: usize,
-    counter_delta: &BTreeMap<String, u64>,
+    counters: &BTreeMap<String, u64>,
 ) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_str(PAYLOAD_TAG);
@@ -169,8 +164,8 @@ pub(crate) fn encode(
             w.put_u64(word);
         }
     }
-    w.put_u64(counter_delta.len() as u64);
-    for (name, n) in counter_delta {
+    w.put_u64(counters.len() as u64);
+    for (name, n) in counters {
         w.put_str(name);
         w.put_u64(*n);
     }
@@ -230,8 +225,8 @@ pub(crate) fn decode(
 }
 
 /// Serves a run from the verdict cache if possible; otherwise computes it
-/// via `compute` and stores the result (with its deterministic counter
-/// delta) for future runs.
+/// via `compute` and stores the result (with the deterministic counters it
+/// recorded) for future runs.
 pub(crate) fn run_cached(
     nl: &Netlist,
     view: &CombView,
@@ -256,61 +251,13 @@ pub(crate) fn run_cached(
         // same version, or a key collision): recompute and overwrite below.
         rsyn_observe::add("cache.verdicts.decode_failed", 1);
     }
-    let before = rsyn_observe::counters();
-    let result = compute();
-    if rsyn_observe::is_paused() {
-        // Checkpoint replay: counters were dropped, so the delta below
-        // would understate a genuine run. Serve hits, never store.
-        return result;
-    }
-    let after = rsyn_observe::counters();
-    if let Some(delta) = counter_delta(&before, &after) {
-        rsyn_cache::store(key, &encode(&result, npis, &delta));
-    }
+    let (result, counters) = {
+        let _child = rsyn_observe::child_scope();
+        let result = compute();
+        (result, rsyn_observe::counters())
+    };
+    rsyn_cache::store(key, &encode(&result, npis, &counters));
     result
-}
-
-/// Computes the counter delta a run produced, in the form
-/// [`rsyn_observe::add_counters`] replays: additive differences for plain
-/// counters (zero kept when the run *created* the key), absolute values
-/// for `hist.*.{min,max}` extremes. Returns `None` when the delta cannot
-/// be represented faithfully — the run extended a histogram that already
-/// existed, so its per-run extremes are unrecoverable from the cumulative
-/// registry (min/max cannot be un-merged); such a run is simply not
-/// stored.
-fn counter_delta(
-    before: &BTreeMap<String, u64>,
-    after: &BTreeMap<String, u64>,
-) -> Option<BTreeMap<String, u64>> {
-    let mut delta = BTreeMap::new();
-    for (name, &n) in after {
-        // `cache.*` counters describe this process's cache traffic, not the
-        // computation; replaying them would skew warm-run accounting.
-        if name.starts_with("cache.") {
-            continue;
-        }
-        let extreme =
-            name.starts_with("hist.") && (name.ends_with(".min") || name.ends_with(".max"));
-        if extreme {
-            let base = &name[..name.len() - 4];
-            let count_key = format!("{base}.count");
-            let touched = after.get(&count_key).copied().unwrap_or(0)
-                > before.get(&count_key).copied().unwrap_or(0);
-            if !touched {
-                continue;
-            }
-            if before.contains_key(name) {
-                return None;
-            }
-            delta.insert(name.clone(), n);
-        } else {
-            let d = n - before.get(name).copied().unwrap_or(0);
-            if d > 0 || !before.contains_key(name) {
-                delta.insert(name.clone(), d);
-            }
-        }
-    }
-    Some(delta)
 }
 
 #[cfg(test)]
@@ -374,34 +321,6 @@ mod tests {
         let extra = other.add_input("extra");
         let faults = vec![Fault::external(FaultKind::StuckAt { net: extra, value: false }, 0)];
         assert_eq!(verdict_key(&nl, &view, &faults, &AtpgOptions::default()), None);
-    }
-
-    #[test]
-    fn counter_delta_is_histogram_aware() {
-        let mut before = BTreeMap::new();
-        before.insert("atpg.runs".to_owned(), 2);
-        let mut after = BTreeMap::new();
-        after.insert("atpg.runs".to_owned(), 3);
-        after.insert("atpg.tests.final".to_owned(), 0); // created at zero
-        after.insert("cache.miss".to_owned(), 1); // never replayed
-        after.insert("hist.x.count".to_owned(), 4);
-        after.insert("hist.x.sum".to_owned(), 0); // all-zero samples
-        after.insert("hist.x.min".to_owned(), 0);
-        after.insert("hist.x.max".to_owned(), 0);
-        let delta = counter_delta(&before, &after).expect("clean run");
-        assert_eq!(delta.get("atpg.runs"), Some(&1), "additive difference");
-        assert_eq!(delta.get("atpg.tests.final"), Some(&0), "key created at zero");
-        assert_eq!(delta.get("cache.miss"), None, "cache traffic excluded");
-        assert_eq!(delta.get("hist.x.min"), Some(&0), "absolute extreme kept");
-        assert_eq!(delta.get("hist.x.sum"), Some(&0), "zero sum creates its key");
-
-        // A run extending a pre-existing histogram is unrepresentable:
-        // its per-run extremes were merged away.
-        let mut seen = after.clone();
-        seen.retain(|k, _| !k.starts_with("cache."));
-        let mut later = seen.clone();
-        later.insert("hist.x.count".to_owned(), 9);
-        assert_eq!(counter_delta(&seen, &later), None);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn safety_net_corrects_stale_carried_detection() {
     assert_eq!(edited_faults, faults, "edit preserves the fault keys");
 
     rsyn_observe::reset();
-    let previous = PreviousEvaluation { faults: &faults, result: &previous_run };
+    let previous = PreviousEvaluation::new(&faults, &previous_run);
     // Empty changed set: every verdict — including the now-wrong y SA1
     // `Detected` — is carried over verbatim, and only the pass corrects it.
     let mut inc =

@@ -208,7 +208,7 @@ proptest! {
             faults.push(Fault::external(FaultKind::StuckAt { net: n, value: k % 2 == 0 }, 0));
         }
         let full = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
-        let previous = rsyn_atpg::incremental::PreviousEvaluation { faults: &faults, result: &full };
+        let previous = rsyn_atpg::incremental::PreviousEvaluation::new(&faults, &full);
         let inc = rsyn_atpg::incremental::run_atpg_incremental(
             &nl, &view, &faults, &AtpgOptions::default(), &previous, &[],
         );

@@ -49,7 +49,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         b.iter(|| run_atpg(&state.nl, &view, &state.faults, &options));
     });
     group.bench_with_input(BenchmarkId::from_parameter("incremental"), &state, |b, state| {
-        let previous = PreviousEvaluation { faults: &state.faults, result: &state.atpg };
+        let previous = PreviousEvaluation::new(&state.faults, &state.atpg);
         b.iter(|| run_atpg_incremental(&state.nl, &view, &state.faults, &options, &previous, &[]));
     });
     group.finish();
@@ -66,11 +66,12 @@ fn bench_candidate(c: &mut Criterion) {
     let base = analyzed("sparc_ffu", &ctx);
     let fp = base.pd.placement.floorplan();
     let fixed = || Some((fp, Some(&base.pd.placement)));
+    let previous = PreviousEvaluation::new(&base.faults, &base.atpg);
     let (nl, new_gates) = first_candidate(&ctx, &base, |nl, new_gates| {
-        DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &base, new_gates).is_ok()
+        DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &previous, new_gates).is_ok()
     });
     rsyn_observe::reset();
-    DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &base, &new_gates).unwrap();
+    DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &previous, &new_gates).unwrap();
     let rerun = rsyn_observe::counter("atpg.incremental.rerun");
     let carried = rsyn_observe::counter("atpg.incremental.carried");
     println!(
@@ -85,7 +86,8 @@ fn bench_candidate(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("candidate", "incremental"), |b| {
         b.iter(|| {
-            DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &base, &new_gates).unwrap()
+            DesignState::analyze_incremental(nl.clone(), &ctx, fixed(), &previous, &new_gates)
+                .unwrap()
         });
     });
     group.finish();

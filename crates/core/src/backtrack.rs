@@ -9,6 +9,7 @@
 //! stops at the first accepted candidate, or reports failure (which
 //! terminates the current resynthesis phase, as in the paper).
 
+use rsyn_atpg::incremental::PreviousEvaluation;
 use rsyn_logic::map::MapOptions;
 use rsyn_netlist::{CellId, GateId};
 
@@ -27,6 +28,7 @@ use crate::resynth::{Accept, Candidate, CandidateMemo};
 pub(crate) fn backtrack(
     ctx: &FlowContext,
     state: &DesignState,
+    previous: &PreviousEvaluation<'_>,
     window: &[GateId],
     banned: &[CellId],
     allowed: &[CellId],
@@ -82,7 +84,7 @@ pub(crate) fn backtrack(
     while lo <= hi {
         let mid = (lo + hi) / 2;
         rsyn_observe::add_many(&[("resynth.backtrack.evals", 1), ("resynth.backtrack_shrinks", 1)]);
-        let cand = memo.evaluate(ctx, state, shrunk(mid), allowed, map_options);
+        let cand = memo.evaluate(ctx, state, previous, shrunk(mid), allowed, map_options);
         let ok = cand.as_ref().is_some_and(|c| constraints.admits(&c.score));
         crate::resynth::trace_log(|| {
             format!(
@@ -106,7 +108,7 @@ pub(crate) fn backtrack(
     let (k, cand) = best?;
     if accept(&cand.score) {
         rsyn_observe::add("resynth.backtrack.accepted", 1);
-        return Some((memo.state_of(ctx, state, cand), shrunk(k).to_vec()));
+        return Some((memo.state_of(ctx, state, previous, cand), shrunk(k).to_vec()));
     }
     // Constraints recovered but the shrunken replacement no longer meets the
     // acceptance criteria: return the last group's gates to G_i one at a
@@ -118,10 +120,10 @@ pub(crate) fn backtrack(
             ("resynth.backtrack_shrinks", 1),
         ]);
         let win = &g_i[..n - spared2];
-        if let Some(c2) = memo.evaluate(ctx, state, win, allowed, map_options) {
+        if let Some(c2) = memo.evaluate(ctx, state, previous, win, allowed, map_options) {
             if accept(&c2.score) && constraints.admits(&c2.score) {
                 rsyn_observe::add("resynth.backtrack.accepted", 1);
-                return Some((memo.state_of(ctx, state, c2), win.to_vec()));
+                return Some((memo.state_of(ctx, state, previous, c2), win.to_vec()));
             }
         }
     }
@@ -167,9 +169,11 @@ mod tests {
         let u0 = original.undetectable_count();
         let accept = |c: &Score| c.undetectable < u0;
         let map_options = MapOptions::blend(MAP_BLEND);
+        let previous = PreviousEvaluation::new(&original.faults, &original.atpg);
         let out = backtrack(
             &ctx,
             &original,
+            &previous,
             &window,
             banned,
             &allowed,
@@ -190,6 +194,7 @@ mod tests {
         if let Some((s, _win)) = backtrack(
             &ctx,
             &original,
+            &previous,
             &window,
             banned,
             &allowed,

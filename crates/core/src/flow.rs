@@ -106,10 +106,12 @@ impl DesignState {
     }
 
     /// Like [`DesignState::analyze`], but reuses the ATPG verdicts and
-    /// tests of a previous analysis: the gates a resynthesis candidate
-    /// remapped (`changed_gates`) bound the window outside of which every
-    /// fault kind keeps its verdict, and the previous tests are tried on
-    /// the rest before any is generated (see `rsyn_atpg::incremental`).
+    /// tests of a previous analysis (`previous`, built once per design
+    /// state and shared by its candidates): the gates a resynthesis
+    /// candidate remapped (`changed_gates`) bound the window outside of
+    /// which every fault kind keeps its verdict, and the previous tests are
+    /// tried on the rest before any is generated (see
+    /// `rsyn_atpg::incremental`).
     /// This is the fast path of the candidate-evaluation inner loop.
     ///
     /// The state's tests are the previous ones followed by the new ones,
@@ -124,7 +126,7 @@ impl DesignState {
         nl: Netlist,
         ctx: &FlowContext,
         fixed: Option<(Floorplan, Option<&Placement>)>,
-        prev: &DesignState,
+        previous: &PreviousEvaluation<'_>,
         changed_gates: &[GateId],
     ) -> Result<Self, PlaceError> {
         let _span = rsyn_observe::span("flow.analyze_incremental");
@@ -135,8 +137,7 @@ impl DesignState {
         };
         let faults = extract_faults(&nl, &pd.layout, &ctx.guidelines, &ctx.catalog);
         let view = nl.comb_view().expect("valid netlist");
-        let previous = PreviousEvaluation { faults: &prev.faults, result: &prev.atpg };
-        let atpg = run_atpg_incremental(&nl, &view, &faults, &ctx.atpg, &previous, changed_gates);
+        let atpg = run_atpg_incremental(&nl, &view, &faults, &ctx.atpg, previous, changed_gates);
         let undetectable = atpg.undetectable_indices();
         let clusters = cluster_faults(&nl, &faults, &undetectable);
         Ok(Self { nl, pd, faults, atpg, clusters })
@@ -339,7 +340,7 @@ mod tests {
             nl.clone(),
             &ctx,
             Some((fp, Some(&s1.pd.placement))),
-            &s1,
+            &PreviousEvaluation::new(&s1.faults, &s1.atpg),
             &[],
         )
         .unwrap();

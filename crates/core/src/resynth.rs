@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
+use rsyn_atpg::incremental::PreviousEvaluation;
 use rsyn_logic::map::MapOptions;
 use rsyn_logic::Window;
 use rsyn_netlist::{CellClass, CellId, GateId};
@@ -201,6 +202,7 @@ impl CandidateMemo {
         &mut self,
         ctx: &FlowContext,
         base: &DesignState,
+        previous: &PreviousEvaluation<'_>,
         window: &[GateId],
         allowed: &[CellId],
         map_options: &MapOptions,
@@ -224,7 +226,7 @@ impl CandidateMemo {
                 return score.map(|score| Candidate { score, state: None, key });
             }
         }
-        let state = self.analyze(ctx, base, &key);
+        let state = self.analyze(ctx, base, previous, &key);
         let score = state.as_ref().map(DesignState::score);
         if memoize {
             self.scores.insert(key.clone(), score);
@@ -239,11 +241,14 @@ impl CandidateMemo {
         &mut self,
         ctx: &FlowContext,
         base: &DesignState,
+        previous: &PreviousEvaluation<'_>,
         cand: Candidate,
     ) -> DesignState {
         let state = cand.state.unwrap_or_else(|| {
             rsyn_observe::add("resynth.memo_rebuilds", 1);
-            let state = self.analyze(ctx, base, &cand.key).expect("a memoised candidate rebuilds");
+            let state = self
+                .analyze(ctx, base, previous, &cand.key)
+                .expect("a memoised candidate rebuilds");
             assert_eq!(state.score(), cand.score, "a rebuilt candidate scores as memoised");
             state
         });
@@ -263,6 +268,7 @@ impl CandidateMemo {
         &mut self,
         ctx: &FlowContext,
         base: &DesignState,
+        previous: &PreviousEvaluation<'_>,
         key: &CandidateKey,
     ) -> Option<DesignState> {
         let mut nl = base.nl.clone();
@@ -305,7 +311,7 @@ impl CandidateMemo {
             nl,
             ctx,
             Some((fp, Some(&base.pd.placement))),
-            base,
+            previous,
             &new_gates,
         );
         if let Err(e) = &result {
@@ -340,6 +346,8 @@ fn try_cells(
     let map_options = MapOptions::blend(MAP_BLEND);
     let window_cells: Vec<CellId> =
         window.iter().map(|&g| state.nl.gate(g).expect("live").cell).collect();
+    // Every candidate of this call carries verdicts over from `state`.
+    let previous = PreviousEvaluation::new(&state.faults, &state.atpg);
     let mut worse_streak = 0usize;
     // (i, window_i, allowed) of the first accepting-but-violating candidate.
     let mut fallback: Option<(usize, Vec<GateId>, Vec<CellId>)> = None;
@@ -377,7 +385,8 @@ fn try_cells(
         if window_i.is_empty() {
             continue;
         }
-        let Some(cand) = memo.evaluate(ctx, state, &window_i, &allowed, &map_options) else {
+        let Some(cand) = memo.evaluate(ctx, state, &previous, &window_i, &allowed, &map_options)
+        else {
             continue;
         };
         let score = cand.score;
@@ -395,7 +404,7 @@ fn try_cells(
             if constraints.admits(&score) {
                 *banned_through = Some(ctx.lib.cell(cell_i).name.clone());
                 accepted_iteration(i);
-                let next = memo.state_of(ctx, state, cand);
+                let next = memo.state_of(ctx, state, &previous, cand);
                 let remap = AcceptedRemap { phase, window: window_i, allowed, map_options };
                 return Some((next, remap));
             }
@@ -417,11 +426,13 @@ fn try_cells(
     let cell_i = order[i];
     // Constraint miss: re-run Synthesize() timing-driven before resorting
     // to backtracking (as an iterative design flow would).
-    if let Some(cand2) = memo.evaluate(ctx, state, &window_i, &allowed, &MapOptions::delay()) {
+    if let Some(cand2) =
+        memo.evaluate(ctx, state, &previous, &window_i, &allowed, &MapOptions::delay())
+    {
         if accept(&cand2.score) && constraints.admits(&cand2.score) {
             *banned_through = Some(ctx.lib.cell(cell_i).name.clone());
             accepted_iteration(i);
-            let next = memo.state_of(ctx, state, cand2);
+            let next = memo.state_of(ctx, state, &previous, cand2);
             let remap = AcceptedRemap {
                 phase,
                 window: window_i,
@@ -434,6 +445,7 @@ fn try_cells(
     let (bt, win) = backtrack(
         ctx,
         state,
+        &previous,
         &window_i,
         &order[..=i],
         &allowed,
@@ -797,6 +809,7 @@ mod tests {
         let window = original.gates_with_undetectable_internal(&original.g_u());
         let order = ctx.catalog.cells_by_internal_faults(&ctx.lib);
         let map_options = MapOptions::blend(MAP_BLEND);
+        let previous = PreviousEvaluation::new(&original.faults, &original.atpg);
         let mut memo = CandidateMemo::default();
         // The first cell prefix whose candidate passes the pre-check and fits.
         let (first, window_i, allowed) = (0..order.len())
@@ -811,17 +824,20 @@ mod tests {
                     .copied()
                     .filter(|&g| order[..=i].contains(&original.nl.gate(g).expect("live").cell))
                     .collect();
-                let cand = memo.evaluate(&ctx, &original, &window_i, &allowed, &map_options)?;
+                let cand =
+                    memo.evaluate(&ctx, &original, &previous, &window_i, &allowed, &map_options)?;
                 Some((cand, window_i, allowed))
             })
             .expect("some sparc_ffu candidate is analysed");
         assert!(first.state.is_some(), "a memo miss carries its state");
         let hits = rsyn_observe::counter("resynth.memo_hits");
-        let again = memo.evaluate(&ctx, &original, &window_i, &allowed, &map_options).expect("hit");
+        let again = memo
+            .evaluate(&ctx, &original, &previous, &window_i, &allowed, &map_options)
+            .expect("hit");
         assert!(again.state.is_none(), "the second evaluation is a memo hit");
         assert_eq!(rsyn_observe::counter("resynth.memo_hits"), hits + 1);
-        let first = memo.state_of(&ctx, &original, first);
-        let rebuilt = memo.state_of(&ctx, &original, again);
+        let first = memo.state_of(&ctx, &original, &previous, first);
+        let rebuilt = memo.state_of(&ctx, &original, &previous, again);
 
         let gates = |s: &DesignState| -> Vec<_> {
             s.nl.gates()

@@ -17,10 +17,10 @@
 //!   seed netlist — gate and net ids come out identical, so the continued
 //!   run produces byte-identical stable manifests and checkpoints.
 //!
-//! Replay happens under [`rsyn_observe::pause`] (the replayed iterations
-//! were already counted when the checkpoint's counter snapshot was taken)
-//! and is validated against the checkpoint's verdict dictionary before the
-//! loop continues.
+//! Replay counts like any other work; it is validated against the
+//! checkpoint's verdict dictionary, and then the checkpoint's counter
+//! snapshot (taken when the replayed iterations were first counted)
+//! replaces whatever the replay counted, before the loop continues.
 
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 
 use rsyn_atpg::engine::AtpgResult;
 use rsyn_atpg::fault::FaultStatus;
+use rsyn_atpg::incremental::PreviousEvaluation;
 use rsyn_logic::map::MapOptions;
 use rsyn_logic::Window;
 use rsyn_netlist::{CellId, GateId, Library, Netlist};
@@ -89,9 +90,9 @@ pub struct FlowReport {
     pub accepted: usize,
     /// Accepted iterations replayed from a checkpoint (0 for [`run`]).
     pub replayed: usize,
-    /// Faults ATPG left undecided — a shard that failed twice, or a SAT
-    /// test the fault simulator rejected. They are excluded from `U` and
-    /// would otherwise vanish from the report; 0 in every committed run.
+    /// Faults ATPG left undecided: a SAT test the fault simulator
+    /// rejected. They are excluded from `U` and would otherwise vanish
+    /// from the report; 0 in every committed run.
     pub aborted: usize,
     /// Recoverable failures the run absorbed, in occurrence order.
     pub recovered: Vec<FlowError>,
@@ -124,10 +125,10 @@ pub fn run(nl: Netlist, ctx: &FlowContext, options: &FlowOptions) -> Result<Flow
 ///
 /// `seed_nl` must be the same seed netlist the original run started from
 /// (the caller rebuilds it; this crate does not depend on the benchmark
-/// generator). The checkpoint's decision log is replayed against it with
-/// observability paused, the result is validated against the recorded
-/// verdict dictionary, the counter snapshot is restored, and the loop
-/// continues from the recorded cursor.
+/// generator). The checkpoint's decision log is replayed against it, the
+/// result is validated against the recorded verdict dictionary, the
+/// counter snapshot replaces the replay's counts, and the loop continues
+/// from the recorded cursor.
 ///
 /// # Errors
 ///
@@ -169,17 +170,13 @@ pub fn run_resumed(
     seed_nl.validate().map_err(|e| FlowError::InvalidNetlist { message: e.to_string() })?;
     let cursor = decode_cursor(&checkpoint.cursor, &label)?;
 
-    // Replay the decision log with counter recording paused: the replayed
-    // iterations are already represented in the checkpoint's snapshot.
-    let (original, current) = {
-        let _paused = rsyn_observe::pause();
-        let original = DesignState::analyze(seed_nl, ctx, None).map_err(place_error)?;
-        let mut current = original.clone();
-        for (i, rec) in checkpoint.remaps.iter().enumerate() {
-            current = replay_remap(ctx, &current, rec, i, &label)?;
-        }
-        (original, current)
-    };
+    // Replay the decision log. The replayed iterations are already counted
+    // in the checkpoint's snapshot, which replaces the replay's counts below.
+    let original = DesignState::analyze(seed_nl, ctx, None).map_err(place_error)?;
+    let mut current = original.clone();
+    for (i, rec) in checkpoint.remaps.iter().enumerate() {
+        current = replay_remap(ctx, &current, rec, i, &label)?;
+    }
     let verdicts = verdict_string(&current.atpg);
     if verdicts != checkpoint.verdicts {
         return Err(cp_err(format!(
@@ -391,7 +388,7 @@ fn replay_remap(
         nl,
         ctx,
         Some((fp, Some(&base.pd.placement))),
-        base,
+        &PreviousEvaluation::new(&base.faults, &base.atpg),
         &new_gates,
     )
     .map(|state| state.verified(ctx))

@@ -1,8 +1,8 @@
 //! Property tests for the resilient flow driver ([`rsyn_core::run`]).
 //!
 //! Under an arbitrary deterministic injection plan — a forced `PDesign()`
-//! rejection, a delay-inflated evaluation, forced PODEM aborts, and a
-//! forced worker-shard failure — the flow must:
+//! rejection, a delay-inflated evaluation, and forced PODEM aborts — the
+//! flow must:
 //!
 //! * never panic (every failure is either absorbed or a typed
 //!   [`FlowError`](rsyn_resilience::FlowError)),
@@ -32,7 +32,6 @@ proptest! {
         reject in 1u64..4,
         inflate in 1u64..5,
         abort_run in 0u64..2,
-        shard in 0u64..3,
     ) {
         let lib = Library::osu018();
         let ctx = FlowContext::new(lib);
@@ -46,8 +45,7 @@ proptest! {
             .inflation_percent(250)
             .inflate_pdesign(inflate)
             .abort_podem(abort_run, 0)
-            .abort_podem(abort_run, 1)
-            .fail_shard(0, shard);
+            .abort_podem(abort_run, 1);
         let armed = inject::arm(plan);
         let report = run(seed_nl.clone(), &ctx, &options);
         drop(armed);

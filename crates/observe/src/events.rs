@@ -5,16 +5,16 @@
 //!
 //! # Model
 //!
-//! Every recorder (see the crate root's scopes) carries one bus.
-//! Producers call [`publish`] (or [`publish_for`]) with a [`FlowEvent`];
-//! the bus of the current scope's recorder stamps it with its next
-//! sequence number and the current job key (set by [`job_scope`]) and
-//! fans it out to every live subscriber whose filter matches. Each
-//! subscriber owns a **bounded ring**: when a slow consumer falls behind,
-//! the oldest queued event is dropped and a drop tally accumulates; the
-//! next receive returns an explicit [`Delivery::Lagged`] marker carrying
-//! that tally *before* the next event. Publishing never blocks on
-//! consumers.
+//! Every root recorder (see the crate root's scopes) carries one bus,
+//! shared by its child scopes. Producers call [`publish`] (or
+//! [`publish_for`]) with a [`FlowEvent`]; the bus of the current scope's
+//! root stamps it with its next sequence number and the current job key
+//! (set by [`job_scope`]) and fans it out to every live subscriber whose
+//! filter matches. Each subscriber owns a **bounded ring**: when a slow
+//! consumer falls behind, the oldest queued event is dropped and a drop
+//! tally accumulates; the next receive returns an explicit
+//! [`Delivery::Lagged`] marker carrying that tally *before* the next
+//! event. Publishing never blocks on consumers.
 //!
 //! # Hot path
 //!
@@ -38,10 +38,10 @@
 //! on this: it digests the **set of distinct deterministic payloads**
 //! per job, which is byte-identical across worker counts and across
 //! retried/preempted/resumed executions (a retry re-emits a prefix of
-//! the same payload sequence; the set union is unchanged). Publishing is
-//! suppressed while [`crate::is_paused`] — checkpoint replay re-executes
-//! accepted iterations, but those were already streamed by the original
-//! run, exactly as their counters were already counted.
+//! the same payload sequence; the set union is unchanged). A checkpoint
+//! resume replays the accepted iterations' analyses, and their shard
+//! events repeat payloads the job already streamed, so the digest does
+//! not change either.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
@@ -50,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
-use crate::{Recorder, Records, Scope, ScopeGuard, State};
+use crate::{Records, Root, RootState, Scope, ScopeGuard};
 
 /// Terminal verdict of a job, mirrored from the server's outcome
 /// taxonomy (labels match `JobOutcome::label`).
@@ -358,24 +358,28 @@ impl Subscriber {
     }
 }
 
-/// Total events the current recorder's bus published to at least one live
+/// Total events the current root's bus published to at least one live
 /// subscriber (monotonic, never reset). The conservation invariant every
 /// subscriber obeys: events it received + the sum of its `Lagged.dropped`
 /// markers + events filtered away from it == this delta over its
 /// lifetime. For an unfiltered subscriber that is `received + dropped ==
 /// published`.
 pub fn published() -> u64 {
-    crate::with_buf(|scope, _| scope.recorder.published.load(Ordering::Relaxed)).unwrap_or(0)
+    crate::with_buf(|scope, _| scope.recorder.root.published.load(Ordering::Relaxed)).unwrap_or(0)
 }
 
-/// Stamps and fans out the thread's buffered events, in order, to `rec`'s
-/// subscribers; returns the last one stamped. No sequence is minted
-/// without subscribers. The caller holds `rec`'s lock (`st`), so every
-/// ring observes events in sequence order.
-pub(crate) fn deliver_buffered(rec: &Recorder, st: &State, records: &mut Records) -> Option<Event> {
+/// Stamps and fans out the thread's buffered events, in order, to
+/// `root`'s subscribers; returns the last one stamped. No sequence is
+/// minted without subscribers. The caller holds `root`'s lock (`st`), so
+/// every ring observes events in sequence order.
+pub(crate) fn deliver_buffered(
+    root: &Root,
+    st: &RootState,
+    records: &mut Records,
+) -> Option<Event> {
     let mut last = None;
     for (job, data) in records.events.drain(..).filter(|_| !st.subs.is_empty()) {
-        let seq = rec.published.fetch_add(1, Ordering::Relaxed) + 1;
+        let seq = root.published.fetch_add(1, Ordering::Relaxed) + 1;
         let event = Event { seq, job, data };
         for sub in st.subs.iter().filter(|sub| sub.wants(job)) {
             sub.push(event);
@@ -390,14 +394,14 @@ pub(crate) fn deliver_buffered(rec: &Recorder, st: &State, records: &mut Records
 // ---------------------------------------------------------------------------
 
 /// Attributes events published on this thread to `job` until the guard
-/// drops: the current scope with a new job key, same recorder. Scopes
-/// nest; worker closures capture [`crate::Scope::current`] and re-enter
-/// it, job key included.
+/// drops, in a child scope of the current one ([`crate::child_scope`]):
+/// the job's counters, checkpoint snapshots and [`crate::restore_counters`]
+/// stay its own, its events reach the root's bus, and its registry merges
+/// into the parent's when the guard drops. Scopes nest; worker closures
+/// capture [`crate::Scope::current`] and re-enter it, job key included.
 #[must_use = "the job context ends when the guard drops"]
 pub fn job_scope(job: u128) -> ScopeGuard {
-    let mut scope = Scope::current();
-    scope.job = job;
-    scope.enter()
+    Scope::current().enter_child(job)
 }
 
 /// Publishes `data` under the current thread's job scope.
@@ -405,38 +409,36 @@ pub fn publish(data: FlowEvent) {
     crate::with_buf(|scope, records| publish_in(scope, records, scope.job, data));
 }
 
-/// Publishes `data` for an explicit job key to the current recorder's
+/// Publishes `data` for an explicit job key to the current root's
 /// subscribers.
 ///
-/// Fast path: one relaxed load when no subscriber exists. Suppressed
-/// while [`crate::is_paused`] (checkpoint replay — the original run
-/// already streamed those events). Hot events buffer thread-locally; a
-/// non-hot publish delivers behind the thread's buffered ones, so
-/// per-thread order (and terminal-last) is preserved.
+/// Fast path: one relaxed load when no subscriber exists. Hot events
+/// buffer thread-locally; a non-hot publish delivers behind the thread's
+/// buffered ones, so per-thread order (and terminal-last) is preserved.
 pub fn publish_for(job: u128, data: FlowEvent) {
     crate::with_buf(|scope, records| publish_in(scope, records, job, data));
 }
 
 fn publish_in(scope: &Scope, records: &mut Records, job: u128, data: FlowEvent) {
-    let rec = &*scope.recorder;
-    if rec.subscribers.load(Ordering::Relaxed) == 0 || rec.paused() {
+    let root = &*scope.recorder.root;
+    if root.subscribers.load(Ordering::Relaxed) == 0 {
         return;
     }
     records.events.push((job, data));
     if !data.is_hot() || records.events.len() >= HOT_FLUSH_AT {
-        deliver_buffered(rec, &rec.lock(), records);
+        deliver_buffered(root, &root.lock(), records);
     }
 }
 
 /// Publishes `data` and returns the stamped [`Event`] — the terminal
 /// path: the server stores the returned event so late subscribers can be
 /// seeded with it. Always constructs the event; without subscribers it
-/// carries `seq == 0` and nothing is delivered. Not suppressed by
-/// [`crate::is_paused`]: a terminal must always reach the store.
+/// carries `seq == 0` and nothing is delivered.
 pub fn publish_for_returning(job: u128, data: FlowEvent) -> Event {
     crate::with_buf(|scope, records| {
+        let root = &*scope.recorder.root;
         records.events.push((job, data));
-        deliver_buffered(&scope.recorder, &scope.recorder.lock(), records)
+        deliver_buffered(root, &root.lock(), records)
     })
     .flatten()
     .unwrap_or(Event { seq: 0, job, data })
@@ -449,10 +451,10 @@ pub fn publish_for_returning(job: u128, data: FlowEvent) -> Event {
 /// A subscriber's receiving half. Dropping it unsubscribes.
 pub struct EventReceiver {
     sub: Arc<Subscriber>,
-    recorder: Arc<Recorder>,
+    root: Arc<Root>,
 }
 
-/// Subscribes to the current recorder's event bus with the default ring
+/// Subscribes to the current root's event bus with the default ring
 /// capacity. `filter: Some(key)` delivers only that job's events; `None`
 /// delivers everything.
 pub fn subscribe(filter: Option<u128>) -> EventReceiver {
@@ -469,10 +471,10 @@ pub fn subscribe_with_capacity(filter: Option<u128>, capacity: usize) -> EventRe
         state: Mutex::new(SubState { queue: VecDeque::new(), dropped: 0 }),
         cv: Condvar::new(),
     });
-    let recorder = Scope::current().recorder;
-    recorder.lock().subs.push(Arc::clone(&sub));
-    recorder.subscribers.fetch_add(1, Ordering::Relaxed);
-    EventReceiver { sub, recorder }
+    let root = Arc::clone(&Scope::current().recorder.root);
+    root.lock().subs.push(Arc::clone(&sub));
+    root.subscribers.fetch_add(1, Ordering::Relaxed);
+    EventReceiver { sub, root }
 }
 
 impl EventReceiver {
@@ -527,8 +529,8 @@ impl EventReceiver {
 
 impl Drop for EventReceiver {
     fn drop(&mut self) {
-        self.recorder.lock().subs.retain(|s| !Arc::ptr_eq(s, &self.sub));
-        self.recorder.subscribers.fetch_sub(1, Ordering::Relaxed);
+        self.root.lock().subs.retain(|s| !Arc::ptr_eq(s, &self.sub));
+        self.root.subscribers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -931,13 +933,58 @@ mod tests {
     }
 
     #[test]
-    fn publish_is_suppressed_while_paused_but_returning_terminals_are_not() {
+    fn a_jobs_restore_replaces_only_that_jobs_counters() {
+        crate::reset();
+        crate::add("server", 1);
+        let rx = subscribe(None);
+        let parent = Scope::current();
+        let snapshot = BTreeMap::from([("job.a".to_string(), 7u64)]);
+        let counted = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (job, own) in [(1u128, "job.a"), (2, "job.b")] {
+                let (parent, snapshot, counted) = (&parent, &snapshot, &counted);
+                s.spawn(move || {
+                    let _observe = parent.enter();
+                    let _job = job_scope(job);
+                    crate::add(own, 1);
+                    crate::add("shared", 1);
+                    crate::flush();
+                    counted.wait();
+                    if job == 1 {
+                        crate::restore_counters(snapshot);
+                        assert_eq!(crate::counters(), *snapshot, "job 1 holds its snapshot");
+                    }
+                    counted.wait();
+                    if job == 2 {
+                        let own = BTreeMap::from([("job.b".to_string(), 1), ("shared".into(), 1)]);
+                        assert_eq!(crate::counters(), own, "job 1's restore left job 2 alone");
+                    }
+                    publish(FlowEvent::Terminal { outcome: TerminalOutcome::Completed });
+                });
+            }
+        });
+        let merged = BTreeMap::from([
+            ("job.a".to_string(), 7),
+            ("job.b".to_string(), 1),
+            ("server".to_string(), 1),
+            ("shared".to_string(), 1),
+        ]);
+        assert_eq!(crate::counters(), merged, "the parent holds both jobs' counters");
+        let mut jobs: Vec<u128> = rx
+            .drain()
+            .iter()
+            .filter_map(|d| match d {
+                Delivery::Event(ev) => Some(ev.job),
+                Delivery::Lagged { .. } => None,
+            })
+            .collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, [1, 2], "both jobs published to the parent's bus");
+    }
+
+    #[test]
+    fn returning_publish_with_a_subscriber_mints_a_sequence() {
         let rx = subscribe(Some(11));
-        {
-            let _p = crate::pause();
-            publish_for(11, iteration(1));
-        }
-        assert!(rx.try_recv().is_none(), "replayed iterations are not re-streamed");
         let ev =
             publish_for_returning(11, FlowEvent::Terminal { outcome: TerminalOutcome::Failed });
         assert_ne!(ev.seq, 0, "a live subscriber existed, so a real sequence was minted");

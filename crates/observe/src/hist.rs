@@ -162,21 +162,14 @@ impl Hist {
 }
 
 /// Records `value` into the deterministic histogram `name` (thread-local,
-/// no lock). Dropped while [`crate::pause`] is active, exactly like
-/// counters: histogram samples from replayed iterations are already in the
-/// restored checkpoint snapshot.
+/// no lock).
 pub fn hist_add(name: &'static str, value: u64) {
-    crate::with_buf(|scope, records| {
-        if scope.recorder.paused() {
-            return;
-        }
-        match records.hists.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, h)) => h.record(value),
-            None => {
-                let mut h = Hist::default();
-                h.record(value);
-                records.hists.push((name, h));
-            }
+    crate::with_buf(|_, records| match records.hists.iter_mut().find(|(k, _)| *k == name) {
+        Some((_, h)) => h.record(value),
+        None => {
+            let mut h = Hist::default();
+            h.record(value);
+            records.hists.push((name, h));
         }
     });
 }

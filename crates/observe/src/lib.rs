@@ -32,32 +32,44 @@
 //! stages whose call count is *not* thread-count independent (checkpoint
 //! writes on a resumed run, for example).
 //!
-//! The same recorder also holds the pause depth ([`pause`]), the
-//! collected [`trace`] events, and the subscribers of the [`events`] bus.
+//! The metrics live in the recorder's *registry*. Next to it, every
+//! recorder reaches the collected [`trace`] events and the subscribers of
+//! the [`events`] bus of its root.
 //!
 //! # Scopes
 //!
 //! Every thread records into the recorder of its current [`Scope`]: a
 //! recorder plus the job key that [`events`] are attributed to. A thread
-//! that never entered a scope records into a recorder of its own, created
-//! on first use, so independent flows (and tests) on separate threads
-//! never see each other's counts. A thread pool shares its spawner's
-//! recorder by capturing [`Scope::current`] and entering it at the top of
-//! each worker closure; [`events::job_scope`] keeps the recorder and
-//! changes only the job key.
+//! that never entered a scope records into a root recorder of its own,
+//! created on first use, so independent flows (and tests) on separate
+//! threads never see each other's counts. A thread pool shares its
+//! spawner's recorder by capturing [`Scope::current`] and entering it at
+//! the top of each worker closure.
+//!
+//! A *child scope* ([`child_scope`], and [`events::job_scope`] with a job
+//! key of its own) keeps its metrics in a registry of its own: reads,
+//! [`reset`] and [`restore_counters`] inside it see and touch only what
+//! it recorded. Its trace events and flow events go to its root's trace
+//! and bus (subscribers, sequence numbers, [`events::published`]), and
+//! worker threads that enter it record there too. When its guard drops,
+//! its registry merges into its parent's by the rule of [`add_counters`]
+//! (`hist.<name>.min`/`.max` by min/max, every other counter, volatile
+//! metric and wall-time histogram by addition), so a parent's counts do
+//! not depend on whether its work ran in children.
 //!
 //! # Hot path
 //!
 //! Span and counter keys are `&'static str`; every record lands in one
 //! thread-local buffer (no lock, no `String` allocation): counters, span
 //! aggregates and histograms aggregated per key, trace events while the
-//! recorder's trace is armed, and high-frequency flow events. The buffer
-//! publishes into the recorder under one lock when the thread reads a
-//! snapshot ([`counters`], [`volatiles`], [`counter`]), calls [`flush`],
-//! or leaves a scope — dropping a [`ScopeGuard`] flushes, so a worker
-//! that entered its spawner's scope has published before its thread
-//! joins. [`lock_acquisitions`] counts recorder lock acquisitions so
-//! tests can assert the hot path stays off the lock.
+//! root's trace is armed, and high-frequency flow events. The buffer
+//! publishes into the recorder when the thread reads a snapshot
+//! ([`counters`], [`volatiles`], [`counter`]), calls [`flush`], or leaves
+//! a scope — dropping a [`ScopeGuard`] flushes, so a worker that entered
+//! its spawner's scope has published before its thread joins. A publish
+//! takes the registry lock, and the root's lock too when trace or flow
+//! events are buffered. [`lock_acquisitions`] counts both so tests can
+//! assert the hot path stays off the locks.
 //!
 //! [`manifest::Run`] snapshots the recorder into a [`manifest::Manifest`]
 //! — the machine-readable record a benchmark binary writes to
@@ -85,19 +97,33 @@ pub use manifest::{Manifest, Run};
 use events::{FlowEvent, Subscriber};
 use trace::TraceEvent;
 
-/// Everything one scope records into: the registry, the trace list, the
-/// event bus's subscribers, plus the lock-free pause depth, trace switch,
-/// and lock tally.
+/// Everything one scope records into: its own registry, and the root it
+/// shares with its parents and children.
 #[derive(Default)]
 struct Recorder {
-    state: Mutex<State>,
-    /// Recorder lock acquisitions — the observability of the
-    /// observability layer. Tests assert hot-path records do not move it.
+    registry: Mutex<Registry>,
+    root: Arc<Root>,
+}
+
+/// The metrics of one recorder.
+#[derive(Default)]
+struct Registry {
+    counters: BTreeMap<String, u64>,
+    volatiles: BTreeMap<String, f64>,
+    /// Volatile wall-time histograms, one per span name, in nanoseconds.
+    wall_hists: BTreeMap<String, Hist>,
+}
+
+/// What a root recorder shares with its child scopes: the trace list and
+/// the event bus's subscribers, plus the lock-free trace switch,
+/// subscriber count, sequence, and lock tally.
+#[derive(Default)]
+struct Root {
+    state: Mutex<RootState>,
+    /// Lock acquisitions of the root and of every registry under it — the
+    /// observability of the observability layer. Tests assert hot-path
+    /// records do not move it.
     locks: AtomicU64,
-    /// Depth of active [`pause`] guards; counter and deterministic-histogram
-    /// writes are dropped *at record time* while non-zero (volatile metrics
-    /// keep recording — they are never compared).
-    paused: AtomicUsize,
     /// True while the trace is armed ([`trace::start`]).
     tracing: AtomicBool,
     /// Live-subscriber count — the publish fast-path gate, changed under
@@ -109,24 +135,59 @@ struct Recorder {
 }
 
 #[derive(Default)]
-struct State {
-    counters: BTreeMap<String, u64>,
-    volatiles: BTreeMap<String, f64>,
-    /// Volatile wall-time histograms, one per span name, in nanoseconds.
-    wall_hists: BTreeMap<String, Hist>,
+struct RootState {
     /// Trace events collected since [`trace::start`].
     trace: Vec<TraceEvent>,
     subs: Vec<Arc<Subscriber>>,
 }
 
-impl Recorder {
-    fn lock(&self) -> MutexGuard<'_, State> {
+impl Root {
+    fn lock(&self) -> MutexGuard<'_, RootState> {
         self.locks.fetch_add(1, Ordering::Relaxed);
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
 
-    fn paused(&self) -> bool {
-        self.paused.load(Ordering::Acquire) > 0
+impl Recorder {
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.root.locks.fetch_add(1, Ordering::Relaxed);
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Moves this registry into `parent`'s (see "Scopes" in the crate
+    /// docs) and leaves it empty.
+    fn merge_into(&self, parent: &Recorder) {
+        let child = std::mem::take(&mut *self.lock());
+        let mut reg = parent.lock();
+        merge_counters(&mut reg.counters, child.counters);
+        for (name, v) in child.volatiles {
+            *reg.volatiles.entry(name).or_insert(0.0) += v;
+        }
+        for (name, h) in child.wall_hists {
+            reg.wall_hists.entry(name).or_default().merge(&h);
+        }
+    }
+}
+
+/// Merges counter `entries` into `counters`: `hist.<name>.min`/`.max`
+/// carry absolute extremes and merge by min/max (exactly like
+/// `hist::merge_into_counters`); every other key adds. A zero-valued entry
+/// still creates its key.
+fn merge_counters(
+    counters: &mut BTreeMap<String, u64>,
+    entries: impl IntoIterator<Item = (String, u64)>,
+) {
+    for (name, n) in entries {
+        let extreme = |suffix| name.starts_with("hist.") && name.ends_with(suffix);
+        if extreme(".min") {
+            let e = counters.entry(name).or_insert(n);
+            *e = (*e).min(n);
+        } else if extreme(".max") {
+            let e = counters.entry(name).or_insert(n);
+            *e = (*e).max(n);
+        } else {
+            *counters.entry(name).or_insert(0) += n;
+        }
     }
 }
 
@@ -160,15 +221,42 @@ impl Scope {
             })
             .ok()
             .flatten();
-        ScopeGuard { prev, _thread: PhantomData }
+        ScopeGuard { prev, merge: None, _thread: PhantomData }
+    }
+
+    /// Enters a child of this scope under `job` (see "Scopes" in the crate
+    /// docs): a fresh registry on this scope's root, merged into this
+    /// scope's registry when the guard drops.
+    pub(crate) fn enter_child(&self, job: u128) -> ScopeGuard {
+        let recorder = Arc::new(Recorder {
+            registry: Mutex::default(),
+            root: Arc::clone(&self.recorder.root),
+        });
+        let mut guard = Scope { recorder: Arc::clone(&recorder), job }.enter();
+        guard.merge = Some((recorder, Arc::clone(&self.recorder)));
+        guard
     }
 }
 
-/// Guard returned by [`Scope::enter`] and [`events::job_scope`]. Dropping
-/// it (also during panic unwinding) flushes the thread's buffer into the
-/// scope's recorder and restores the previous scope.
+/// Enters a child of the calling thread's scope, with the same job key,
+/// until the guard drops. Inside it, [`counters`] reads only what the
+/// child recorded; on drop its registry merges into the parent's (see
+/// "Scopes" in the crate docs). Worker threads must leave the child
+/// (join) before its guard drops, or their later records are lost.
+#[must_use = "the child scope ends, and merges into its parent, when the guard drops"]
+pub fn child_scope() -> ScopeGuard {
+    let parent = Scope::current();
+    parent.enter_child(parent.job)
+}
+
+/// Guard returned by [`Scope::enter`], [`child_scope`] and
+/// [`events::job_scope`]. Dropping it (also during panic unwinding)
+/// flushes the thread's buffer into the scope's recorder, restores the
+/// previous scope, and merges a child scope's registry into its parent's.
 pub struct ScopeGuard {
     prev: Option<Scope>,
+    /// A child scope's recorder and the parent recorder it merges into.
+    merge: Option<(Arc<Recorder>, Arc<Recorder>)>,
     /// Scopes are per-thread state: the guard must drop on its thread.
     _thread: PhantomData<*const ()>,
 }
@@ -181,6 +269,9 @@ impl Drop for ScopeGuard {
             buf.flush();
             buf.scope = prev;
         });
+        if let Some((child, parent)) = self.merge.take() {
+            child.merge_into(&parent);
+        }
     }
 }
 
@@ -224,34 +315,38 @@ impl Records {
             && self.events.is_empty()
     }
 
-    /// Merges everything buffered into `rec` under one lock, clears the
-    /// buffer, and returns the still-held lock.
-    fn publish<'r>(&mut self, rec: &'r Recorder) -> MutexGuard<'r, State> {
-        let mut st = rec.lock();
+    /// Merges everything buffered into `rec` — metrics into its registry,
+    /// trace and flow events into its root — clears the buffer, and
+    /// returns the still-held registry lock.
+    fn publish<'r>(&mut self, rec: &'r Recorder) -> MutexGuard<'r, Registry> {
+        let mut reg = rec.lock();
         for &(name, n) in &self.counters {
-            *st.counters.entry(name.to_string()).or_insert(0) += n;
+            *reg.counters.entry(name.to_string()).or_insert(0) += n;
         }
         for (name, agg) in &self.spans {
             if agg.calls > 0 {
-                *st.counters.entry(format!("span.{name}.calls")).or_insert(0) += agg.calls;
+                *reg.counters.entry(format!("span.{name}.calls")).or_insert(0) += agg.calls;
             }
-            *st.volatiles.entry(format!("span.{name}.wall_ms")).or_insert(0.0) += agg.wall_ms;
-            st.wall_hists.entry((*name).to_string()).or_default().merge(&agg.wall);
+            *reg.volatiles.entry(format!("span.{name}.wall_ms")).or_insert(0.0) += agg.wall_ms;
+            reg.wall_hists.entry((*name).to_string()).or_default().merge(&agg.wall);
         }
         for (name, h) in &self.hists {
-            hist::merge_into_counters(&mut st.counters, name, h);
+            hist::merge_into_counters(&mut reg.counters, name, h);
         }
         self.counters.clear();
         self.spans.clear();
         self.hists.clear();
-        st.trace.append(&mut self.trace);
-        events::deliver_buffered(rec, &st, self);
-        st
+        if !self.trace.is_empty() || !self.events.is_empty() {
+            let mut st = rec.root.lock();
+            st.trace.append(&mut self.trace);
+            events::deliver_buffered(&rec.root, &st, self);
+        }
+        reg
     }
 
     /// Appends one complete trace event when `rec`'s trace is armed.
     fn trace(&mut self, rec: &Recorder, name: &'static str, id: Option<u64>, start: Instant) {
-        if rec.tracing.load(Ordering::Relaxed) {
+        if rec.root.tracing.load(Ordering::Relaxed) {
             let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
             self.trace.push(TraceEvent {
                 name,
@@ -305,19 +400,30 @@ fn with_buf<R>(f: impl FnOnce(&Scope, &mut Records) -> R) -> Option<R> {
     .ok()
 }
 
-/// Runs `f` on the current recorder's state, after publishing the
-/// calling thread's buffer into it (one lock in all).
-fn with_state<R: Default>(f: impl FnOnce(&Recorder, &mut State) -> R) -> R {
-    with_buf(|scope, records| f(&scope.recorder, &mut records.publish(&scope.recorder)))
-        .unwrap_or_default()
+/// Runs `f` on the current recorder's registry, after publishing the
+/// calling thread's buffer into it (one registry lock in all).
+fn with_registry<R: Default>(f: impl FnOnce(&mut Registry) -> R) -> R {
+    with_buf(|scope, records| f(&mut records.publish(&scope.recorder))).unwrap_or_default()
 }
 
-/// Number of times the current recorder's lock has been taken since the
-/// recorder was created. Monotonic and never reset: stress tests snapshot
-/// it around a hot loop to prove spans/counters/histograms buffer
-/// thread-locally instead of hitting the mutex per call.
+/// Runs `f` on the current root's shared state, after publishing the
+/// calling thread's buffer.
+fn with_root<R: Default>(f: impl FnOnce(&Root, &mut RootState) -> R) -> R {
+    with_buf(|scope, records| {
+        drop(records.publish(&scope.recorder));
+        let root = &scope.recorder.root;
+        f(root, &mut root.lock())
+    })
+    .unwrap_or_default()
+}
+
+/// Number of times the current root's locks (its own and those of every
+/// registry under it) have been taken since the root was created.
+/// Monotonic and never reset: stress tests snapshot it around a hot loop
+/// to prove spans/counters/histograms buffer thread-locally instead of
+/// hitting a mutex per call.
 pub fn lock_acquisitions() -> u64 {
-    with_buf(|scope, _| scope.recorder.locks.load(Ordering::Relaxed)).unwrap_or(0)
+    with_buf(|scope, _| scope.recorder.root.locks.load(Ordering::Relaxed)).unwrap_or(0)
 }
 
 /// Publishes the calling thread's buffered metrics, trace events, and
@@ -331,32 +437,15 @@ pub fn flush() {
 /// Clears every counter, histogram, and volatile metric of the current
 /// recorder (the start of a run), the calling thread's buffered ones
 /// included.
-///
-/// # Invariant
-///
-/// No [`PauseGuard`] may be live across a reset: a leaked guard would
-/// silently suppress every counter of the *next* run. Debug builds assert
-/// `paused == 0`; release builds recover by force-clearing the pause depth
-/// so a leak cannot poison subsequent bench legs.
 pub fn reset() {
-    with_state(|rec, st| {
-        let leaked = rec.paused.swap(0, Ordering::AcqRel);
-        debug_assert!(leaked == 0, "rsyn_observe::reset() with a live PauseGuard (depth {leaked})");
-        st.counters.clear();
-        st.volatiles.clear();
-        st.wall_hists.clear();
-    });
+    with_registry(|reg| *reg = Registry::default());
 }
 
 /// Adds `n` to the deterministic counter `name`, creating it at zero.
 /// Zero increments create no counter.
 pub fn add(name: &'static str, n: u64) {
     if n > 0 {
-        with_buf(|scope, records| {
-            if !scope.recorder.paused() {
-                records.count(name, n);
-            }
-        });
+        with_buf(|_, records| records.count(name, n));
     }
 }
 
@@ -364,10 +453,8 @@ pub fn add(name: &'static str, n: u64) {
 /// for per-shard accumulators on the hot path. Increments land in the
 /// thread-local buffer; no lock is taken.
 pub fn add_many(entries: &[(&'static str, u64)]) {
-    with_buf(|scope, records| {
-        if !scope.recorder.paused() {
-            entries.iter().filter(|e| e.1 > 0).for_each(|&(name, n)| records.count(name, n));
-        }
+    with_buf(|_, records| {
+        entries.iter().filter(|e| e.1 > 0).for_each(|&(name, n)| records.count(name, n));
     });
 }
 
@@ -378,65 +465,29 @@ pub fn add_many(entries: &[(&'static str, u64)]) {
 /// [`Hist`] — e.g. a server sampling its queue depth per enqueue — and
 /// publish once at shutdown instead of paying a record per sample. The
 /// name is dynamic (no `&'static str` requirement) because the merge goes
-/// straight to the recorder. Empty histograms and paused windows record
-/// nothing.
+/// straight to the recorder. Empty histograms record nothing.
 pub fn record_hist(name: &str, h: &Hist) {
-    with_state(|rec, st| {
-        if !rec.paused() {
-            hist::merge_into_counters(&mut st.counters, name, h);
-        }
-    });
+    with_registry(|reg| hist::merge_into_counters(&mut reg.counters, name, h));
 }
 
-/// Suspends deterministic-counter (and deterministic-histogram) recording
-/// in the current recorder until the guard drops.
-///
-/// Checkpoint *replay* uses this: resuming a run re-executes the accepted
-/// iterations to rebuild the in-memory design state, but those iterations
-/// were already counted by the original run — the checkpoint carries their
-/// counter snapshot ([`restore_counters`]). Pausing while replaying keeps
-/// the resumed manifest byte-identical to the uninterrupted one. Guards
-/// nest and cover every thread recording into the same recorder; volatile
-/// metrics and spans' wall-clock halves keep recording. Pausing is checked
-/// *at record time*, so records buffered before a pause still flush
-/// normally.
-#[must_use = "recording resumes as soon as the guard drops"]
-pub fn pause() -> PauseGuard {
-    let rec = with_buf(|scope, _| Arc::clone(&scope.recorder)).unwrap_or_default();
-    rec.paused.fetch_add(1, Ordering::AcqRel);
-    PauseGuard(rec)
-}
-
-/// Guard returned by [`pause`]; counter recording resumes when it drops.
-pub struct PauseGuard(Arc<Recorder>);
-
-impl Drop for PauseGuard {
-    fn drop(&mut self) {
-        // Saturating: `reset` force-clears a leaked pause depth, so a
-        // stale guard dropping afterwards must not underflow into a new
-        // multi-billion pause.
-        let _ = self
-            .0
-            .paused
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |p| Some(p.saturating_sub(1)));
-    }
-}
-
-/// Replaces all deterministic counters with `snapshot` (volatile metrics
-/// are untouched). The restore half of checkpoint resume: after replaying
-/// the decision log under [`pause`], the resumed process continues from
-/// exactly the counts the original run had at checkpoint time. Because
-/// deterministic histograms are encoded in the counter namespace, they are
-/// restored by the same call. The calling thread's buffered counts are
-/// folded in first, and so replaced too.
+/// Replaces all deterministic counters of the current recorder with
+/// `snapshot` (volatile metrics are untouched). The restore half of
+/// checkpoint resume: the resumed run replays the decision log to rebuild
+/// its design state, then replaces whatever the replay counted with the
+/// counts the original run had at checkpoint time. Inside a child scope
+/// (a server job's [`events::job_scope`]) that is the child's counters
+/// only. Because deterministic histograms are encoded in the counter
+/// namespace, they are restored by the same call. The calling thread's
+/// buffered counts are folded in first, and so replaced too.
 pub fn restore_counters(snapshot: &BTreeMap<String, u64>) {
-    with_state(|_, st| st.counters = snapshot.clone());
+    with_registry(|reg| reg.counters = snapshot.clone());
 }
 
 /// Adds a batch of *dynamic-name* counter deltas — the restore half of a
-/// cross-run cache hit: the deltas a compute recorded when it actually
-/// ran are re-applied verbatim when its cached result is returned, so a
-/// hit stays byte-identical to a recompute in the manifest.
+/// cross-run cache hit: the counters a compute recorded in its child
+/// scope when it actually ran are re-applied verbatim when its cached
+/// result is returned, so a hit stays byte-identical to a recompute in
+/// the manifest.
 ///
 /// Merge semantics are key-aware, mirroring how the counters were
 /// produced: `hist.<name>.min`/`.max` entries carry *absolute* per-run
@@ -444,37 +495,15 @@ pub fn restore_counters(snapshot: &BTreeMap<String, u64>) {
 /// `hist::merge_into_counters`); every other key is an additive delta.
 /// Zero-valued entries still create their key — a run can legitimately
 /// leave `hist.<name>.sum` at zero, and the replayed registry must carry
-/// the same keys as the original run's.
+/// the same keys as the original run's. A child scope's registry merges
+/// into its parent's by the same rule.
 ///
 /// Dynamic keys cannot use the `&'static str` thread-local fast path, so
-/// this writes through to the recorder. Like [`add`], it is dropped
-/// entirely while paused ([`pause`]): during checkpoint replay the
-/// original run's counters arrive via [`restore_counters`] instead.
+/// this writes through to the recorder.
 pub fn add_counters(entries: &BTreeMap<String, u64>) {
-    with_state(|rec, st| {
-        if rec.paused() {
-            return;
-        }
-        for (name, n) in entries {
-            if name.starts_with("hist.") && name.ends_with(".min") {
-                let e = st.counters.entry(name.clone()).or_insert(*n);
-                *e = (*e).min(*n);
-            } else if name.starts_with("hist.") && name.ends_with(".max") {
-                let e = st.counters.entry(name.clone()).or_insert(*n);
-                *e = (*e).max(*n);
-            } else {
-                *st.counters.entry(name.clone()).or_insert(0) += n;
-            }
-        }
+    with_registry(|reg| {
+        merge_counters(&mut reg.counters, entries.iter().map(|(name, &n)| (name.clone(), n)));
     });
-}
-
-/// True while a [`pause`] guard of the current recorder is live. Callers
-/// that persist counter deltas (the cross-run verdict cache) consult this
-/// to avoid storing deltas measured while recording was suspended — such
-/// a delta would be empty and would poison every later cache hit.
-pub fn is_paused() -> bool {
-    with_buf(|scope, _| scope.recorder.paused()).unwrap_or(false)
 }
 
 /// Adds `v` to the volatile (non-deterministic) metric `name`.
@@ -483,27 +512,28 @@ pub fn is_paused() -> bool {
 /// through to the recorder; it is meant for per-worker / per-run
 /// frequencies, not per-fault hot paths.
 pub fn volatile_add(name: &str, v: f64) {
-    with_state(|_, st| *st.volatiles.entry(name.to_string()).or_insert(0.0) += v);
+    with_registry(|reg| *reg.volatiles.entry(name.to_string()).or_insert(0.0) += v);
 }
 
-/// Sets the volatile metric `name` to `v` (last write wins).
+/// Sets the volatile metric `name` to `v` (last write wins). A child
+/// scope's volatile metrics merge into its parent's by addition.
 pub fn volatile_set(name: &str, v: f64) {
-    with_state(|_, st| st.volatiles.insert(name.to_string(), v));
+    with_registry(|reg| reg.volatiles.insert(name.to_string(), v));
 }
 
 /// Snapshot of all deterministic counters (this thread's buffer included).
 pub fn counters() -> BTreeMap<String, u64> {
-    with_state(|_, st| st.counters.clone())
+    with_registry(|reg| reg.counters.clone())
 }
 
 /// Snapshot of all volatile metrics (this thread's buffer included).
 pub fn volatiles() -> BTreeMap<String, f64> {
-    with_state(|_, st| st.volatiles.clone())
+    with_registry(|reg| reg.volatiles.clone())
 }
 
 /// One counter's current value (0 when never touched).
 pub fn counter(name: &str) -> u64 {
-    with_state(|_, st| st.counters.get(name).copied().unwrap_or(0))
+    with_registry(|reg| reg.counters.get(name).copied().unwrap_or(0))
 }
 
 /// A stage timer: created by [`span`] or [`span_volatile`], records on
@@ -548,7 +578,7 @@ impl Drop for Span {
                     &mut records.spans.last_mut().expect("just pushed").1
                 }
             };
-            agg.calls += u64::from(counted && !scope.recorder.paused());
+            agg.calls += u64::from(counted);
             agg.wall_ms += elapsed.as_secs_f64() * 1e3;
             agg.wall.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         });
@@ -561,7 +591,7 @@ mod tests {
 
     /// Samples in the span's volatile wall-time histogram.
     fn wall_calls(span: &str) -> Option<u64> {
-        with_state(|_, st| st.wall_hists.get(span).map(|h| h.count))
+        with_registry(|reg| reg.wall_hists.get(span).map(|h| h.count))
     }
 
     #[test]
@@ -592,16 +622,11 @@ mod tests {
         assert_eq!(back.count, 4);
         assert_eq!(back.min, 1);
         assert_eq!(back.max, 40);
-        // Merging twice accumulates; empty and paused publishes are no-ops.
+        // Merging twice accumulates; empty publishes are no-ops.
         record_hist("queue.depth", &h);
         assert_eq!(counter("hist.queue.depth.count"), 8);
         record_hist("queue.empty", &Hist::default());
         assert!(!counters().contains_key("hist.queue.empty.count"));
-        {
-            let _p = pause();
-            record_hist("queue.paused", &h);
-        }
-        assert!(!counters().contains_key("hist.queue.paused.count"));
         reset();
     }
 
@@ -630,32 +655,6 @@ mod tests {
         assert!(!counters().contains_key("span.vstage.calls"));
         assert!(volatiles().contains_key("span.vstage.wall_ms"));
         assert_eq!(wall_calls("vstage"), Some(1));
-    }
-
-    #[test]
-    fn pause_suspends_counters_but_not_volatiles() {
-        reset();
-        add("kept", 1);
-        {
-            let _p = pause();
-            add("dropped", 5);
-            add_many(&[("dropped", 2)]);
-            hist_add("dropped.hist", 3);
-            volatile_add("wall", 1.0);
-            {
-                let _p2 = pause(); // guards nest
-                add("dropped", 1);
-            }
-            add("dropped", 1);
-            let _s = span("paused.stage");
-        }
-        add("kept", 2);
-        assert_eq!(counter("kept"), 3);
-        assert_eq!(counter("dropped"), 0);
-        assert_eq!(counter("span.paused.stage.calls"), 0);
-        assert_eq!(counter("hist.dropped.hist.count"), 0);
-        assert_eq!(volatiles().get("wall"), Some(&1.0));
-        assert!(volatiles().contains_key("span.paused.stage.wall_ms"));
     }
 
     #[test]
@@ -701,30 +700,61 @@ mod tests {
     fn scopes_isolate_recorders_and_restore_on_exit() {
         reset();
         add("outer", 1);
-        let paused = pause();
         // A thread that never entered a scope got a fresh recorder.
         let other = std::thread::scope(|s| s.spawn(Scope::current).join().unwrap());
         {
             let _scope = other.enter();
-            assert!(!is_paused(), "a pause covers only its own recorder");
             assert!(counters().is_empty(), "the buffer flushed into the outer recorder first");
             add("inner", 1);
+            reset();
+            add("inner", 1);
         }
-        drop(paused);
-        assert_eq!(counters(), BTreeMap::from([("outer".to_string(), 1)]));
+        assert_eq!(counters(), BTreeMap::from([("outer".to_string(), 1)]), "reset stayed inside");
         let _scope = other.enter();
         assert_eq!(counters(), BTreeMap::from([("inner".to_string(), 1)]));
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "live PauseGuard"))]
-    fn reset_recovers_from_a_leaked_pause_guard() {
-        std::mem::forget(pause());
-        // Debug builds: the assert below fires (the leak is a bug).
-        // Release builds: reset force-clears the depth so the next run
-        // still counts.
+    fn child_scopes_record_apart_and_merge_into_the_parent_on_exit() {
         reset();
-        add("after.leak", 1);
-        assert_eq!(counter("after.leak"), 1);
+        add("both", 1);
+        hist_add("h", 5);
+        {
+            let _child = child_scope();
+            assert!(counters().is_empty(), "a child starts with an empty registry");
+            add("both", 2);
+            hist_add("h", 3);
+            hist_add("h", 9);
+            volatile_add("wall", 1.5);
+            let scope = Scope::current();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _scope = scope.enter();
+                    add("worker", 4);
+                });
+            });
+            assert_eq!(counter("worker"), 4, "workers that enter the child record there");
+            assert_eq!(counter("hist.h.min"), 3, "the child's own extremes");
+        }
+        let merged = counters();
+        assert_eq!(merged.get("both"), Some(&3));
+        assert_eq!(merged.get("worker"), Some(&4));
+        assert_eq!(merged.get("hist.h.count"), Some(&3));
+        assert_eq!(merged.get("hist.h.min"), Some(&3), "extremes merge by min");
+        assert_eq!(merged.get("hist.h.max"), Some(&9), "extremes merge by max");
+        assert_eq!(volatiles().get("wall"), Some(&1.5));
+    }
+
+    #[test]
+    fn a_child_shares_its_roots_trace() {
+        reset();
+        trace::start();
+        {
+            let _child = child_scope();
+            assert!(trace::enabled(), "the root's trace switch covers its children");
+            let _s = span("child.stage");
+        }
+        let names: Vec<&str> = trace::stop().events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["child.stage"]);
     }
 }

@@ -314,15 +314,15 @@ impl Run {
     /// is summarised into `timings` as `span.<name>.ms_p50` / `.ms_p90` /
     /// `.ms_max` (quantiles are bucket-interpolated, see [`crate::hist`]).
     pub fn finish(self) -> Manifest {
-        let (counters, timings) = crate::with_state(|_, st| {
-            let t = &mut st.volatiles;
+        let (counters, timings) = crate::with_registry(|reg| {
+            let t = &mut reg.volatiles;
             t.insert("run.wall_ms".to_string(), self.start.elapsed().as_secs_f64() * 1e3);
-            for (name, h) in st.wall_hists.iter().filter(|(_, h)| !h.is_empty()) {
+            for (name, h) in reg.wall_hists.iter().filter(|(_, h)| !h.is_empty()) {
                 t.insert(format!("span.{name}.ms_p50"), h.quantile(0.5) as f64 / 1e6);
                 t.insert(format!("span.{name}.ms_p90"), h.quantile(0.9) as f64 / 1e6);
                 t.insert(format!("span.{name}.ms_max"), h.max as f64 / 1e6);
             }
-            (st.counters.clone(), t.clone())
+            (reg.counters.clone(), t.clone())
         });
         let Run { name, seed, results, .. } = self;
         Manifest { schema: SCHEMA_VERSION, name, seed, counters, results, timings }

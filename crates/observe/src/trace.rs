@@ -5,13 +5,13 @@
 //! # Model
 //!
 //! Tracing is off by default and costs one relaxed atomic load per span.
-//! [`start`] arms the current recorder's trace (see the crate root's
-//! scopes); from then on every [`crate::Span`] drop — and every [`zone`]
-//! guard — on a thread of that scope appends one *complete event* (name,
-//! thread id, start offset, duration, optional numeric id) to the
-//! thread's buffer. The buffer moves into the recorder whenever the thread
-//! flushes (reads, scope exits, thread exit), and [`stop`] disarms
-//! tracing and returns the collected [`Trace`].
+//! [`start`] arms the trace of the current recorder's root (see the crate
+//! root's scopes); from then on every [`crate::Span`] drop — and every
+//! [`zone`] guard — on a thread of that scope or of a child scope appends
+//! one *complete event* (name, thread id, start offset, duration, optional
+//! numeric id) to the thread's buffer. The buffer moves into the root
+//! whenever the thread flushes (reads, scope exits, thread exit), and
+//! [`stop`] disarms tracing and returns the collected [`Trace`].
 //!
 //! Parent/child nesting is not stored explicitly: complete events carry
 //! start + duration, and containment within one thread's timeline *is* the
@@ -67,29 +67,29 @@ pub(crate) fn anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
 
-/// True when the current recorder's trace is armed.
+/// True when the current root's trace is armed.
 pub fn enabled() -> bool {
-    crate::with_buf(|scope, _| scope.recorder.tracing.load(Ordering::Relaxed)).unwrap_or(false)
+    crate::with_buf(|scope, _| scope.recorder.root.tracing.load(Ordering::Relaxed)).unwrap_or(false)
 }
 
-/// Arms the current recorder's trace: clears previously collected events
+/// Arms the current root's trace: clears previously collected events
 /// and pins the time anchor. Call it before the traced region; threads
 /// that enter this scope record into the same trace.
 pub fn start() {
     let _ = anchor();
-    crate::with_state(|rec, st| {
+    crate::with_root(|root, st| {
         st.trace.clear();
-        rec.tracing.store(true, Ordering::SeqCst);
+        root.tracing.store(true, Ordering::SeqCst);
     });
 }
 
-/// Disarms the current recorder's trace and returns everything collected
+/// Disarms the current root's trace and returns everything collected
 /// since [`start`], the calling thread's buffer included (workers that
 /// entered the scope published theirs when they left it). Events are
 /// sorted by (thread, start, longest-first) so nesting reads top-down.
 pub fn stop() -> Trace {
-    let mut collected = crate::with_state(|rec, st| {
-        rec.tracing.store(false, Ordering::SeqCst);
+    let mut collected = crate::with_root(|root, st| {
+        root.tracing.store(false, Ordering::SeqCst);
         std::mem::take(&mut st.trace)
     });
     collected.sort_by(|a, b| {

@@ -4,13 +4,12 @@
 //! An [`InjectionPlan`] names the exact sites where the flow must fail:
 //! the *n*-th `PDesign()` call rejects, the PODEM search for global fault
 //! *i* of ATPG run *r* is skipped (the fault goes straight to the SAT
-//! prover), shard *s* of run *r* errors, a
-//! `PDesign()` call reports inflated timing, the *n*-th server worker
-//! pickup crashes, the *n*-th flow checkpoint write fails, or the *n*-th
-//! server submission is shed as if the queue were full. Sites are keyed
-//! by deterministic serial ordinals (call counts, fault indices, shard
-//! indices), never by wall-clock or thread identity, so an injected
-//! failure fires at the same place on every run and every thread count.
+//! prover), a `PDesign()` call reports inflated timing, the *n*-th server
+//! worker pickup crashes, the *n*-th flow checkpoint write fails, or the
+//! *n*-th server submission is shed as if the queue were full. Sites are
+//! keyed by deterministic serial ordinals (call counts, fault indices),
+//! never by wall-clock or thread identity, so an injected failure fires at
+//! the same place on every run and every thread count.
 //!
 //! [`arm`] installs a plan process-globally and returns an [`ArmedPlan`]
 //! guard; dropping the guard disarms injection. The guard also holds a
@@ -19,10 +18,10 @@
 //! query site.
 //!
 //! Every fired site bumps its `inject.fired.*` counter (see
-//! [`FATE_COUNTERS`]) *and* a pause-immune tally readable via
-//! [`ArmedPlan::fired_counts`] — the latter survives
-//! `rsyn_observe::pause()` windows (checkpoint replay) that drop
-//! counter increments process-wide.
+//! [`FATE_COUNTERS`]) in the current `rsyn_observe` scope *and* a
+//! process-wide tally readable via [`ArmedPlan::fired_counts`] — the
+//! latter counts across scopes, and across the counter restore of a
+//! checkpoint resume.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,8 +32,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 /// All ordinals are 0-based and deterministic: `pdesign` ordinals count
 /// `physical_design_in` calls process-wide since arming; ATPG run ordinals
 /// count `run_atpg` entries since arming; fault indices are positions in
-/// the run's full fault list; shard indices are positions in the run's
-/// deterministic shard split; worker-crash ordinals count job executions
+/// the run's full fault list; worker-crash ordinals count job executions
 /// picked up by server workers; checkpoint ordinals count flow checkpoint
 /// writes; queue-full ordinals count server submissions.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -52,9 +50,6 @@ pub struct InjectionPlan {
     /// prover, which exercises the path a genuine backtrack-limit hit
     /// takes. Consume-once.
     pub podem_aborts: BTreeSet<(u64, u64)>,
-    /// `(atpg run ordinal, shard index)` pairs whose first execution
-    /// fails; the engine's shard retry then recovers them.
-    pub shard_failures: BTreeSet<(u64, u64)>,
     /// Server job-execution ordinals whose worker panics before running
     /// the flow; the server's `catch_unwind` containment requeues them.
     pub worker_crashes: BTreeSet<u64>,
@@ -111,12 +106,6 @@ impl InjectionPlan {
         self
     }
 
-    /// Fails shard `shard` of ATPG run `run` on its first execution.
-    pub fn fail_shard(mut self, run: u64, shard: u64) -> Self {
-        self.shard_failures.insert((run, shard));
-        self
-    }
-
     /// Crashes the worker picking up the `ordinal`-th job execution.
     pub fn crash_worker(mut self, ordinal: u64) -> Self {
         self.worker_crashes.insert(ordinal);
@@ -164,7 +153,6 @@ impl InjectionPlan {
         self.pdesign_rejects.is_empty()
             && self.pdesign_inflations.is_empty()
             && self.podem_aborts.is_empty()
-            && self.shard_failures.is_empty()
             && self.worker_crashes.is_empty()
             && self.checkpoint_write_failures.is_empty()
             && self.queue_full.is_empty()
@@ -178,11 +166,10 @@ impl InjectionPlan {
 /// Every `inject.fired.*` counter an armed plan can bump, one per fate.
 /// The injection-site completeness test iterates this list to prove no
 /// site has gone dead.
-pub const FATE_COUNTERS: [&str; 11] = [
+pub const FATE_COUNTERS: [&str; 10] = [
     "inject.fired.pdesign_reject",
     "inject.fired.pdesign_inflate",
     "inject.fired.podem_abort",
-    "inject.fired.shard",
     "inject.fired.worker_crash",
     "inject.fired.checkpoint_write",
     "inject.fired.queue_full",
@@ -196,9 +183,7 @@ struct ActivePlan {
     plan: InjectionPlan,
     /// `(run, fault)` aborts already fired (consume-once).
     fired_aborts: BTreeSet<(u64, u64)>,
-    /// `(run, shard)` failures already fired (consume-once).
-    fired_shards: BTreeSet<(u64, u64)>,
-    /// Pause-immune per-fate tallies, keyed by [`FATE_COUNTERS`] names.
+    /// Process-wide per-fate tallies, keyed by [`FATE_COUNTERS`] names.
     fired: BTreeMap<&'static str, u64>,
 }
 
@@ -232,7 +217,7 @@ fn session() -> &'static Mutex<()> {
     SESSION.get_or_init(|| Mutex::new(()))
 }
 
-/// Bumps the pause-immune tally under `guard`, then (after releasing the
+/// Bumps the process-wide tally under `guard`, then (after releasing the
 /// lock) the deterministic counter of the same name.
 fn record_fired(mut guard: MutexGuard<'static, Option<ActivePlan>>, name: &'static str) {
     if let Some(active) = guard.as_mut() {
@@ -251,10 +236,12 @@ pub struct ArmedPlan {
 }
 
 impl ArmedPlan {
-    /// Pause-immune per-fate fired tallies, keyed by the
+    /// Per-fate fired tallies since arming, keyed by the
     /// [`FATE_COUNTERS`] names. Unlike the `inject.fired.*` counters,
-    /// these survive process-global `rsyn_observe::pause()` windows, so
-    /// they are the authoritative record of which sites actually fired.
+    /// which land in the scope a site fired in (a server job's own
+    /// scope, replaced by its checkpoint snapshot on resume), these are
+    /// the process-wide tally across scopes and resumes: the
+    /// authoritative record of which sites actually fired.
     pub fn fired_counts(&self) -> BTreeMap<&'static str, u64> {
         active_lock().as_ref().map(|a| a.fired.clone()).unwrap_or_default()
     }
@@ -273,12 +260,8 @@ impl Drop for ArmedPlan {
 /// previously armed plan is dropped.
 pub fn arm(plan: InjectionPlan) -> ArmedPlan {
     let session = session().lock().unwrap_or_else(PoisonError::into_inner);
-    *active_lock() = Some(ActivePlan {
-        plan,
-        fired_aborts: BTreeSet::new(),
-        fired_shards: BTreeSet::new(),
-        fired: BTreeMap::new(),
-    });
+    *active_lock() =
+        Some(ActivePlan { plan, fired_aborts: BTreeSet::new(), fired: BTreeMap::new() });
     PDESIGN_ORDINAL.store(0, Ordering::SeqCst);
     ATPG_ORDINAL.store(0, Ordering::SeqCst);
     WORKER_ORDINAL.store(0, Ordering::SeqCst);
@@ -297,7 +280,7 @@ pub fn is_armed() -> bool {
 /// Claims the next ATPG run ordinal (0 when injection is disarmed).
 ///
 /// Called once per `run_atpg` entry; the returned ordinal keys
-/// [`should_abort_podem`] and [`should_fail_shard`] for that run.
+/// [`should_abort_podem`] for that run.
 pub fn next_atpg_run() -> u64 {
     if !is_armed() {
         return 0;
@@ -353,22 +336,6 @@ pub fn should_abort_podem(run: u64, fault_index: u64) -> bool {
     let key = (run, fault_index);
     if active.plan.podem_aborts.contains(&key) && active.fired_aborts.insert(key) {
         record_fired(guard, "inject.fired.podem_abort");
-        return true;
-    }
-    false
-}
-
-/// True when shard `shard` of ATPG run `run` must fail this execution.
-/// Consume-once per site: the engine's retry of the same shard succeeds.
-pub fn should_fail_shard(run: u64, shard: u64) -> bool {
-    if !is_armed() {
-        return false;
-    }
-    let mut guard = active_lock();
-    let Some(active) = guard.as_mut() else { return false };
-    let key = (run, shard);
-    if active.plan.shard_failures.contains(&key) && active.fired_shards.insert(key) {
-        record_fired(guard, "inject.fired.shard");
         return true;
     }
     false
@@ -501,7 +468,6 @@ mod tests {
         let _session = session().lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(pdesign_fate(), PdesignFate::Normal);
         assert!(!should_abort_podem(0, 0));
-        assert!(!should_fail_shard(0, 0));
         assert!(!should_crash_worker());
         assert!(!should_fail_checkpoint_write());
         assert!(!should_shed_submit());
@@ -511,11 +477,7 @@ mod tests {
 
     #[test]
     fn plan_fires_at_exact_ordinals_and_consumes_once() {
-        let plan = InjectionPlan::new()
-            .reject_pdesign(1)
-            .inflate_pdesign(2)
-            .abort_podem(0, 7)
-            .fail_shard(1, 0);
+        let plan = InjectionPlan::new().reject_pdesign(1).inflate_pdesign(2).abort_podem(0, 7);
         let armed = arm(plan);
         assert!(is_armed());
 
@@ -528,14 +490,10 @@ mod tests {
         assert!(!should_abort_podem(0, 7), "abort sites are consume-once");
         assert!(!should_abort_podem(0, 8));
 
-        assert!(should_fail_shard(1, 0));
-        assert!(!should_fail_shard(1, 0), "shard sites are consume-once");
-
         let fired = armed.fired_counts();
         assert_eq!(fired.get("inject.fired.pdesign_reject"), Some(&1));
         assert_eq!(fired.get("inject.fired.pdesign_inflate"), Some(&1));
         assert_eq!(fired.get("inject.fired.podem_abort"), Some(&1));
-        assert_eq!(fired.get("inject.fired.shard"), Some(&1));
 
         drop(armed);
         assert!(!is_armed());

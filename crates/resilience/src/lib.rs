@@ -12,7 +12,7 @@
 //! * [`inject`] — a deterministic failure-injection registry (in the
 //!   spirit of SYNFI's systematic pre-silicon fault injection): keyed by
 //!   the run seed, it forces `PDesign()` rejections, PODEM aborts,
-//!   worker-shard failures, and timing inflation at chosen call ordinals
+//!   timing inflation and server-side failures at chosen call ordinals
 //!   so recovery paths can be exercised end-to-end in CI;
 //! * [`retry`] — the deterministic, jittered [`BackoffPolicy`] the flow
 //!   service spaces its retries with;

@@ -791,9 +791,11 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
         let crash = inject::should_crash_worker();
         let fate = inject::job_fate(job.key);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            // Everything the flow publishes inside this scope — stages,
-            // iterations, shards, checkpoints — attributes to this job,
-            // and leaving it publishes the execution's records.
+            // Everything the flow publishes inside this child scope —
+            // stages, iterations, shards, checkpoints — attributes to this
+            // job; it counts into the job's own registry (the one its
+            // checkpoints snapshot and a resume restores), which merges
+            // into the server's when the scope ends.
             let _job_scope = events::job_scope(job.key);
             let _zone = rsyn_observe::trace::zone("server.job.execute", job.key as u64);
             if crash || fate == JobFate::Poison {

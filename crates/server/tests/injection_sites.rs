@@ -20,11 +20,10 @@ use rsyn_server::{job_key, JobOutcome, JobSpec, Server, ServerConfig, SubmitVerd
 
 /// Fates exercised by the flow-path scenario below; the remainder (the
 /// durability fates) are covered by `durability_fates_fire_exactly_once`.
-const FLOW_FATES: [&str; 7] = [
+const FLOW_FATES: [&str; 6] = [
     "inject.fired.pdesign_reject",
     "inject.fired.pdesign_inflate",
     "inject.fired.podem_abort",
-    "inject.fired.shard",
     "inject.fired.worker_crash",
     "inject.fired.checkpoint_write",
     "inject.fired.queue_full",
@@ -56,14 +55,13 @@ fn every_injection_fate_fires_exactly_once() {
     // the worker (no flow ordinals consumed), the retry then runs the
     // job: PDesign ordinal 0 is the seed analysis, 1 the first candidate
     // (rejected), 2 the second (delay-inflated); ATPG run ordinal 0 is
-    // the seed analysis (PODEM abort + shard failure); checkpoint-write
+    // the seed analysis (PODEM abort); checkpoint-write
     // ordinal 0 is the first accepted iteration; submit ordinal 0 is the
     // first submission (shed, client retries).
     let plan = InjectionPlan::new()
         .reject_pdesign(1)
         .inflate_pdesign(2)
         .abort_podem(0, podem_fault)
-        .fail_shard(0, 0)
         .crash_worker(0)
         .fail_checkpoint_write(0)
         .reject_submit(0);
@@ -101,7 +99,8 @@ fn every_injection_fate_fires_exactly_once() {
     assert_eq!(stats.failed, 0, "{stats:?}");
 
     // Every flow-path fate fired, each exactly once — read through the
-    // armed plan's own tally, which is immune to counter pauses.
+    // armed plan's own process-wide tally, which no scope or counter
+    // restore can hide.
     let fired = armed.fired_counts();
     for name in FLOW_FATES {
         assert_eq!(

@@ -144,7 +144,7 @@ run_gates() {
     "$SMOKE_DIR/ablation/manifest-ablation_library.json" \
     "$SMOKE_DIR/ablation/manifest-ablation_library.json"
 
-  echo "== failure-injection smoke gate (forced rejection/inflation/abort/shard loss)"
+  echo "== failure-injection smoke gate (forced rejection/inflation/abort)"
   # The resilient flow driver must absorb every injected failure (the bin
   # itself asserts recovery and that backtracking ran), and the injected run
   # must stay deterministic across worker counts and match its baseline.
@@ -200,6 +200,16 @@ run_gates() {
     target/release/table1 --threads 1 sparc_tlu >/dev/null
   "$CHECK" --determinism --ignore cache. --require cache.corrupt "${DECIDED[@]}" \
     "$SMOKE_DIR/c1/manifest-table1.json" "$SMOKE_DIR/wc/manifest-table1.json"
+  # Every analysis a process runs is stored, not only its first: a warm
+  # default Table I (four circuits, four analyses, one process) must serve
+  # all four from the cache — no miss — and print the committed table.
+  TABLE1_CACHE="$SMOKE_DIR/cache-table1"
+  RSYN_CACHE_DIR="$TABLE1_CACHE" RSYN_MANIFEST_DIR="$SMOKE_DIR/t1c" \
+    target/release/table1 --threads 2 >/dev/null
+  RSYN_CACHE_DIR="$TABLE1_CACHE" RSYN_MANIFEST_DIR="$SMOKE_DIR/t1w" \
+    target/release/table1 --threads 2 | diff results/table1.txt -
+  "$CHECK" --determinism --ignore cache. --require cache.hit --zero cache.miss "${DECIDED[@]}" \
+    "$SMOKE_DIR/t1c/manifest-table1.json" "$SMOKE_DIR/t1w/manifest-table1.json"
 
   echo "== perf-trajectory gate (structured tracing + BENCH_flow regression bands)"
   # A traced flow run must emit a non-empty Chrome trace, its BENCH_flow.json

@@ -142,6 +142,34 @@ fn cold_warm_and_disabled_runs_are_byte_equivalent() {
 }
 
 #[test]
+fn every_cold_run_of_a_process_is_stored() {
+    let _cache = cache_lock();
+    let options = AtpgOptions::default().with_threads(2);
+    let circuits = [random_netlist(0xA11CE, 26, 6), random_netlist(0xB0B, 22, 5)];
+    let subjects: Vec<(&Netlist, Vec<Fault>)> =
+        circuits.iter().map(|nl| (nl, gate_output_faults(nl))).collect();
+    let disabled: Vec<_> =
+        subjects.iter().map(|(nl, faults)| measured_run(nl, faults, &options)).collect();
+
+    with_scratch_cache(|_root| {
+        // Both cold runs record into one recorder, the second on top of the
+        // first's counters and histograms.
+        rsyn_observe::reset();
+        for (nl, faults) in &subjects {
+            run_atpg(nl, &nl.comb_view().unwrap(), faults, &options);
+        }
+        assert_eq!(rsyn_observe::counter("cache.miss"), 2, "both cold runs miss");
+
+        rsyn::cache::clear_memory();
+        for (i, ((nl, faults), disabled)) in subjects.iter().zip(&disabled).enumerate() {
+            let warm = measured_run(nl, faults, &options);
+            assert_eq!(rsyn_observe::counter("cache.hit"), 1, "circuit {i}: warm run must hit");
+            assert_equivalent(&format!("circuit {i}: warm(disk) vs disabled"), &warm, disabled);
+        }
+    });
+}
+
+#[test]
 fn warm_hits_are_thread_count_independent() {
     let _cache = cache_lock();
     let nl = random_netlist(0xBEEF, 24, 6);

@@ -332,7 +332,7 @@ proptest! {
         let before = run_atpg(&nl, &old_view, &old_faults, &options);
         let new_view = new_nl.comb_view().unwrap();
         let full = run_atpg(&new_nl, &new_view, &new_faults, &options);
-        let previous = PreviousEvaluation { faults: &old_faults, result: &before };
+        let previous = PreviousEvaluation::new(&old_faults, &before);
         let mut inc =
             run_atpg_incremental(&new_nl, &new_view, &new_faults, &options, &previous, &new_gates);
         for (i, (got, want)) in inc.statuses.iter().zip(&full.statuses).enumerate() {
