@@ -133,10 +133,7 @@ mod tests {
             })
             .collect();
         let view = nl.comb_view().unwrap();
-        let result = {
-            let _session = crate::injection_session();
-            run_atpg(&nl, &view, &faults, &AtpgOptions::default())
-        };
+        let result = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
         (nl, faults, result)
     }
 

@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsyn_netlist::{CombView, LaneBlock, Netlist, SimArena, LANES, LANE_WORDS};
-use rsyn_resilience::inject;
 
 use crate::fault::{Fault, FaultKind, FaultStatus};
 use crate::podem::{Podem, PodemOutcome, Target};
@@ -246,7 +245,6 @@ fn run_atpg_uncached(
     options: &AtpgOptions,
 ) -> AtpgResult {
     let _span = rsyn_observe::span("atpg.run");
-    let run_ordinal = inject::next_atpg_run();
     // One flat simulation arena per run, shared read-only by every shard's
     // fault simulator (volatile span: timing only, no deterministic counter).
     let arena = {
@@ -265,7 +263,7 @@ fn run_atpg_uncached(
                 &arena,
                 &faults[span.clone()],
                 options,
-                ShardIdentity { index: i, base_fault: span.start, run_ordinal },
+                ShardIdentity { index: i, base_fault: span.start },
             ));
             rsyn_observe::events::publish(rsyn_observe::events::FlowEvent::ShardDone {
                 shard: i as u64,
@@ -300,7 +298,7 @@ fn run_atpg_uncached(
                             arena,
                             &faults[span.clone()],
                             options,
-                            ShardIdentity { index: i, base_fault: span.start, run_ordinal },
+                            ShardIdentity { index: i, base_fault: span.start },
                         );
                         *slots[i].lock().expect("shard slot") = Some(part);
                         rsyn_observe::events::publish(rsyn_observe::events::FlowEvent::ShardDone {
@@ -358,17 +356,13 @@ fn run_atpg_uncached(
 }
 
 /// Deterministic coordinates of a shard within its ATPG run — the keys
-/// the shard's RNG stream, injected PODEM aborts and the trace zones are
-/// addressed by.
+/// the shard's RNG stream and the trace zones are addressed by.
 #[derive(Clone, Copy)]
 struct ShardIdentity {
     /// Shard index within the run's deterministic split.
     index: usize,
     /// Global index of the shard's first fault.
     base_fault: usize,
-    /// Serial ordinal of the owning `run_atpg` call (0 when injection is
-    /// disarmed).
-    run_ordinal: u64,
 }
 
 /// Whether the fault simulator detects `fault` with `patterns` loaded in
@@ -583,13 +577,8 @@ fn run_shard(
         let fault_zone = rsyn_observe::trace::zone("atpg.fault", global);
         let backtracks_before = podem.backtracks();
         let decisions_before = podem.decisions();
-        // An injected abort skips the PODEM attempt entirely and sends the
-        // fault to SAT, the path a genuine backtrack-limit hit takes.
-        let (detected, aborted) = if inject::should_abort_podem(id.run_ordinal, global) {
-            (false, true)
-        } else {
-            attempt_fault(&mut podem, &mut narrow_sim, &mut tests, &mut drop_buffer, fault, npis)
-        };
+        let (detected, aborted) =
+            attempt_fault(&mut podem, &mut narrow_sim, &mut tests, &mut drop_buffer, fault, npis);
         rsyn_observe::hist_add(
             "atpg.podem.backtracks_per_fault",
             podem.backtracks() - backtracks_before,
@@ -956,7 +945,6 @@ mod tests {
 
     #[test]
     fn full_run_classifies_every_fault() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -985,7 +973,6 @@ mod tests {
     /// Every detected fault must actually be detected by the final test set.
     #[test]
     fn final_test_set_covers_all_detected_faults() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1000,7 +987,6 @@ mod tests {
 
     #[test]
     fn compaction_shrinks_or_keeps_test_count() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1013,7 +999,6 @@ mod tests {
 
     #[test]
     fn cell_aware_and_bridge_and_transition_mix() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let fa0: GateId = nl.find_gate("fa0").unwrap();
@@ -1036,7 +1021,6 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let faults = all_stuck_at(&nl);
@@ -1048,7 +1032,6 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         // Replicate the fault list so it spans several shards.
@@ -1096,7 +1079,6 @@ mod tests {
 
     #[test]
     fn sharded_run_covers_all_detected() {
-        let _session = crate::injection_session();
         let nl = build_circuit();
         let view = nl.comb_view().unwrap();
         let base = all_stuck_at(&nl);
@@ -1112,41 +1094,6 @@ mod tests {
                 assert!(covered[fi], "fault {fi} uncovered after sharded run");
             }
         }
-    }
-
-    #[test]
-    fn injected_podem_abort_is_decided_by_sat() {
-        let nl = build_circuit();
-        let view = nl.comb_view().unwrap();
-        let faults = all_stuck_at(&nl);
-        let options = AtpgOptions::default();
-        rsyn_observe::reset();
-        let reference = {
-            let _session = crate::injection_session();
-            run_atpg(&nl, &view, &faults, &options)
-        };
-        // Abort sites must be faults that reach PODEM: no random pattern
-        // detects a fault the reference run proved undetectable (the
-        // redundant cone holds several).
-        let sites: Vec<usize> = reference.undetectable_indices().into_iter().take(2).collect();
-        assert_eq!(sites.len(), 2, "the test circuit has two undetectable faults");
-        assert_eq!(rsyn_observe::counter("atpg.sat.calls"), 0, "PODEM decides the reference");
-
-        rsyn_observe::reset();
-        let plan = sites
-            .iter()
-            .fold(inject::InjectionPlan::new(), |plan, &fi| plan.abort_podem(0, fi as u64));
-        let armed = inject::arm(plan);
-        let r = run_atpg(&nl, &view, &faults, &options);
-        drop(armed);
-        // SAT decides the aborted faults: the result matches the
-        // uninjected run exactly, and both proofs are SAT's.
-        assert_eq!(r.statuses, reference.statuses);
-        assert_eq!(rsyn_observe::counter("atpg.sat.calls"), 2);
-        assert_eq!(rsyn_observe::counter("atpg.sat.undetectable"), 2);
-        assert_eq!(rsyn_observe::counter("atpg.proof.sat"), 2);
-        assert_eq!(rsyn_observe::counter("atpg.sat.unconfirmed"), 0);
-        assert_eq!(rsyn_observe::counter("inject.fired.podem_abort"), 2);
     }
 
     /// SAT reaches the same verdict as the engine's PODEM-and-SAT run for
@@ -1166,10 +1113,7 @@ mod tests {
             Fault::external(FaultKind::Transition { net: s0, rising: true }, 3),
             Fault::external(FaultKind::Transition { net: r_net, rising: true }, 3),
         ]);
-        let result = {
-            let _session = crate::injection_session();
-            run_atpg(&nl, &view, &faults, &AtpgOptions::default())
-        };
+        let result = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
         let mut prover = SatAtpg::new(&nl, &view);
         let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
         for (fi, fault) in faults.iter().enumerate() {

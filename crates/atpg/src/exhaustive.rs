@@ -155,10 +155,7 @@ mod tests {
                 }
             }
         }
-        let result = {
-            let _session = crate::injection_session();
-            run_atpg(&nl, &view, &faults, &AtpgOptions::default())
-        };
+        let result = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
         for (fi, fault) in faults.iter().enumerate() {
             let truth = exhaustive_detectable(&nl, &view, fault).expect("small circuit");
             match result.statuses[fi] {

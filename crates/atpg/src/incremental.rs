@@ -20,8 +20,9 @@
 //!    tests (one reverse fault-simulation pass, the one compaction uses);
 //!    the kinds they detect are Detected.
 //! 3. Only the kinds no previous test detects go through [`run_atpg`]
-//!    (random phase, PODEM, SAT): one call per incremental run, so the ATPG
-//!    run ordinals that injection plans address stay where they are.
+//!    (random phase, PODEM, SAT): one call per incremental run, so
+//!    `atpg.runs` and the gated manifests count one run per candidate,
+//!    whatever the number of re-run kinds.
 //!
 //! The result's tests are the previous tests followed by the new ones,
 //! neither verified nor compacted: a candidate is scored on its verdicts
@@ -302,7 +303,6 @@ mod tests {
 
     #[test]
     fn incremental_matches_full_run() {
-        let _session = crate::injection_session();
         let nl = split_circuit();
         let view = nl.comb_view().unwrap();
         let faults = stuck_at_faults(&nl);
@@ -345,7 +345,6 @@ mod tests {
 
     #[test]
     fn new_faults_always_rerun() {
-        let _session = crate::injection_session();
         let nl = split_circuit();
         let view = nl.comb_view().unwrap();
         let faults = stuck_at_faults(&nl);
@@ -464,7 +463,6 @@ mod tests {
                 ..AtpgOptions::default()
             };
 
-            let _session = crate::injection_session();
             rsyn_observe::reset();
             let want = verify_and_compact_reference(
                 &nl, &view, &faults, &options, statuses.clone(), tests.clone(),

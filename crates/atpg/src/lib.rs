@@ -8,8 +8,9 @@
 //! * [`value`] — the 5-valued D-algebra as (good, faulty) 3-valued pairs;
 //! * [`fault`] — stuck-at, transition, wired-AND/OR bridging, and
 //!   cell-aware (UDFM) fault models with DFM provenance;
-//! * [`sim`] — 64-lane parallel good/fault simulation with cone-limited
-//!   event propagation;
+//! * [`sim`] — bit-parallel good/fault simulation, 256 lanes per pass by
+//!   default ([`rsyn_netlist::LaneBlock`]), with cone-limited event
+//!   propagation;
 //! * [`podem`] — a complete PODEM implementation (objective, backtrace,
 //!   forward implication, X-path check) for arbitrary library cells; search
 //!   exhaustion is an undetectability *proof*, and a search that hits the
@@ -72,11 +73,3 @@ pub use sim::FaultSim;
 pub use tester::TesterTime;
 pub use testset::{Pattern, TestSet};
 pub use value::{Tri, Val};
-
-/// Serialises a test's ATPG runs with the tests that arm injection plans:
-/// run ordinals are process-global, so an unarmed run could otherwise
-/// claim the ordinal an armed test's plan targets.
-#[cfg(test)]
-fn injection_session() -> rsyn_resilience::inject::ArmedPlan {
-    rsyn_resilience::inject::arm(rsyn_resilience::inject::InjectionPlan::new())
-}

@@ -15,12 +15,8 @@
 //! scope, whose own deterministic counters are stored with the result and
 //! replayed through [`rsyn_observe::add_counters`] on a hit (only
 //! `cache.*` counters, recorded outside the child, diverge between a cold
-//! and a warm run). Situations where that contract cannot hold bypass the
-//! cache entirely:
-//!
-//! * failure injection armed — injected PODEM aborts are keyed by ATPG run
-//!   ordinals, and they change the run's counters;
-//! * a fault net/gate outside the canonical view — no stable code exists.
+//! and a warm run). A run with a fault net or gate outside the canonical
+//! view has no stable code, so it bypasses the cache entirely.
 
 use std::collections::BTreeMap;
 
@@ -234,8 +230,7 @@ pub(crate) fn run_cached(
     options: &AtpgOptions,
     compute: impl FnOnce() -> AtpgResult,
 ) -> AtpgResult {
-    use rsyn_resilience::inject;
-    if !rsyn_cache::enabled() || inject::is_armed() {
+    if !rsyn_cache::enabled() {
         return compute();
     }
     let Some(key) = verdict_key(nl, view, faults, options) else {

@@ -42,7 +42,7 @@ use rsyn_circuits::build_benchmark_with;
 use rsyn_core::{run, FlowContext, FlowOptions};
 use rsyn_netlist::Netlist;
 use rsyn_observe::manifest::Run;
-use rsyn_resilience::inject::{self, InjectionPlan};
+use rsyn_server::inject::{self, InjectionPlan};
 use rsyn_server::{
     digest_fingerprint, job_key, replay, report_digest, JobJournal, JobSpec, Server, ServerConfig,
     TerminalKind,

@@ -1,19 +1,13 @@
-//! Failure-injection and checkpoint/resume smoke gate for the resilient
-//! flow (`rsyn_core::run`).
+//! Smoke gate for the resilient flow driver (`rsyn_core::run`) and its
+//! checkpoint/resume.
 //!
 //! Modes:
 //!
-//! * `resilience_smoke [--threads N] [circuit]` — clean run with
-//!   per-iteration checkpoints (when `--checkpoint-dir` is set).
-//! * `resilience_smoke --inject …` — same run under a deterministic
-//!   injection plan: one forced `PDesign()` rejection at the first
-//!   candidate evaluation, a stretch of inflated-delay evaluations that
-//!   drives the Section III-C backtracking path, and forced PODEM aborts
-//!   at faults a probe analysis saw reach PODEM (each then goes straight
-//!   to the SAT prover). The run must still
-//!   return `Ok` with a best-so-far design, and the manifest must be
-//!   byte-identical across `--threads 1` and `--threads 4`.
-//! * `resilience_smoke --resume <checkpoint.json> …` — resumes a clean
+//! * `resilience_smoke [--threads N] [circuit]` — a run through the
+//!   driver, with per-iteration checkpoints when `--checkpoint-dir` is
+//!   set. It must return `Ok` and accept an iteration, and its manifest
+//!   must be byte-identical across `--threads 1` and `--threads 4`.
+//! * `resilience_smoke --resume <checkpoint.json> …` — resumes a
 //!   checkpointed run; the continuation must re-write byte-identical
 //!   checkpoints and land on the byte-identical stable manifest.
 //!
@@ -24,50 +18,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rsyn_atpg::FaultStatus;
 use rsyn_bench::{context_with_threads, threads_flag, write_manifest};
 use rsyn_circuits::build_benchmark_with;
-use rsyn_core::flow::{DesignState, FlowContext};
+use rsyn_core::flow::FlowContext;
 use rsyn_core::run::{run, run_resumed, FlowOptions, FlowReport};
 use rsyn_netlist::Netlist;
 use rsyn_observe::manifest::Run;
-use rsyn_resilience::{inject, Checkpoint};
-
-/// The injection plan of the smoke gate. Ordinal 0 is the seed analysis;
-/// ordinal 2 is a candidate whose inflated delay makes it
-/// accepting-but-constraint-violating, and inflating ordinal 3 defeats the
-/// timing-driven retry, which forces the Section III-C backtracking
-/// procedure (and its `resynth.backtrack_shrinks` counter) to run.
-/// Ordinal 5, a later evaluation, is rejected outright; the others stay
-/// clean so the flow can still converge to an accepted design. The
-/// ordinals follow the flow's trajectory on `sparc_tlu`, which depends on
-/// its verdicts: a change that moves `U` may need them re-chosen. The first
-/// ATPG run (the seed analysis) skips PODEM for `podem_faults`, so the SAT
-/// prover decides them.
-fn smoke_plan(podem_faults: &[u64]) -> inject::InjectionPlan {
-    let mut plan = inject::InjectionPlan::new()
-        .reject_pdesign(5)
-        .inflation_percent(300)
-        .inflate_pdesign(2)
-        .inflate_pdesign(3);
-    for &fault in podem_faults {
-        plan = plan.abort_podem(0, fault);
-    }
-    plan
-}
-
-/// The first eight faults the seed analysis proves undetectable: no random
-/// pattern detects them, so each is queried before PODEM runs. The probe
-/// analysis runs on a thread of its own, so it records into that thread's
-/// recorder, not into the smoke's manifest.
-fn podem_sites(nl: &Netlist, ctx: &FlowContext) -> Vec<u64> {
-    let probe = || {
-        let statuses = DesignState::analyze(nl.clone(), ctx, None).expect("seed").atpg.statuses;
-        let proved = (0..statuses.len()).filter(|&i| statuses[i] == FaultStatus::Undetectable);
-        proved.take(8).map(|i| i as u64).collect()
-    };
-    std::thread::scope(|s| s.spawn(probe).join().expect("probe analysis"))
-}
+use rsyn_resilience::Checkpoint;
 
 fn seed_netlist(ctx: &FlowContext, circuit: &str) -> Netlist {
     build_benchmark_with(circuit, &ctx.lib, &ctx.mapper)
@@ -89,13 +46,8 @@ fn record(manifest: &mut Run, report: &FlowReport) {
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = threads_flag(&mut args);
-    let mut injected = false;
     let mut resume_from: Option<PathBuf> = None;
     let mut checkpoint_dir: Option<PathBuf> = None;
-    if let Some(i) = args.iter().position(|a| a == "--inject") {
-        injected = true;
-        args.remove(i);
-    }
     if let Some(i) = args.iter().position(|a| a == "--resume") {
         if i + 1 >= args.len() {
             eprintln!("--resume needs a checkpoint path");
@@ -113,13 +65,6 @@ fn main() -> ExitCode {
         args.drain(i..=i + 1);
     }
     let circuit = args.first().map_or("sparc_tlu", String::as_str).to_string();
-    if injected && resume_from.is_some() {
-        eprintln!(
-            "--inject and --resume are mutually exclusive (a resumed run must \
-                   replay the uninjected continuation)"
-        );
-        return ExitCode::from(2);
-    }
 
     let ctx = context_with_threads(threads);
     let mut options = FlowOptions::new(&circuit, "resilience");
@@ -142,14 +87,7 @@ fn main() -> ExitCode {
         );
         run_resumed(seed_netlist(&ctx, &circuit), &ctx, &options, &checkpoint)
     } else {
-        let seed = seed_netlist(&ctx, &circuit);
-        let armed = injected.then(|| inject::arm(smoke_plan(&podem_sites(&seed, &ctx))));
-        if injected {
-            eprintln!("running {circuit} under the smoke injection plan");
-        }
-        let report = run(seed, &ctx, &options);
-        drop(armed);
-        report
+        run(seed_netlist(&ctx, &circuit), &ctx, &options)
     };
 
     let report = match report {
@@ -171,29 +109,9 @@ fn main() -> ExitCode {
         report.checkpoints_written,
     );
 
-    let counters = rsyn_observe::counters();
-    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
     let mut failures = Vec::new();
     if report.accepted == 0 {
         failures.push("no iteration was accepted".to_string());
-    }
-    if injected {
-        for (what, name) in [
-            ("the PDesign rejection", "inject.fired.pdesign_reject"),
-            ("the delay inflation", "inject.fired.pdesign_inflate"),
-            ("the PODEM aborts", "inject.fired.podem_abort"),
-        ] {
-            if counter(name) == 0 {
-                failures.push(format!("{what} never fired ({name} == 0)"));
-            }
-        }
-        if counter("resynth.backtrack_shrinks") == 0 {
-            failures.push(
-                "inflated candidates did not drive backtracking \
-                           (resynth.backtrack_shrinks == 0)"
-                    .to_string(),
-            );
-        }
     }
     if resume_from.is_some() && report.replayed == 0 {
         failures.push("resume replayed nothing".to_string());

@@ -6,11 +6,9 @@
 //!    burst of hundreds of concurrent submissions from parallel
 //!    submitter threads over a handful of unique (circuit, q) jobs, so
 //!    coalescing, load shedding, deadlines, and cancellation all trigger
-//!    at once. Under `--inject`, a deterministic plan crashes workers,
-//!    fails checkpoint writes, aborts PODEM searches (at faults a probe
-//!    analysis saw reach PODEM, whichever job runs ATPG first), and sheds
-//!    submissions at fixed ordinals; shed clients retry under the
-//!    deterministic jittered [`BackoffPolicy`]. Gates: **zero lost
+//!    at once. Under `--inject`, a deterministic plan crashes workers
+//!    and sheds submissions at fixed ordinals; shed clients retry under
+//!    the deterministic jittered [`BackoffPolicy`]. Gates: **zero lost
 //!    jobs** (every submission reaches a terminal outcome; the job
 //!    conservation law balances), no failed jobs, every armed server
 //!    fate actually fired.
@@ -48,15 +46,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rsyn_atpg::fault::FaultStatus;
 use rsyn_bench::{context_with_threads, threads_flag, write_manifest};
 use rsyn_circuits::build_benchmark_with;
-use rsyn_core::{run, DesignState, FlowContext, FlowOptions};
+use rsyn_core::{run, FlowContext, FlowOptions};
 use rsyn_netlist::Netlist;
 use rsyn_observe::events::{self, Delivery, FlowEvent, StreamDigest, StreamRecord};
 use rsyn_observe::manifest::Run;
-use rsyn_resilience::inject::{self, InjectionPlan};
 use rsyn_resilience::BackoffPolicy;
+use rsyn_server::inject::{self, InjectionPlan};
 use rsyn_server::{
     report_digest, JobHandle, JobOutcome, JobSpec, Priority, Server, ServerConfig, SubmitVerdict,
 };
@@ -75,44 +72,15 @@ const SUBMITTERS: usize = 8;
 const ROUNDS: usize = 5;
 
 /// The server-fate injection plan. Pickup ordinals 0 and 3 crash their
-/// worker, checkpoint-write ordinals 1 and 5 fail, four submission
-/// ordinals are shed (clients retry), and the first ATPG run skips the
-/// PODEM searches of `podem_faults` (the SAT prover decides those faults
-/// instead, so results stay equivalent to a clean run).
-fn storm_plan(podem_faults: &BTreeSet<u64>) -> InjectionPlan {
-    let mut plan = InjectionPlan::new()
+/// worker, and four submission ordinals are shed (clients retry).
+fn storm_plan() -> InjectionPlan {
+    InjectionPlan::new()
         .crash_worker(0)
         .crash_worker(3)
-        .fail_checkpoint_write(1)
-        .fail_checkpoint_write(5)
         .reject_submit(3)
         .reject_submit(10)
         .reject_submit(25)
-        .reject_submit(50);
-    for &fault in podem_faults {
-        plan = plan.abort_podem(0, fault);
-    }
-    plan
-}
-
-/// Fault indices that certainly reach PODEM in the seed analysis of each
-/// storm circuit: the first few proven undetectable (no random pattern can
-/// detect them, whatever the seed, so each is queried before PODEM runs). ATPG run 0 is the seed
-/// analysis of whichever storm job runs first, so its own circuit's sites
-/// fire; another circuit's sites either fire too or are never consulted.
-/// The probe analyses run on a thread of their own, so they record into
-/// that thread's recorder, not into the storm's manifest or event stream.
-fn podem_sites(ctx: &FlowContext, netlists: &BTreeMap<&str, Netlist>) -> BTreeSet<u64> {
-    let probe = || {
-        let mut sites = BTreeSet::new();
-        for nl in netlists.values() {
-            let statuses = DesignState::analyze(nl.clone(), ctx, None).expect("seed").atpg.statuses;
-            let proved = (0..statuses.len()).filter(|&i| statuses[i] == FaultStatus::Undetectable);
-            sites.extend(proved.take(4).map(|i| i as u64));
-        }
-        sites
-    };
-    std::thread::scope(|s| s.spawn(probe).join().expect("probe analyses"))
+        .reject_submit(50)
 }
 
 /// The phase-4 job set: small enough to run three times (1, 2, and 8
@@ -257,7 +225,7 @@ fn main() -> ExitCode {
         if injected { " (injection armed)" } else { "" },
     );
     let tap = StreamTap::start();
-    let armed = injected.then(|| inject::arm(storm_plan(&podem_sites(&ctx, &netlists))));
+    let armed = injected.then(|| inject::arm(storm_plan()));
     let mut cfg = ServerConfig::new(work.join("storm"));
     cfg.workers = 4;
     cfg.queue_capacity = 16;
@@ -397,18 +365,11 @@ fn main() -> ExitCode {
     }
     if let Some(armed) = &armed {
         let fired = armed.fired_counts();
-        for (name, expected) in [
-            ("inject.fired.worker_crash", 2),
-            ("inject.fired.checkpoint_write", 2),
-            ("inject.fired.queue_full", 4),
-        ] {
+        for (name, expected) in [("inject.fired.worker_crash", 2), ("inject.fired.queue_full", 4)] {
             let n = fired.get(name).copied().unwrap_or(0);
             if n != expected {
                 failures.push(format!("{name} fired {n} times, expected {expected}"));
             }
-        }
-        if fired.get("inject.fired.podem_abort").copied().unwrap_or(0) == 0 {
-            failures.push("no PODEM abort fired".into());
         }
         if storm_stats.retries == 0 {
             failures.push("worker crashes did not drive backoff retries".into());

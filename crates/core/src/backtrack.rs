@@ -70,8 +70,8 @@ pub(crate) fn backtrack(
 
     // The window with the last `k` groups of G_i spared (moved to G_back).
     // Every k ≥ 1 replaces a strictly smaller gate set than the failed full
-    // window — `resynth.backtrack_shrinks` counts exactly these Section
-    // III-C shrink attempts.
+    // window: `resynth.backtrack.evals` and `resynth.backtrack.group_shrinks`
+    // together count exactly these Section III-C shrink attempts.
     let shrunk = |k: usize| &g_i[..n - (k * step).min(n)];
 
     // The constraint violation shrinks monotonically as more (most-critical
@@ -83,7 +83,7 @@ pub(crate) fn backtrack(
     let mut best: Option<(usize, Candidate)> = None;
     while lo <= hi {
         let mid = (lo + hi) / 2;
-        rsyn_observe::add_many(&[("resynth.backtrack.evals", 1), ("resynth.backtrack_shrinks", 1)]);
+        rsyn_observe::add("resynth.backtrack.evals", 1);
         let cand = memo.evaluate(ctx, state, previous, shrunk(mid), allowed, map_options);
         let ok = cand.as_ref().is_some_and(|c| constraints.admits(&c.score));
         crate::resynth::trace_log(|| {
@@ -115,10 +115,7 @@ pub(crate) fn backtrack(
     // time (Section III-C), i.e. reduce the spared count step-wise.
     let spared = (k * step).min(n);
     for spared2 in (spared.saturating_sub(step)..spared).rev() {
-        rsyn_observe::add_many(&[
-            ("resynth.backtrack.group_shrinks", 1),
-            ("resynth.backtrack_shrinks", 1),
-        ]);
+        rsyn_observe::add("resynth.backtrack.group_shrinks", 1);
         let win = &g_i[..n - spared2];
         if let Some(c2) = memo.evaluate(ctx, state, previous, win, allowed, map_options) {
             if accept(&c2.score) && constraints.admits(&c2.score) {

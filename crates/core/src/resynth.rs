@@ -163,8 +163,6 @@ pub(crate) fn trace_log(msg: impl FnOnce() -> String) {
 /// Entries hold scores, not states: a hit the loop accepts is rebuilt by
 /// one fresh evaluation, which is deterministic (same netlist, placement,
 /// verdicts and tests). The loop clears the memo on every acceptance.
-/// While an injection plan is armed the memo is neither read nor written:
-/// injected `PDesign()` fates apply per call, not per candidate.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateMemo {
     scores: HashMap<CandidateKey, Option<Score>>,
@@ -216,21 +214,16 @@ impl CandidateMemo {
             allowed: allowed.to_vec(),
             map_bits: [map_options.area_weight.to_bits(), map_options.delay_weight.to_bits()],
         };
-        let memoize = !rsyn_resilience::inject::is_armed();
-        if memoize {
-            let base_score = base.score();
-            let entries_base = *self.base.get_or_insert(base_score);
-            assert_eq!(entries_base, base_score, "memo entries belong to another design state");
-            if let Some(&score) = self.scores.get(&key) {
-                rsyn_observe::add("resynth.memo_hits", 1);
-                return score.map(|score| Candidate { score, state: None, key });
-            }
+        let base_score = base.score();
+        let entries_base = *self.base.get_or_insert(base_score);
+        assert_eq!(entries_base, base_score, "memo entries belong to another design state");
+        if let Some(&score) = self.scores.get(&key) {
+            rsyn_observe::add("resynth.memo_hits", 1);
+            return score.map(|score| Candidate { score, state: None, key });
         }
         let state = self.analyze(ctx, base, previous, &key);
         let score = state.as_ref().map(DesignState::score);
-        if memoize {
-            self.scores.insert(key.clone(), score);
-        }
+        self.scores.insert(key.clone(), score);
         Some(Candidate { score: score?, state, key })
     }
 

@@ -321,12 +321,6 @@ fn write_checkpoint(
     // writes fewer checkpoints) and break stable-manifest byte-identity.
     let _span = rsyn_observe::span_volatile("flow.checkpoint");
     let _zone = rsyn_observe::trace::zone("flow.checkpoint.write", log.len() as u64);
-    if rsyn_resilience::inject::should_fail_checkpoint_write() {
-        return Err(FlowError::Checkpoint {
-            path: dir.display().to_string(),
-            message: "injected checkpoint write failure".to_string(),
-        });
-    }
     std::fs::create_dir_all(dir).map_err(|e| FlowError::Checkpoint {
         path: dir.display().to_string(),
         message: format!("create dir failed: {e}"),

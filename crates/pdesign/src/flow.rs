@@ -2,11 +2,10 @@
 //! invokes — placement, routing, timing, and power in one call.
 
 use rsyn_netlist::Netlist;
-use rsyn_resilience::inject::{self, PdesignFate};
 
 use crate::floorplan::Floorplan;
 use crate::layout::Layout;
-use crate::place::{unplaced_sites, PlaceError, Placement};
+use crate::place::{PlaceError, Placement};
 use crate::power::{estimate, PowerReport};
 use crate::route::route;
 use crate::timing::{analyze, TimingReport};
@@ -47,12 +46,6 @@ pub fn physical_design(nl: &Netlist, seed: u64) -> Result<PhysicalDesign, PlaceE
 ///
 /// Returns [`PlaceError::AreaExceeded`] if the netlist no longer fits the
 /// floorplan — the paper treats this as a hard constraint violation.
-///
-/// When a `rsyn-resilience` injection plan is armed, this call consults it
-/// (keyed by a deterministic call ordinal): the plan can force the
-/// rejection of the whole run, or inflate the reported critical delay to
-/// manufacture accepted-but-constraint-violating candidates that drive the
-/// Section III-C backtracking path.
 pub fn physical_design_in(
     nl: &Netlist,
     floorplan: Floorplan,
@@ -60,7 +53,6 @@ pub fn physical_design_in(
     seed: u64,
 ) -> Result<PhysicalDesign, PlaceError> {
     let _span = rsyn_observe::span("pdesign");
-    let fate = inject::pdesign_fate();
     rsyn_observe::add_many(&[
         ("pdesign.runs", 1),
         if previous.is_some() {
@@ -69,12 +61,6 @@ pub fn physical_design_in(
             ("pdesign.placements.global", 1)
         },
     ]);
-    if fate == PdesignFate::Reject {
-        // An injected rejection mimics the floorplan running out of sites
-        // for every gate the previous placement does not hold.
-        let needed_sites = unplaced_sites(nl, previous);
-        return Err(PlaceError::AreaExceeded { needed_sites, free_sites: 0 });
-    }
     let place_span = rsyn_observe::span("pdesign.place");
     let placement = match previous {
         Some(prev) => {
@@ -90,13 +76,10 @@ pub fn physical_design_in(
         route(nl, &placement)
     };
     let view = nl.comb_view().expect("acyclic netlist");
-    let mut timing = {
+    let timing = {
         let _s = rsyn_observe::span("pdesign.timing");
         analyze(nl, &view, &layout)
     };
-    if let PdesignFate::InflateDelay { percent } = fate {
-        timing.critical_delay_ps *= percent as f64 / 100.0;
-    }
     let power = {
         let _s = rsyn_observe::span("pdesign.power");
         estimate(nl, &view, &layout, seed ^ 0x9E37_79B9_7F4A_7C15)
@@ -149,30 +132,6 @@ mod tests {
         nl.add_gate("r", inv, &[old.inputs[0]], &[old.outputs[0]]).unwrap();
         let pd2 = physical_design_in(&nl, fp, Some(&pd.placement), 0xDA7E).unwrap();
         assert_eq!(pd2.placement.slot(u0).unwrap(), slot_before, "survivor keeps its slot");
-    }
-
-    #[test]
-    fn injection_rejects_and_inflates_at_exact_ordinals() {
-        let nl = sample();
-        let clean = physical_design(&nl, 0xDA7E).unwrap();
-        let plan = inject::InjectionPlan::new()
-            .reject_pdesign(1)
-            .inflate_pdesign(2)
-            .inflation_percent(250);
-        let armed = inject::arm(plan);
-        // Ordinal 0: untouched.
-        let pd0 = physical_design(&nl, 0xDA7E).unwrap();
-        assert_eq!(pd0.timing.critical_delay_ps, clean.timing.critical_delay_ps);
-        // Ordinal 1: forced rejection.
-        let err = physical_design(&nl, 0xDA7E).unwrap_err();
-        assert!(matches!(err, PlaceError::AreaExceeded { free_sites: 0, .. }));
-        // Ordinal 2: delay inflated 2.5×, everything else intact.
-        let pd2 = physical_design(&nl, 0xDA7E).unwrap();
-        assert!((pd2.timing.critical_delay_ps - 2.5 * clean.timing.critical_delay_ps).abs() < 1e-9);
-        assert_eq!(pd2.power, clean.power);
-        drop(armed);
-        let pd3 = physical_design(&nl, 0xDA7E).unwrap();
-        assert_eq!(pd3.timing.critical_delay_ps, clean.timing.critical_delay_ps);
     }
 
     #[test]

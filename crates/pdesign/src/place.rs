@@ -60,12 +60,11 @@ fn gate_width_sites(nl: &Netlist, g: GateId) -> u32 {
     (cell.area / (SITE_WIDTH_UM * ROW_HEIGHT_UM)).round().max(1.0) as u32
 }
 
-/// Sites the gates of `nl` without a slot in `placement` need (every gate
-/// when there is no placement).
-pub(crate) fn unplaced_sites(nl: &Netlist, placement: Option<&Placement>) -> usize {
+/// Sites the gates of `nl` without a slot in `placement` need.
+fn unplaced_sites(nl: &Netlist, placement: &Placement) -> usize {
     nl.gates()
         .map(|(g, _)| g)
-        .filter(|&g| placement.map_or(true, |p| p.slot(g).is_none()))
+        .filter(|&g| placement.slot(g).is_none())
         .map(|g| gate_width_sites(nl, g) as usize)
         .sum()
 }
@@ -254,7 +253,7 @@ impl Placement {
             let slot = self.find_gap(&occ, w, centroid).ok_or_else(|| {
                 let free = occ.iter().flatten().filter(|&&o| !o).count();
                 PlaceError::AreaExceeded {
-                    needed_sites: unplaced_sites(nl, Some(self)),
+                    needed_sites: unplaced_sites(nl, self),
                     free_sites: free,
                 }
             })?;
@@ -450,7 +449,8 @@ mod tests {
         let mut nl = chain(40);
         let fp = Floorplan::for_cell_area(nl.total_area(), 0.7);
         let mut p = Placement::global(&nl, fp, 1).unwrap();
-        let free = fp.rows * fp.sites_per_row - unplaced_sites(&nl, None);
+        let used: usize = nl.gates().map(|(g, _)| gate_width_sites(&nl, g) as usize).sum();
+        let free = fp.rows * fp.sites_per_row - used;
         // One-site inverters, ten more than the free sites hold: no gap is
         // too narrow, so the floorplan overflows by exactly ten sites.
         let inv = nl.lib().cell_id("INVX1").unwrap();
@@ -460,7 +460,7 @@ mod tests {
             let g = nl.add_gate(format!("extra{i}"), inv, &[a], &[y]).unwrap();
             assert_eq!(gate_width_sites(&nl, g), 1);
         }
-        assert_eq!(unplaced_sites(&nl, Some(&p)), free + 10);
+        assert_eq!(unplaced_sites(&nl, &p), free + 10);
         let err = p.sync(&nl).unwrap_err();
         assert_eq!(err, PlaceError::AreaExceeded { needed_sites: 10, free_sites: 0 });
     }

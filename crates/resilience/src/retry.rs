@@ -2,10 +2,9 @@
 //!
 //! [`BackoffPolicy`] gives exponentially growing, capped retry delays
 //! with *deterministic* jitter. The jitter is drawn from a SplitMix64
-//! stream keyed by `(seed, key, attempt)` — the same ordinal-keyed
-//! discipline as [`crate::inject::InjectionPlan`] — so a backoff schedule
-//! replays identically in tests and across runs, yet distinct jobs still
-//! spread out in time.
+//! stream keyed by `(seed, key, attempt)`, so a backoff schedule replays
+//! identically in tests and across runs, yet distinct jobs still spread
+//! out in time.
 
 /// Exponential backoff with a cap and deterministic, replayable jitter.
 ///

@@ -602,7 +602,7 @@ mod tests {
         // Journal writes consume injection ordinals: hold a session, so a
         // test arming a tear plan in parallel neither sees these writes
         // nor tears them.
-        let _session = rsyn_resilience::inject::arm(rsyn_resilience::inject::InjectionPlan::new());
+        let _session = crate::inject::arm(crate::inject::InjectionPlan::new());
         let dir = std::env::temp_dir().join(format!("rsyn-server-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let events = all_events();

@@ -21,7 +21,7 @@
 //!   a segment* but keeps reading later segments: one torn write cannot
 //!   shadow records that were durably appended after rotation.
 //!
-//! Failure injection ([`rsyn_resilience::inject`]) can tear or truncate
+//! Failure injection ([`crate::inject`]) can tear or truncate
 //! an append mid-record; the writer then abandons the segment and
 //! rotates, exactly as a crashed-and-restarted process would.
 
@@ -29,7 +29,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use rsyn_resilience::inject::{self, JournalWriteFate};
+use crate::inject::{self, JournalWriteFate};
 
 /// Magic bytes opening every journal segment.
 const JOURNAL_MAGIC: [u8; 4] = *b"RSJ1";
@@ -284,7 +284,7 @@ mod tests {
     // fates.
 
     use super::*;
-    use rsyn_resilience::inject::InjectionPlan;
+    use crate::inject::InjectionPlan;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rsyn-segment-{tag}-{}", std::process::id()));

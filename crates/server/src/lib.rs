@@ -45,6 +45,11 @@
 //!   late subscribers, [`Server::metrics_snapshot`] reads counters
 //!   mid-run without double-counting at shutdown.
 //!
+//! * **Failure injection** — [`inject`] arms deterministic server fates
+//!   (worker crashes, queue-full sheds, torn and truncated journal
+//!   appends, poison and stalled jobs) so each containment path above
+//!   runs in tests and storms; the flow crates carry no such hooks.
+//!
 //! The `server_storm` bin in `rsyn-bench` hammers all of this at once
 //! under failure injection and gates on zero lost jobs plus result
 //! equivalence with direct `rsyn_core::run` calls (compare
@@ -55,6 +60,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
+pub mod inject;
 pub mod job;
 pub mod journal;
 mod queue;

@@ -106,7 +106,7 @@
 //! journaled record sizes as `hist.server.journal_record_bytes.*` (both
 //! at shutdown only).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,10 +117,10 @@ use rsyn_core::{run, run_resumed, FlowContext, FlowOptions, FlowReport};
 use rsyn_netlist::{Library, Netlist};
 use rsyn_observe::events::{self, EventReceiver, FlowEvent, TerminalOutcome};
 use rsyn_observe::Hist;
-use rsyn_resilience::inject::JobFate;
 use rsyn_resilience::retry::BackoffPolicy;
-use rsyn_resilience::{inject, Checkpoint, FlowError, StopCause};
+use rsyn_resilience::{Checkpoint, FlowError, StopCause};
 
+use crate::inject::{self, JobFate};
 use crate::job::{job_key, report_digest, JobHandle, JobInner, JobOutcome, JobSpec, Priority};
 use crate::journal::{digest_fingerprint, replay, AcceptedSpec, JobJournal, JournalEvent};
 use crate::queue::{JobQueue, QueueFull};
@@ -808,7 +808,13 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
                     message: "injected worker stall".to_string(),
                 });
             }
-            execute(inner, &ctx, &job)
+            let result = execute(inner, &ctx, &job);
+            if matches!(&result, Ok(report) if report.stopped == Some(StopCause::Preempted)) {
+                // The resumed execution restores the checkpoint's snapshot
+                // of these counts: merged now, they would count twice.
+                rsyn_observe::restore_counters(&BTreeMap::new());
+            }
+            result
         }));
         set_running(inner, wid, None);
         inner.heartbeats[wid].fetch_add(1, Ordering::Relaxed);

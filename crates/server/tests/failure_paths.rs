@@ -1,11 +1,10 @@
-//! Two rows of the failure matrix that no storm reaches: a stale or
-//! corrupt checkpoint at pickup falls back to a fresh run, and a job
-//! whose every attempt fails recoverably ends `Failed` once its retry
-//! budget is spent.
+//! Three rows of the failure matrix that no storm reaches: a stale or
+//! corrupt checkpoint at pickup falls back to a fresh run, a job whose
+//! checkpoints cannot be written still completes, and a job whose every
+//! attempt fails recoverably ends `Failed` once its retry budget is spent.
 //!
-//! Both tests arm an injection plan (the first an empty one) for their
-//! whole body: arming holds the process-wide injection session, so the
-//! second test's rejections never reach the first test's flows.
+//! Only the last test arms an injection plan, a poison fate keyed by a job
+//! no other test submits.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,8 +12,8 @@ use std::sync::Arc;
 use rsyn_circuits::build_benchmark_with;
 use rsyn_core::{run, FlowContext, FlowOptions};
 use rsyn_netlist::{Library, Netlist};
-use rsyn_resilience::inject::{self, InjectionPlan};
 use rsyn_resilience::{Checkpoint, FlowError, ResumeCursor};
+use rsyn_server::inject::{self, InjectionPlan};
 use rsyn_server::{job_key, report_digest, JobOutcome, JobSpec, Server, ServerConfig};
 
 /// `MAX_ATTEMPTS` in `server.rs`: executions one job may spend on
@@ -42,7 +41,6 @@ fn latest_checkpoint(work: &std::path::Path, key: u128) -> std::path::PathBuf {
 
 #[test]
 fn stale_or_corrupt_checkpoints_fall_back_to_a_fresh_run() {
-    let _session = inject::arm(InjectionPlan::new());
     let (ctx, nl) = sparc_ffu();
     let work = scratch_dir("stale-checkpoint");
 
@@ -95,35 +93,70 @@ fn stale_or_corrupt_checkpoints_fall_back_to_a_fresh_run() {
 }
 
 #[test]
+fn unwritable_checkpoints_do_not_fail_the_job() {
+    let (ctx, nl) = sparc_ffu();
+    let work = scratch_dir("unwritable-checkpoint");
+    let spec = JobSpec::new(nl.clone(), "sparc_ffu").with_q(3.0);
+    let key = job_key(&spec, &ctx.lib).expect("canonical key");
+    // The job's checkpoint directory is a regular file: every write fails.
+    let jobs = work.join("jobs");
+    std::fs::create_dir_all(&jobs).expect("jobs dir");
+    std::fs::write(jobs.join(format!("{key:032x}")), b"not a directory").expect("plant file");
+
+    let server = Server::start(ServerConfig::new(&work), Arc::clone(&ctx.lib));
+    let handle = server.submit(spec).handle().expect("queued").clone();
+    let report = match handle.wait() {
+        JobOutcome::Completed(report) => report,
+        other => panic!("checkpoint errors are recoverable, got {other:?}"),
+    };
+    assert!(report.accepted >= 1, "the job must reach a checkpoint boundary");
+    assert_eq!(report.recovered.len(), report.accepted, "{:?}", report.recovered);
+    assert!(
+        report.recovered.iter().all(|e| matches!(e, FlowError::Checkpoint { .. })),
+        "{:?}",
+        report.recovered
+    );
+    let mut options = FlowOptions::new("sparc_ffu", "direct");
+    options.q_percent = 3.0;
+    let direct = run(nl, &ctx, &options).expect("direct run succeeds");
+    assert_eq!(report_digest(&report), report_digest(&direct));
+
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 1, "{stats:?}");
+    assert_eq!(stats.retries, 0, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
 fn an_exhausted_retry_budget_ends_failed() {
     let (ctx, nl) = sparc_ffu();
-    // Each execution's first `PDesign()` call is its seed analysis, so
-    // these ordinals reject every attempt the budget allows.
-    let plan = InjectionPlan::new()
-        .reject_pdesign(0)
-        .reject_pdesign(1)
-        .reject_pdesign(2)
-        .reject_pdesign(3);
-    let armed = inject::arm(plan);
+    let spec = JobSpec::new(nl, "sparc_ffu").with_q(7.0);
+    let key = job_key(&spec, &ctx.lib).expect("canonical key");
+    // Every execution panics, and the quarantine waits past the retry
+    // budget, so the budget ends the job.
+    let armed = inject::arm(InjectionPlan::new().poison_job(key));
     let work = scratch_dir("retry-budget");
     let mut cfg = ServerConfig::new(&work);
     cfg.workers = 1;
+    cfg.poison_threshold = MAX_ATTEMPTS as u32 + 1;
     let server = Server::start(cfg, Arc::clone(&ctx.lib));
 
-    let handle = server.submit(JobSpec::new(nl, "sparc_ffu")).handle().expect("queued").clone();
+    let handle = server.submit(spec).handle().expect("queued").clone();
     match handle.wait() {
-        JobOutcome::Failed(FlowError::Placement { .. }) => {}
-        other => panic!("the last rejection fails the job, got {other:?}"),
+        JobOutcome::Failed(FlowError::Internal { .. }) => {}
+        other => panic!("the last crash fails the job, got {other:?}"),
     }
 
     let stats = server.shutdown();
+    assert_eq!(stats.panics, MAX_ATTEMPTS, "{stats:?}");
     assert_eq!(stats.retries, MAX_ATTEMPTS - 1, "{stats:?}");
     assert_eq!(stats.failed, 1, "{stats:?}");
     assert_eq!(stats.completed, 0, "{stats:?}");
+    assert_eq!(stats.poisoned, 0, "{stats:?}");
     assert_eq!(
-        armed.fired_counts().get("inject.fired.pdesign_reject").copied(),
+        armed.fired_counts().get("inject.fired.poison_job").copied(),
         Some(MAX_ATTEMPTS),
-        "one rejection per execution"
+        "one panic per execution"
     );
     drop(armed);
     let _ = std::fs::remove_dir_all(&work);

@@ -1,70 +1,35 @@
-//! Injection-site completeness: one plan arming every fate the
-//! deterministic failure-injection registry knows, driven through the
-//! server, with each `inject.fired.*` site asserted to fire exactly once.
+//! Injection-site completeness: every fate the server's deterministic
+//! failure-injection registry knows, driven through the server, with each
+//! `inject.fired.*` site asserted to fire exactly once.
 //!
 //! This is the guard against silently dead recovery paths: a refactor
 //! that stops calling one of the `should_*` hooks (or stops reaching it
-//! on the ordinals real flows produce) turns a containment mechanism
-//! into dead code without failing any behavioural test — except this
-//! one.
+//! on the ordinals real submissions produce) turns a containment
+//! mechanism into dead code without failing any behavioural test —
+//! except this one.
 
 use std::time::Duration;
 
-use rsyn_atpg::fault::FaultStatus;
 use rsyn_circuits::build_benchmark_with;
-use rsyn_core::{DesignState, FlowContext};
+use rsyn_core::FlowContext;
 use rsyn_netlist::Library;
-use rsyn_resilience::inject::{self, InjectionPlan, FATE_COUNTERS};
-use rsyn_resilience::FlowError;
+use rsyn_server::inject::{self, InjectionPlan, FATE_COUNTERS};
 use rsyn_server::{job_key, JobOutcome, JobSpec, Server, ServerConfig, SubmitVerdict};
 
-/// Fates exercised by the flow-path scenario below; the remainder (the
-/// durability fates) are covered by `durability_fates_fire_exactly_once`.
-const FLOW_FATES: [&str; 6] = [
-    "inject.fired.pdesign_reject",
-    "inject.fired.pdesign_inflate",
-    "inject.fired.podem_abort",
-    "inject.fired.worker_crash",
-    "inject.fired.checkpoint_write",
-    "inject.fired.queue_full",
-];
+/// Fates exercised by the pickup-and-submit scenario below; the remainder
+/// (the durability fates) are covered by
+/// `durability_fates_fire_exactly_once`.
+const FLOW_FATES: [&str; 2] = ["inject.fired.worker_crash", "inject.fired.queue_full"];
 
 #[test]
 fn every_injection_fate_fires_exactly_once() {
     let ctx = FlowContext::new(Library::osu018());
     let nl = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
 
-    // Disarmed probe: find a fault that certainly reaches PODEM in the
-    // seed analysis. A fault whose final status is Undetectable was
-    // *proved* so by PODEM or SAT, after the random phase, which means the
-    // deterministic re-run inside the server hits `should_abort_podem` for
-    // exactly that (run, fault).
-    // The empty session keeps the other test's armed plan out of it.
-    let probe = {
-        let _session = inject::arm(InjectionPlan::new());
-        DesignState::analyze(nl.clone(), &ctx, None).expect("seed analysis")
-    };
-    let podem_fault = probe
-        .atpg
-        .statuses
-        .iter()
-        .position(|s| *s == FaultStatus::Undetectable)
-        .expect("sparc_ffu has a PODEM-proven undetectable fault") as u64;
-
-    // One site per fate. Ordinals after arming: the first pickup crashes
-    // the worker (no flow ordinals consumed), the retry then runs the
-    // job: PDesign ordinal 0 is the seed analysis, 1 the first candidate
-    // (rejected), 2 the second (delay-inflated); ATPG run ordinal 0 is
-    // the seed analysis (PODEM abort); checkpoint-write
-    // ordinal 0 is the first accepted iteration; submit ordinal 0 is the
-    // first submission (shed, client retries).
-    let plan = InjectionPlan::new()
-        .reject_pdesign(1)
-        .inflate_pdesign(2)
-        .abort_podem(0, podem_fault)
-        .crash_worker(0)
-        .fail_checkpoint_write(0)
-        .reject_submit(0);
+    // One site per fate: the first pickup crashes the worker (the retry
+    // then runs the job), and submit ordinal 0 is the first submission
+    // (shed, the client retries).
+    let plan = InjectionPlan::new().crash_worker(0).reject_submit(0);
     let armed = inject::arm(plan);
 
     let work = std::env::temp_dir().join(format!("rsyn-server-sites-{}", std::process::id()));
@@ -83,12 +48,7 @@ fn every_injection_fate_fires_exactly_once() {
 
     let outcome = handle.wait();
     let report = outcome.report().unwrap_or_else(|| panic!("job completes, got {outcome:?}"));
-    assert!(report.accepted >= 1, "the injected run still accepts iterations");
-    assert!(
-        report.recovered.iter().any(|e| matches!(e, FlowError::Checkpoint { .. })),
-        "the injected checkpoint-write failure is absorbed, not fatal: {:?}",
-        report.recovered
-    );
+    assert!(report.accepted >= 1, "the retried run still accepts iterations");
 
     let stats = server.shutdown();
     assert_eq!(stats.submitted, 2, "{stats:?}");
@@ -98,9 +58,8 @@ fn every_injection_fate_fires_exactly_once() {
     assert_eq!(stats.completed, 1, "{stats:?}");
     assert_eq!(stats.failed, 0, "{stats:?}");
 
-    // Every flow-path fate fired, each exactly once — read through the
-    // armed plan's own process-wide tally, which no scope or counter
-    // restore can hide.
+    // Both fates fired, each exactly once — read through the armed plan's
+    // own process-wide tally, which no scope or counter restore can hide.
     let fired = armed.fired_counts();
     for name in FLOW_FATES {
         assert_eq!(

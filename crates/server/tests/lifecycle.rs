@@ -1,12 +1,16 @@
 //! End-to-end lifecycle of the flow service: coalescing, deadlines,
-//! cancellation, and result equivalence with a direct `rsyn_core::run`.
+//! cancellation, preemption, and result equivalence with a direct
+//! `rsyn_core::run`.
 
 use std::time::Duration;
 
 use rsyn_circuits::build_benchmark_with;
 use rsyn_core::{run, FlowContext, FlowOptions};
 use rsyn_netlist::Library;
-use rsyn_server::{report_digest, JobOutcome, JobSpec, Server, ServerConfig, SubmitVerdict};
+use rsyn_observe::events::{self, Delivery, FlowEvent};
+use rsyn_server::{
+    report_digest, JobOutcome, JobSpec, Priority, Server, ServerConfig, SubmitVerdict,
+};
 
 #[test]
 fn coalescing_deadlines_cancellation_and_direct_equivalence() {
@@ -73,4 +77,60 @@ fn coalescing_deadlines_cancellation_and_direct_equivalence() {
         "server execution is result-equivalent to rsyn_core::run"
     );
     let _ = std::fs::remove_dir_all(&work);
+}
+
+/// A preempted job is counted once: its resumed execution restores the
+/// checkpoint's snapshot of everything it counted before the preemption,
+/// so the server's flow counters equal those of two direct runs.
+#[test]
+fn a_preempted_job_counts_once() {
+    let ctx = FlowContext::new(Library::osu018());
+    let tlu = build_benchmark_with("sparc_tlu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
+    let ffu = build_benchmark_with("sparc_ffu", &ctx.lib, &ctx.mapper).expect("benchmark builds");
+    let work = std::env::temp_dir().join(format!("rsyn-server-preempt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+
+    let (stats, served) = {
+        let _scope = rsyn_observe::child_scope();
+        let mut cfg = ServerConfig::new(&work);
+        cfg.workers = 1;
+        let server = Server::start(cfg, ctx.lib.clone());
+        let progress = events::subscribe_with_capacity(None, 1 << 16);
+        let low = JobSpec::new(tlu.clone(), "sparc_tlu").with_priority(Priority::Low);
+        let low = server.submit(low).handle().expect("queued").clone();
+        // Once the low job has entered its resynthesis loop, a high-priority
+        // arrival finds the only worker busy and preempts it: it stops at
+        // its next checkpoint boundary and later resumes from it.
+        let entered = FlowEvent::StageEnter { stage: "flow.run" };
+        loop {
+            match progress.recv_timeout(Duration::from_secs(120)) {
+                Some(Delivery::Event(ev)) if ev.job == low.key() && ev.data == entered => break,
+                Some(_) => {}
+                None => panic!("the low job never entered its resynthesis loop"),
+            }
+        }
+        drop(progress);
+        let high = JobSpec::new(ffu.clone(), "sparc_ffu").with_q(3.0).with_priority(Priority::High);
+        let high = server.submit(high).handle().expect("queued").clone();
+        for handle in [&low, &high] {
+            let outcome = handle.wait();
+            assert!(matches!(outcome, JobOutcome::Completed(_)), "{outcome:?}");
+        }
+        (server.shutdown(), rsyn_observe::counters())
+    };
+    let _ = std::fs::remove_dir_all(&work);
+    assert_eq!(stats.preempts, 1, "{stats:?}");
+    assert_eq!(stats.resumes, 1, "{stats:?}");
+
+    let direct = {
+        let _scope = rsyn_observe::child_scope();
+        run(tlu, &ctx, &FlowOptions::new("sparc_tlu", "direct-low")).expect("direct run");
+        let mut options = FlowOptions::new("sparc_ffu", "direct-high");
+        options.q_percent = 3.0;
+        run(ffu, &ctx, &options).expect("direct run");
+        rsyn_observe::counters()
+    };
+    for name in ["flow.runs", "flow.analyses", "resynth.accepted", "atpg.runs"] {
+        assert_eq!(served.get(name), direct.get(name), "{name}");
+    }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 use rsyn_circuits::build_benchmark_with;
 use rsyn_core::{run, FlowContext, FlowOptions};
 use rsyn_netlist::Library;
-use rsyn_resilience::inject::{self, InjectionPlan};
+use rsyn_server::inject::{self, InjectionPlan};
 use rsyn_server::{
     job_key, report_digest, AcceptedSpec, JobJournal, JobOutcome, JobSpec, JournalEvent, Server,
     ServerConfig, SubmitVerdict,

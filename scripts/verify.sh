@@ -7,13 +7,13 @@
 #            at 16 test threads), and every behavioural gate: manifest
 #            determinism + baselines, Table I, guideline stats, Fig. 2,
 #            Table II on all twelve circuits, the N-detect baseline, the
-#            p1 sweep, the library ablation, failure injection,
+#            p1 sweep, the library ablation, the resilient flow driver,
 #            checkpoint/resume, warm cross-run cache, perf trajectory; no
 #            fault may end Aborted in any of their manifests
 #   server — flow-service storm: hundreds of concurrent submissions under
-#            injected worker crashes / checkpoint-write failures / PODEM
-#            aborts / queue-full sheds, plus checkpoint-backed preemption,
-#            direct-run result equivalence, and the live event stream
+#            injected worker crashes / queue-full sheds, plus
+#            checkpoint-backed preemption, direct-run result
+#            equivalence, and the live event stream
 #            (conservation replayed offline by flow_tail, stream digest
 #            byte-identical across worker counts)
 #   recover— crash-durability storm: the flow service SIGKILLed across
@@ -58,11 +58,11 @@ run_gates() {
   # compaction and PODEM equivalence proptests) gate here.
   cargo test --workspace --exclude rsyn --release -q
 
-  echo "== parallel safety (suites over process-wide cache roots and injection plans)"
+  echo "== parallel safety (suites over process-wide cache roots and server injection plans)"
   # Recording is scoped per thread, so no test takes an observability
-  # lock; tests that share the cache root or an injection plan serialise
-  # on locks kept next to that state. Sixteen test threads per binary
-  # surface a test that shares state without one.
+  # lock; tests that share the cache root or a server injection plan
+  # serialise on locks kept next to that state. Sixteen test threads per
+  # binary surface a test that shares state without one.
   cargo test --release -q -p rsyn-observe -p rsyn-cache -p rsyn-atpg -p rsyn-server \
     -- --test-threads 16
   cargo test --release -q --test cache_equivalence -- --test-threads 16
@@ -144,17 +144,17 @@ run_gates() {
     "$SMOKE_DIR/ablation/manifest-ablation_library.json" \
     "$SMOKE_DIR/ablation/manifest-ablation_library.json"
 
-  echo "== failure-injection smoke gate (forced rejection/inflation/abort)"
-  # The resilient flow driver must absorb every injected failure (the bin
-  # itself asserts recovery and that backtracking ran), and the injected run
-  # must stay deterministic across worker counts and match its baseline.
+  echo "== resilient-driver gate (resilience_smoke, threads 1 vs 4, baseline)"
+  # A run through the resilient flow driver must return Ok and accept an
+  # iteration (the bin asserts both), stay deterministic across worker
+  # counts, and match its baseline with no Aborted fault.
   SMOKE=target/release/resilience_smoke
-  RSYN_MANIFEST_DIR="$SMOKE_DIR/i1" "$SMOKE" --inject --threads 1 sparc_tlu >/dev/null
-  RSYN_MANIFEST_DIR="$SMOKE_DIR/i4" "$SMOKE" --inject --threads 4 sparc_tlu >/dev/null
-  "$CHECK" --determinism "$SMOKE_DIR/i1/manifest-resilience.json" \
-    "$SMOKE_DIR/i4/manifest-resilience.json"
-  "$CHECK" --no-timings results/baselines/manifest-resilience.json \
-    "$SMOKE_DIR/i1/manifest-resilience.json"
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/r1" "$SMOKE" --threads 1 sparc_tlu >/dev/null
+  RSYN_MANIFEST_DIR="$SMOKE_DIR/r4" "$SMOKE" --threads 4 sparc_tlu >/dev/null
+  "$CHECK" --determinism "$SMOKE_DIR/r1/manifest-resilience.json" \
+    "$SMOKE_DIR/r4/manifest-resilience.json"
+  "$CHECK" --no-timings "${DECIDED[@]}" results/baselines/manifest-resilience.json \
+    "$SMOKE_DIR/r1/manifest-resilience.json"
 
   echo "== checkpoint/resume determinism gate"
   # A clean checkpointed run, resumed from its first checkpoint, must re-write
@@ -251,8 +251,8 @@ run_server() {
 
   echo "== flow-service storm gate (injection, preemption, equivalence, event stream)"
   # The bin asserts its own gates: zero lost jobs (conservation law over
-  # the scheduling stats), every armed server fate fired at its exact
-  # ordinal count, preempted jobs resumed from their checkpoints, every
+  # the scheduling stats), every armed server fate (worker crashes,
+  # queue-full sheds) fired at its exact ordinal count, preempted jobs resumed from their checkpoints, every
   # completed job's result digest byte-identical to a direct
   # rsyn_core::run of the same (netlist, options), the live event stream
   # conserving (one terminal per admission), and the per-job stream

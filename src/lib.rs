@@ -17,8 +17,9 @@
 //! * [`cluster`] — structural clustering of undetectable faults;
 //! * [`core`] — the paper's two-phase resynthesis procedure;
 //! * [`observe`] — stage spans, deterministic counters, run manifests;
-//! * [`resilience`] — typed flow errors, deterministic failure injection,
-//!   retry backoff, run control, and checkpoint/resume.
+//! * [`resilience`] — typed flow errors, retry backoff, run control, and
+//!   checkpoint/resume. No flow crate has failure-injection hooks; the
+//!   flow service's injected fates live in `rsyn_server::inject`.
 
 pub use rsyn_atpg as atpg;
 pub use rsyn_cache as cache;
