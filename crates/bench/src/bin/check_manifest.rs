@@ -17,7 +17,7 @@
 //!   *stable* serialisations of two manifests are byte-identical — the
 //!   thread-count-independence gate (same run at `--threads 1` vs `N`).
 //!   When both files are flow *checkpoints* (`"kind": "checkpoint"`, see
-//!   `rsyn_resilience::Checkpoint`) the raw bytes are compared instead:
+//!   [`rsyn_core::Checkpoint`]) the raw bytes are compared instead:
 //!   checkpoints carry no volatile section, so a resumed run must
 //!   re-produce them exactly.
 //!
@@ -31,8 +31,8 @@
 
 use std::process::ExitCode;
 
+use rsyn_core::Checkpoint;
 use rsyn_observe::manifest::{diff, DiffConfig, Manifest};
-use rsyn_resilience::Checkpoint;
 
 /// True when the file at `path` parses as a flow checkpoint.
 fn is_checkpoint(src: &str, path: &str) -> bool {

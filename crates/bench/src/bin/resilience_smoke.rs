@@ -21,10 +21,9 @@ use std::process::ExitCode;
 use rsyn_bench::{context_with_threads, threads_flag, write_manifest};
 use rsyn_circuits::build_benchmark_with;
 use rsyn_core::flow::FlowContext;
-use rsyn_core::run::{run, run_resumed, FlowOptions, FlowReport};
+use rsyn_core::run::{run, run_resumed, Checkpoint, FlowOptions, FlowReport};
 use rsyn_netlist::Netlist;
 use rsyn_observe::manifest::Run;
-use rsyn_resilience::Checkpoint;
 
 fn seed_netlist(ctx: &FlowContext, circuit: &str) -> Netlist {
     build_benchmark_with(circuit, &ctx.lib, &ctx.mapper)

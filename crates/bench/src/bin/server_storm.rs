@@ -52,10 +52,10 @@ use rsyn_core::{run, FlowContext, FlowOptions};
 use rsyn_netlist::Netlist;
 use rsyn_observe::events::{self, Delivery, FlowEvent, StreamDigest, StreamRecord};
 use rsyn_observe::manifest::Run;
-use rsyn_resilience::BackoffPolicy;
 use rsyn_server::inject::{self, InjectionPlan};
 use rsyn_server::{
-    report_digest, JobHandle, JobOutcome, JobSpec, Priority, Server, ServerConfig, SubmitVerdict,
+    report_digest, BackoffPolicy, JobHandle, JobOutcome, JobSpec, Priority, Server, ServerConfig,
+    SubmitVerdict,
 };
 
 /// The unique storm jobs: mixed sizes (sparc_ffu is fast, sparc_tlu is

@@ -13,7 +13,10 @@
 //!   check passes, and each candidate is evaluated once per design state;
 //! * [`backtrack`] — Section III-C: shrink the replaced-gate set in √n
 //!   groups when the constraints are violated;
-//! * [`report`] — Table I / Table II row extraction.
+//! * [`report`] — Table I / Table II row extraction;
+//! * [`run`](mod@run) — the resilient driver around the loop: typed
+//!   [`FlowError`]s, cooperative [`RunControl`], and per-iteration
+//!   [`Checkpoint`]s that resume byte-identically.
 //!
 //! # Example
 //!
@@ -51,4 +54,7 @@ pub use resynth::{
     resynthesize, resynthesize_from, run_q_sweep, AcceptedRemap, QSweepOutcome, ResynthCursor,
     ResynthOptions, ResynthOutcome,
 };
-pub use run::{run, run_resumed, FlowOptions, FlowReport};
+pub use run::{
+    run, run_resumed, Checkpoint, FlowError, FlowOptions, FlowReport, RemapRecord, RunControl,
+    StopCause,
+};

@@ -12,13 +12,15 @@
 //! constraints go through the backtracking procedure of Section III-C.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
 use rsyn_atpg::incremental::PreviousEvaluation;
-use rsyn_logic::map::MapOptions;
+use rsyn_logic::map::{MapError, MapOptions};
 use rsyn_logic::Window;
 use rsyn_netlist::{CellClass, CellId, GateId};
+use rsyn_pdesign::place::PlaceError;
 
 use crate::backtrack::backtrack;
 use crate::constraints::DesignConstraints;
@@ -79,7 +81,7 @@ pub struct AcceptedRemap {
 }
 
 /// Position in the two-phase loop — where a resumed run continues.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResynthCursor {
     /// Phase to (re)enter.
     pub phase: Phase,
@@ -254,9 +256,8 @@ impl CandidateMemo {
         self.base = None;
     }
 
-    /// Remaps the key's window with its allowed cells, runs the quick
-    /// internal check, and only then the full `PDesign()` + fault
-    /// extraction + ATPG + clustering.
+    /// Analyses the key's candidate ([`analyze_candidate`]), counting the
+    /// full evaluations: every candidate past the pre-check.
     fn analyze(
         &mut self,
         ctx: &FlowContext,
@@ -264,55 +265,97 @@ impl CandidateMemo {
         previous: &PreviousEvaluation<'_>,
         key: &CandidateKey,
     ) -> Option<DesignState> {
-        let mut nl = base.nl.clone();
-        let window = Window::extract(&nl, &key.window);
-        let old_weight: usize = window
-            .gates
-            .iter()
-            .map(|&g| ctx.catalog.syndrome_free_count(base.nl.gate(g).expect("live").cell))
-            .sum();
         let map_options = MapOptions {
             area_weight: f64::from_bits(key.map_bits[0]),
             delay_weight: f64::from_bits(key.map_bits[1]),
         };
-        let new_gates =
-            window.resynthesize_with(&mut nl, &ctx.mapper, &key.allowed, &map_options).ok()?;
-        let new_weight: usize = new_gates
-            .iter()
-            .map(|&g| ctx.catalog.syndrome_free_count(nl.gate(g).expect("live").cell))
-            .sum();
-        // The paper's gate on PDesign(): the (cheaply computable) undetectable
-        // internal fault weight must decrease before physical design is re-run.
-        if new_weight >= old_weight {
-            rsyn_observe::add("resynth.precheck_rejects", 1);
-            trace_log(|| {
-                format!(
-                    "precheck reject: window {} gates, weight {} -> {}",
-                    key.window.len(),
-                    old_weight,
-                    new_weight
-                )
-            });
-            return None;
-        }
-        self.evaluations += 1;
-        let fp = base.pd.placement.floorplan();
-        // The incremental fast path: only fault kinds on the remapped window
-        // are re-checked; everything else carries its verdict over from
-        // `base` (see `rsyn_atpg::incremental`).
-        let result = DesignState::analyze_incremental(
-            nl,
-            ctx,
-            Some((fp, Some(&base.pd.placement))),
-            previous,
-            &new_gates,
-        );
-        if let Err(e) = &result {
-            rsyn_observe::add("resynth.placement_rejects", 1);
-            trace_log(|| format!("placement reject: window {} gates: {e}", key.window.len()));
+        let result =
+            analyze_candidate(ctx, base, previous, &key.window, &key.allowed, &map_options);
+        if matches!(result, Ok(_) | Err(Rejection::Placement(_))) {
+            self.evaluations += 1;
         }
         result.ok()
     }
+}
+
+/// Why [`analyze_candidate`] built no design state.
+pub(crate) enum Rejection {
+    /// The mapper could not rebuild the window from the allowed cells.
+    Remap(MapError),
+    /// The pre-check: the undetectable internal-fault weight did not fall.
+    Precheck,
+    /// `PDesign()`: the candidate no longer fits the fixed floorplan.
+    Placement(PlaceError),
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::Remap(e) => write!(f, "remap failed: {e}"),
+            Rejection::Precheck => f.write_str("the pre-check rejects it"),
+            Rejection::Placement(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// Remaps `window` of `base` with the `allowed` cells, runs the quick
+/// internal check, and only then the full `PDesign()` + fault extraction
+/// + ATPG + clustering in `base`'s floorplan.
+///
+/// The loop evaluates every candidate through it and a resume replays
+/// every recorded remap through it, so the two cannot drift apart.
+pub(crate) fn analyze_candidate(
+    ctx: &FlowContext,
+    base: &DesignState,
+    previous: &PreviousEvaluation<'_>,
+    window: &[GateId],
+    allowed: &[CellId],
+    map_options: &MapOptions,
+) -> Result<DesignState, Rejection> {
+    let mut nl = base.nl.clone();
+    let extracted = Window::extract(&nl, window);
+    let old_weight: usize = extracted
+        .gates
+        .iter()
+        .map(|&g| ctx.catalog.syndrome_free_count(base.nl.gate(g).expect("live").cell))
+        .sum();
+    let new_gates = extracted
+        .resynthesize_with(&mut nl, &ctx.mapper, allowed, map_options)
+        .map_err(Rejection::Remap)?;
+    let new_weight: usize = new_gates
+        .iter()
+        .map(|&g| ctx.catalog.syndrome_free_count(nl.gate(g).expect("live").cell))
+        .sum();
+    // The paper's gate on PDesign(): the (cheaply computable) undetectable
+    // internal fault weight must decrease before physical design is re-run.
+    if new_weight >= old_weight {
+        rsyn_observe::add("resynth.precheck_rejects", 1);
+        trace_log(|| {
+            format!(
+                "precheck reject: window {} gates, weight {} -> {}",
+                window.len(),
+                old_weight,
+                new_weight
+            )
+        });
+        return Err(Rejection::Precheck);
+    }
+    let fp = base.pd.placement.floorplan();
+    // The incremental fast path: only fault kinds on the remapped window
+    // are re-checked; everything else carries its verdict over from
+    // `base` (see `rsyn_atpg::incremental`).
+    DesignState::analyze_incremental(
+        nl,
+        ctx,
+        Some((fp, Some(&base.pd.placement))),
+        previous,
+        &new_gates,
+    )
+    .map_err(|e| {
+        rsyn_observe::add("resynth.placement_rejects", 1);
+        trace_log(|| format!("placement reject: window {} gates: {e}", window.len()));
+        Rejection::Placement(e)
+    })
 }
 
 /// One pass over the cell order for a given window.

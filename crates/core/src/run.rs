@@ -1,26 +1,34 @@
 //! The resilient flow entry points: [`run`] and [`run_resumed`].
 //!
-//! [`run`] wraps the two-phase resynthesis procedure with the
-//! `rsyn-resilience` guarantees:
+//! [`run`] wraps the two-phase resynthesis procedure with three
+//! guarantees:
 //!
-//! * every flow-reachable failure maps to a typed
-//!   [`FlowError`] instead of a panic — fatal errors (bad input) return
-//!   `Err`, recoverable ones are absorbed and listed in
-//!   [`FlowReport::recovered`] while the report still carries the
-//!   **best-so-far accepted design**;
+//! * every flow-reachable failure maps to a typed [`FlowError`] instead
+//!   of a panic — an input that cannot be analysed returns `Err`, later
+//!   failures are absorbed and listed in [`FlowReport::recovered`] while
+//!   the report still carries the **best-so-far accepted design**;
 //! * after every accepted iteration a [`Checkpoint`] is serialised (when
-//!   [`FlowOptions::checkpoint_dir`] is set): the decision log of accepted
-//!   remaps, the fault-verdict dictionary, the loop cursor, and a counters
-//!   snapshot;
+//!   [`FlowOptions::checkpoint_dir`] is set): the decision log of
+//!   accepted remaps, the fault-verdict dictionary, the loop's
+//!   [`ResynthCursor`], and a counters snapshot;
 //! * [`run_resumed`] rebuilds the state of an interrupted run by
 //!   *replaying* the decision log against the deterministically rebuilt
 //!   seed netlist — gate and net ids come out identical, so the continued
 //!   run produces byte-identical stable manifests and checkpoints.
 //!
-//! Replay counts like any other work; it is validated against the
-//! checkpoint's verdict dictionary, and then the checkpoint's counter
-//! snapshot (taken when the replayed iterations were first counted)
-//! replaces whatever the replay counted, before the loop continues.
+//! A [`RunControl`] stops the loop cooperatively at those checkpoint
+//! boundaries.
+//!
+//! Replay analyses each recorded remap exactly as the loop analysed the
+//! accepted candidate, and counts like any other work; it is validated
+//! against the checkpoint's verdict dictionary, and then the checkpoint's
+//! counter snapshot (taken when the replayed iterations were first
+//! counted) replaces whatever the replay counted, before the loop
+//! continues.
+
+mod checkpoint;
+mod control;
+mod error;
 
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,17 +38,19 @@ use rsyn_atpg::engine::AtpgResult;
 use rsyn_atpg::fault::FaultStatus;
 use rsyn_atpg::incremental::PreviousEvaluation;
 use rsyn_logic::map::MapOptions;
-use rsyn_logic::Window;
 use rsyn_netlist::{CellId, GateId, Library, Netlist};
 use rsyn_observe::events::{self, FlowEvent};
 use rsyn_pdesign::place::PlaceError;
-use rsyn_resilience::{Checkpoint, FlowError, RemapRecord, ResumeCursor, RunControl, StopCause};
+
+pub use checkpoint::{Checkpoint, RemapRecord};
+pub use control::{RunControl, StopCause};
+pub use error::FlowError;
 
 use crate::constraints::DesignConstraints;
 use crate::flow::{DesignState, FlowContext};
 use crate::resynth::{
-    resynthesize_from, AcceptedRemap, IterationTrace, Phase, ResynthCursor, ResynthOptions,
-    ResynthOutcome,
+    analyze_candidate, resynthesize_from, AcceptedRemap, IterationTrace, Phase, ResynthCursor,
+    ResynthOptions, ResynthOutcome,
 };
 
 /// Options for one resilient flow run.
@@ -48,8 +58,6 @@ use crate::resynth::{
 pub struct FlowOptions {
     /// Delay/power relaxation `q` in percent.
     pub q_percent: f64,
-    /// Inner resynthesis options.
-    pub resynth: ResynthOptions,
     /// Run name recorded in checkpoints (ties them to a manifest).
     pub run_name: String,
     /// Benchmark/circuit name the seed netlist is rebuilt from on resume.
@@ -63,12 +71,10 @@ pub struct FlowOptions {
 }
 
 impl FlowOptions {
-    /// Options with default resynthesis settings, `q = 5`, and
-    /// checkpointing disabled.
+    /// Options with `q = 5` and checkpointing disabled.
     pub fn new(circuit: &str, run_name: &str) -> Self {
         Self {
             q_percent: 5.0,
-            resynth: ResynthOptions::default(),
             run_name: run_name.to_string(),
             circuit: circuit.to_string(),
             checkpoint_dir: None,
@@ -80,7 +86,7 @@ impl FlowOptions {
 /// What a (possibly degraded) flow run produced.
 #[derive(Clone, Debug)]
 pub struct FlowReport {
-    /// The final accepted design — best-so-far when a recoverable failure
+    /// The final accepted design — best-so-far when an absorbed failure
     /// cut the run short.
     pub state: DesignState,
     /// Accepted-iteration trace (empty when the loop was cut short by a
@@ -94,7 +100,7 @@ pub struct FlowReport {
     /// rejected. They are excluded from `U` and would otherwise vanish
     /// from the report; 0 in every committed run.
     pub aborted: usize,
-    /// Recoverable failures the run absorbed, in occurrence order.
+    /// Failures the run absorbed, in occurrence order.
     pub recovered: Vec<FlowError>,
     /// Checkpoints successfully written.
     pub checkpoints_written: usize,
@@ -107,18 +113,20 @@ pub struct FlowReport {
     pub stopped: Option<StopCause>,
 }
 
-/// Runs the resilient flow from a seed netlist.
+/// Runs the resilient flow from a seed netlist, under the paper's
+/// resynthesis settings ([`ResynthOptions::default`]).
 ///
 /// # Errors
 ///
-/// Fatal [`FlowError`]s only: an invalid netlist, or a seed analysis that
-/// does not fit its own floorplan. Failures *after* the first successful
-/// analysis are absorbed into [`FlowReport::recovered`].
+/// [`FlowError::InvalidNetlist`] for a netlist that fails validation, and
+/// [`FlowError::Placement`] for a seed design that does not fit its own
+/// floorplan. Failures *after* the seed analysis are absorbed into
+/// [`FlowReport::recovered`].
 pub fn run(nl: Netlist, ctx: &FlowContext, options: &FlowOptions) -> Result<FlowReport, FlowError> {
     nl.validate().map_err(|e| FlowError::InvalidNetlist { message: e.to_string() })?;
     let original = DesignState::analyze(nl, ctx, None).map_err(place_error)?;
     let constraints = DesignConstraints::from_original(&original, options.q_percent);
-    drive(ctx, options, &constraints, original, ResynthCursor::start(), Vec::new())
+    Ok(drive(ctx, options, &constraints, original, ResynthCursor::start(), Vec::new()))
 }
 
 /// Resumes an interrupted run from a [`Checkpoint`].
@@ -168,7 +176,6 @@ pub fn run_resumed(
         )));
     }
     seed_nl.validate().map_err(|e| FlowError::InvalidNetlist { message: e.to_string() })?;
-    let cursor = decode_cursor(&checkpoint.cursor, &label)?;
 
     // Replay the decision log. The replayed iterations are already counted
     // in the checkpoint's snapshot, which replaces the replay's counts below.
@@ -189,12 +196,12 @@ pub fn run_resumed(
     }
     rsyn_observe::restore_counters(&checkpoint.counters);
     let constraints = DesignConstraints::from_original(&original, options.q_percent);
-    drive(ctx, options, &constraints, current, cursor, checkpoint.remaps.clone())
+    Ok(drive(ctx, options, &constraints, current, checkpoint.cursor, checkpoint.remaps.clone()))
 }
 
 /// The shared continuation of [`run`] and [`run_resumed`]: drive the
 /// resynthesis loop from `start`/`cursor`, recording and checkpointing
-/// accepted iterations, absorbing recoverable failures.
+/// accepted iterations, absorbing failures.
 fn drive(
     ctx: &FlowContext,
     options: &FlowOptions,
@@ -202,7 +209,7 @@ fn drive(
     start: DesignState,
     cursor: ResynthCursor,
     mut log: Vec<RemapRecord>,
-) -> Result<FlowReport, FlowError> {
+) -> FlowReport {
     let _span = rsyn_observe::span("flow.run");
     let replayed = log.len();
     let mut recovered: Vec<FlowError> = Vec::new();
@@ -233,7 +240,7 @@ fn drive(
                 &start,
                 ctx,
                 constraints,
-                &options.resynth,
+                &ResynthOptions::default(),
                 cursor,
                 &mut |state, remap, next| {
                     log.push(remap_record(remap, &last_nl, &ctx.lib));
@@ -292,7 +299,7 @@ fn drive(
     }
     let aborted = state.atpg.aborted_count();
     rsyn_observe::add_many(&[("flow.runs", 1), ("flow.aborted", aborted as u64)]);
-    Ok(FlowReport {
+    FlowReport {
         state,
         trace,
         accepted: log.len(),
@@ -302,7 +309,7 @@ fn drive(
         checkpoints_written,
         full_evaluations,
         stopped,
-    })
+    }
 }
 
 /// Serialises and atomically writes the checkpoint of the just-accepted
@@ -330,7 +337,7 @@ fn write_checkpoint(
         seed: ctx.seed,
         circuit: options.circuit.clone(),
         q_bits: constraints.q_percent.to_bits(),
-        cursor: encode_cursor(next, log.len() as u64),
+        cursor: *next,
         remaps: log.to_vec(),
         verdicts: verdict_string(&state.atpg),
         counters: rsyn_observe::counters(),
@@ -339,8 +346,9 @@ fn write_checkpoint(
     cp.write(&dir.join(format!("checkpoint-{}-latest.json", options.run_name)))
 }
 
-/// Replays one accepted remap against `base`, reproducing the exact
-/// netlist (including gate/net ids) the original run accepted.
+/// Replays one accepted remap against `base` through the loop's own
+/// candidate analysis, reproducing the exact netlist (including gate/net
+/// ids), verdicts and tests the original acceptance produced.
 fn replay_remap(
     ctx: &FlowContext,
     base: &DesignState,
@@ -349,12 +357,12 @@ fn replay_remap(
     label: &str,
 ) -> Result<DesignState, FlowError> {
     let cp_err = |message: String| FlowError::Checkpoint { path: label.to_string(), message };
-    let mut nl = base.nl.clone();
-    let window_gates: Vec<GateId> = rec
+    let window: Vec<GateId> = rec
         .window
         .iter()
         .map(|name| {
-            nl.find_gate(name)
+            base.nl
+                .find_gate(name)
                 .ok_or_else(|| cp_err(format!("replay {idx}: window gate `{name}` not found")))
         })
         .collect::<Result<_, _>>()?;
@@ -371,32 +379,16 @@ fn replay_remap(
         area_weight: f64::from_bits(rec.area_weight_bits),
         delay_weight: f64::from_bits(rec.delay_weight_bits),
     };
-    let window = Window::extract(&nl, &window_gates);
-    let new_gates = window
-        .resynthesize_with(&mut nl, &ctx.mapper, &allowed, &map_options)
-        .map_err(|e| cp_err(format!("replay {idx}: remap failed: {e}")))?;
-    let fp = base.pd.placement.floorplan();
-    // Mirror the accepted candidate's analysis exactly so the replayed state
-    // carries the same verdicts and tests the original acceptance produced.
-    DesignState::analyze_incremental(
-        nl,
-        ctx,
-        Some((fp, Some(&base.pd.placement))),
-        &PreviousEvaluation::new(&base.faults, &base.atpg),
-        &new_gates,
-    )
-    .map(|state| state.verified(ctx))
-    .map_err(|e| cp_err(format!("replay {idx}: analysis failed: {e}")))
+    let previous = PreviousEvaluation::new(&base.faults, &base.atpg);
+    analyze_candidate(ctx, base, &previous, &window, &allowed, &map_options)
+        .map(|state| state.verified(ctx))
+        .map_err(|e| cp_err(format!("replay {idx}: {e}")))
 }
 
 /// Serialises an [`AcceptedRemap`] by name, resolving window gate ids
 /// against the pre-iteration netlist they belong to.
 fn remap_record(remap: &AcceptedRemap, before: &Netlist, lib: &Library) -> RemapRecord {
     RemapRecord {
-        phase: match remap.phase {
-            Phase::One => 1,
-            Phase::Two => 2,
-        },
         window: remap
             .window
             .iter()
@@ -406,36 +398,6 @@ fn remap_record(remap: &AcceptedRemap, before: &Netlist, lib: &Library) -> Remap
         area_weight_bits: remap.map_options.area_weight.to_bits(),
         delay_weight_bits: remap.map_options.delay_weight.to_bits(),
     }
-}
-
-fn encode_cursor(c: &ResynthCursor, iterations_done: u64) -> ResumeCursor {
-    ResumeCursor {
-        phase: match c.phase {
-            Phase::One => 1,
-            Phase::Two => 2,
-        },
-        iter_in_phase: c.iter_in_phase as u64,
-        iterations_done,
-        p2_bits: c.p2.map_or(0, f64::to_bits),
-    }
-}
-
-fn decode_cursor(c: &ResumeCursor, label: &str) -> Result<ResynthCursor, FlowError> {
-    let phase = match c.phase {
-        1 => Phase::One,
-        2 => Phase::Two,
-        p => {
-            return Err(FlowError::Checkpoint {
-                path: label.to_string(),
-                message: format!("cursor phase {p} is not 1 or 2"),
-            })
-        }
-    };
-    let p2 = match (phase, c.p2_bits) {
-        (Phase::Two, bits) if bits != 0 => Some(f64::from_bits(bits)),
-        _ => None,
-    };
-    Ok(ResynthCursor { phase, iter_in_phase: c.iter_in_phase as usize, p2 })
 }
 
 /// The fault-verdict dictionary: one char per fault in fault-list order.
@@ -516,7 +478,6 @@ mod tests {
         nl.mark_output(y);
         let err = run(nl, &ctx, &FlowOptions::new("broken", "run-broken")).unwrap_err();
         assert!(matches!(err, FlowError::InvalidNetlist { .. }), "{err}");
-        assert!(!err.is_recoverable());
     }
 
     #[test]

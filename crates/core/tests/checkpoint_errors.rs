@@ -5,10 +5,9 @@
 
 use rsyn_circuits::build_benchmark_with;
 use rsyn_core::flow::FlowContext;
-use rsyn_core::run::{run, FlowOptions};
+use rsyn_core::run::{run, FlowError, FlowOptions};
 use rsyn_netlist::verilog::write_verilog;
 use rsyn_netlist::Library;
-use rsyn_resilience::FlowError;
 
 #[test]
 fn checkpoint_write_failures_are_absorbed_per_iteration() {

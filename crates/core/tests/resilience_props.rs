@@ -6,7 +6,7 @@
 //! backtracking, faults PODEM gives up on that SAT decides — and it must:
 //!
 //! * never panic (every failure is either absorbed or a typed
-//!   [`FlowError`](rsyn_resilience::FlowError)),
+//!   [`FlowError`](rsyn_core::FlowError)),
 //! * return a netlist that still validates, and
 //! * preserve the circuit function: the final netlist is logically
 //!   equivalent to the seed (`Synthesize()` is function-preserving, and no

@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 
 use rsyn_atpg::fault::FaultStatus;
 use rsyn_cache::StableHasher;
-use rsyn_core::FlowReport;
+use rsyn_core::{FlowError, FlowReport, RunControl};
 use rsyn_netlist::{library_hash, CanonicalView, Library, Netlist};
-use rsyn_resilience::{FlowError, RunControl};
 
 /// Scheduling priority of a job. Higher priorities pop first; a `High`
 /// submission may preempt a running `Low`/`Normal` job (see the server's
@@ -193,7 +192,8 @@ pub fn report_digest(report: &FlowReport) -> String {
 pub enum JobOutcome {
     /// The flow ran to completion; all coalesced handles share the report.
     Completed(Arc<FlowReport>),
-    /// The flow failed fatally, or exhausted its retry budget.
+    /// The flow driver returned an error, or worker crashes exhausted
+    /// the retry budget.
     Failed(FlowError),
     /// The owner cancelled the job before it finished.
     Cancelled,

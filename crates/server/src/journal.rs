@@ -85,7 +85,8 @@ pub enum JournalEvent {
         /// Content-addressed job key.
         key: u128,
     },
-    /// A recoverable failure consumed an attempt; the job requeued.
+    /// A crash (panic or watchdog loss) consumed an attempt; the job
+    /// requeued.
     Retried {
         /// Content-addressed job key.
         key: u128,
@@ -109,7 +110,8 @@ pub enum JournalEvent {
         /// [`digest_fingerprint`]).
         fingerprint: String,
     },
-    /// Terminal: fatal error or exhausted retry budget.
+    /// Terminal: the flow returned an error, or crashes exhausted the
+    /// retry budget.
     Failed {
         /// Content-addressed job key.
         key: u128,
@@ -381,7 +383,7 @@ impl JobJournal {
 pub enum TerminalKind {
     /// Completed with this digest fingerprint.
     Completed(String),
-    /// Failed fatally or out of retries.
+    /// The flow returned an error, or crashes ran out of retries.
     Failed,
     /// Cancelled by the owner.
     Cancelled,

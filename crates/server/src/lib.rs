@@ -11,12 +11,14 @@
 //!   so identical in-flight requests from different tenants share one
 //!   execution and one [`JobOutcome`].
 //! * **Deadlines & cancellation** — each job carries a
-//!   [`RunControl`](rsyn_resilience::RunControl) the flow driver polls at
+//!   [`RunControl`](rsyn_core::RunControl) the flow driver polls at
 //!   iteration boundaries; expired or cancelled jobs stop cooperatively.
-//! * **Backoff retry** — recoverable [`FlowError`](rsyn_resilience::FlowError)s
-//!   (including contained worker panics) retry under the deterministic
-//!   jittered [`BackoffPolicy`](rsyn_resilience::BackoffPolicy), keyed by
-//!   the job key so schedules are replayable.
+//! * **Backoff retry** — contained worker panics and watchdog losses
+//!   retry under the deterministic jittered [`BackoffPolicy`], keyed by
+//!   the job key so schedules are replayable. A
+//!   [`FlowError`](rsyn_core::FlowError) the driver returns ends the job
+//!   `Failed` at once: it follows from the job's input, so a retry would
+//!   reproduce it.
 //! * **Checkpoint-backed preemption** — a `High` submission arriving at a
 //!   saturated pool preempts the lowest-priority running job at its next
 //!   checkpoint boundary; the victim requeues and later resumes
@@ -64,6 +66,7 @@ pub mod inject;
 pub mod job;
 pub mod journal;
 mod queue;
+mod retry;
 pub mod server;
 
 pub use job::{job_key, report_digest, JobHandle, JobOutcome, JobSpec, Priority};
@@ -71,6 +74,7 @@ pub use journal::{
     digest_fingerprint, replay, AcceptedSpec, JobJournal, JournalEvent, Replay, ReplayedJob,
     TerminalKind,
 };
+pub use retry::BackoffPolicy;
 pub use server::{
     MetricsSnapshot, RecoveryReport, Server, ServerConfig, ServerStats, SubmitVerdict,
 };

@@ -8,15 +8,16 @@
 //!    the submission is shed with an explicit verdict instead of growing
 //!    an unbounded backlog.
 //! 3. A worker claims the job, builds `FlowOptions` with the job's
-//!    [`RunControl`](rsyn_resilience::RunControl) (deadline armed at
+//!    [`RunControl`](rsyn_core::RunControl) (deadline armed at
 //!    submission) and a per-job checkpoint directory, and runs the flow —
 //!    resuming from the latest checkpoint when one exists.
 //! 4. Failures are contained: a worker panic is caught with
-//!    `catch_unwind` and converted into a recoverable error; recoverable
-//!    errors retry with deterministic jittered exponential backoff
-//!    (`RETRY_BACKOFF`) until `MAX_ATTEMPTS` are spent; a preempted job
-//!    requeues at its current attempt and resumes byte-identically from
-//!    its checkpoint.
+//!    `catch_unwind`, and panics and watchdog losses retry with
+//!    deterministic jittered exponential backoff (`RETRY_BACKOFF`) until
+//!    `MAX_ATTEMPTS` are spent. An error the flow driver returns ends the
+//!    job `Failed` at once: it follows from the job's input, so a retry
+//!    would reproduce it. A preempted job requeues at its current attempt
+//!    and resumes byte-identically from its checkpoint.
 //!    A job that crashes its worker [`ServerConfig::poison_threshold`]
 //!    times is quarantined with a terminal
 //!    [`JobOutcome::Poisoned`] verdict —
@@ -87,7 +88,7 @@
 //! | `server.coalesced` | submissions joined to an in-flight job |
 //! | `server.shed`      | submissions rejected (queue full / injected) |
 //! | `server.completed` | jobs that finished with a report |
-//! | `server.failed`    | jobs that failed fatally or exhausted retries |
+//! | `server.failed`    | jobs whose flow returned an error or whose crashes exhausted retries |
 //! | `server.cancelled` | jobs cancelled by their owner |
 //! | `server.deadline`  | jobs that hit their deadline |
 //! | `server.retry`     | backoff retries scheduled |
@@ -113,20 +114,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use rsyn_core::{run, run_resumed, FlowContext, FlowOptions, FlowReport};
+use rsyn_core::{
+    run, run_resumed, Checkpoint, FlowContext, FlowError, FlowOptions, FlowReport, StopCause,
+};
 use rsyn_netlist::{Library, Netlist};
 use rsyn_observe::events::{self, EventReceiver, FlowEvent, TerminalOutcome};
 use rsyn_observe::Hist;
-use rsyn_resilience::retry::BackoffPolicy;
-use rsyn_resilience::{Checkpoint, FlowError, StopCause};
 
 use crate::inject::{self, JobFate};
 use crate::job::{job_key, report_digest, JobHandle, JobInner, JobOutcome, JobSpec, Priority};
 use crate::journal::{digest_fingerprint, replay, AcceptedSpec, JobJournal, JournalEvent};
 use crate::queue::{JobQueue, QueueFull};
+use crate::retry::BackoffPolicy;
 
-/// Execution attempts per job before a recoverable failure becomes
-/// terminal.
+/// Execution attempts per job before a crash (panic or watchdog loss)
+/// becomes terminal.
 const MAX_ATTEMPTS: u32 = 4;
 
 /// Backoff schedule between retry attempts, keyed by the job key.
@@ -756,7 +758,7 @@ fn crash_or_quarantine(inner: &ServerInner, job: Arc<JobInner>, err: FlowError) 
 
 /// Injected stall: stop beating until the watchdog bumps the claim epoch
 /// (or a generous cap expires, so a stalled job without a deadline, which
-/// the watchdog never reclaims, still drains).
+/// the watchdog never reclaims, still drains: it ends `Failed`).
 fn stall_execution(job: &JobInner, claim: u64) {
     let cap = Instant::now() + Duration::from_secs(20);
     while job.epoch() == claim && Instant::now() < cap {
@@ -835,7 +837,6 @@ fn worker_loop(inner: &Arc<ServerInner>, wid: usize) {
                 };
                 crash_or_quarantine(inner, job, err);
             }
-            Ok(Err(err)) if err.is_recoverable() => retry_or_fail(inner, job, err),
             Ok(Err(err)) => finish(inner, &job, JobOutcome::Failed(err)),
             Ok(Ok(report)) => match report.stopped {
                 Some(StopCause::Preempted) => {
@@ -977,8 +978,8 @@ fn maybe_log_checkpoint(inner: &ServerInner, job: &JobInner) {
     }
 }
 
-/// Books a recoverable failure against the attempt budget: either a
-/// deterministic jittered-backoff retry, or a terminal `Failed`.
+/// Books a crash against the attempt budget: either a deterministic
+/// jittered-backoff retry, or a terminal `Failed`.
 fn retry_or_fail(inner: &ServerInner, job: Arc<JobInner>, err: FlowError) {
     let attempt = job.attempts.fetch_add(1, Ordering::Relaxed);
     if attempt + 1 >= MAX_ATTEMPTS {

@@ -1,7 +1,8 @@
-//! Three rows of the failure matrix that no storm reaches: a stale or
+//! Four rows of the failure matrix that no storm reaches: a stale or
 //! corrupt checkpoint at pickup falls back to a fresh run, a job whose
-//! checkpoints cannot be written still completes, and a job whose every
-//! attempt fails recoverably ends `Failed` once its retry budget is spent.
+//! checkpoints cannot be written still completes, a job the flow driver
+//! rejects ends `Failed` without a retry, and a job whose every attempt
+//! crashes ends `Failed` once its retry budget is spent.
 //!
 //! Only the last test arms an injection plan, a poison fate keyed by a job
 //! no other test submits.
@@ -10,14 +11,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rsyn_circuits::build_benchmark_with;
-use rsyn_core::{run, FlowContext, FlowOptions};
+use rsyn_core::{run, Checkpoint, FlowContext, FlowError, FlowOptions, ResynthCursor};
 use rsyn_netlist::{Library, Netlist};
-use rsyn_resilience::{Checkpoint, FlowError, ResumeCursor};
 use rsyn_server::inject::{self, InjectionPlan};
 use rsyn_server::{job_key, report_digest, JobOutcome, JobSpec, Server, ServerConfig};
 
 /// `MAX_ATTEMPTS` in `server.rs`: executions one job may spend on
-/// recoverable failures.
+/// crashes.
 const MAX_ATTEMPTS: u64 = 4;
 
 fn sparc_ffu() -> (FlowContext, Netlist) {
@@ -61,7 +61,7 @@ fn stale_or_corrupt_checkpoints_fall_back_to_a_fresh_run() {
         seed: ctx.seed,
         circuit: "sparc_ffu".to_string(),
         q_bits: 6.0f64.to_bits(),
-        cursor: ResumeCursor { phase: 1, ..ResumeCursor::default() },
+        cursor: ResynthCursor::start(),
         remaps: Vec::new(),
         verdicts: String::new(),
         counters: BTreeMap::new(),
@@ -124,6 +124,33 @@ fn unwritable_checkpoints_do_not_fail_the_job() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, 1, "{stats:?}");
     assert_eq!(stats.retries, 0, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn a_driver_error_ends_the_job_without_a_retry() {
+    let ctx = FlowContext::new(Library::osu018());
+    // A gate input on an undriven net: the netlist fails validation.
+    let mut nl = Netlist::new("broken", Arc::clone(&ctx.lib));
+    let a = nl.add_input("a");
+    let y = nl.add_named_net("y");
+    let floating = nl.add_net();
+    let nand = ctx.lib.cell_id("NAND2X1").expect("cell");
+    nl.add_gate("u0", nand, &[a, floating], &[y]).expect("gate");
+    nl.mark_output(y);
+
+    let work = scratch_dir("driver-error");
+    let server = Server::start(ServerConfig::new(&work), Arc::clone(&ctx.lib));
+    let handle = server.submit(JobSpec::new(nl, "broken")).handle().expect("queued").clone();
+    match handle.wait() {
+        JobOutcome::Failed(FlowError::InvalidNetlist { .. }) => {}
+        other => panic!("an invalid netlist fails the job, got {other:?}"),
+    }
+
+    let stats = server.shutdown();
+    assert_eq!(stats.failed, 1, "{stats:?}");
+    assert_eq!(stats.retries, 0, "a retry would reproduce the error: {stats:?}");
+    assert_eq!(stats.panics, 0, "{stats:?}");
     let _ = std::fs::remove_dir_all(&work);
 }
 

@@ -1,4 +1,4 @@
-//! `rsyn` — facade crate re-exporting the full DFM-resynthesis workspace.
+//! `rsyn` — facade crate re-exporting the DFM-resynthesis library crates.
 //!
 //! This reproduction of *"Resynthesis for Avoiding Undetectable Faults Based
 //! on Design-for-Manufacturability Guidelines"* (DATE 2019) is organised as a
@@ -15,11 +15,13 @@
 //! * [`pdesign`] — floorplan, placement, routing, timing and power;
 //! * [`circuits`] — the benchmark circuit generators;
 //! * [`cluster`] — structural clustering of undetectable faults;
-//! * [`core`] — the paper's two-phase resynthesis procedure;
-//! * [`observe`] — stage spans, deterministic counters, run manifests;
-//! * [`resilience`] — typed flow errors, retry backoff, run control, and
-//!   checkpoint/resume. No flow crate has failure-injection hooks; the
-//!   flow service's injected fates live in `rsyn_server::inject`.
+//! * [`core`] — the paper's two-phase resynthesis procedure, and the
+//!   resilient driver around it ([`core::run`](fn@core::run)): typed flow
+//!   errors, run control, and checkpoint/resume;
+//! * [`observe`] — stage spans, deterministic counters, run manifests.
+//!
+//! The flow service (`rsyn-server`) and the experiment binaries
+//! (`rsyn-bench`) build on these crates and are not re-exported.
 
 pub use rsyn_atpg as atpg;
 pub use rsyn_cache as cache;
@@ -31,4 +33,3 @@ pub use rsyn_logic as logic;
 pub use rsyn_netlist as netlist;
 pub use rsyn_observe as observe;
 pub use rsyn_pdesign as pdesign;
-pub use rsyn_resilience as resilience;
