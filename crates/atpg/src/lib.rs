@@ -49,7 +49,6 @@
 //! # }
 //! ```
 
-pub mod dictionary;
 pub mod engine;
 pub mod exhaustive;
 pub mod fault;
@@ -57,12 +56,10 @@ pub mod incremental;
 pub mod podem;
 pub mod sat;
 pub mod sim;
-pub mod tester;
 pub mod testset;
 pub mod value;
 mod vcache;
 
-pub use dictionary::FaultDictionary;
 pub use engine::{run_atpg, AtpgOptions, AtpgResult};
 pub use exhaustive::exhaustive_detectable;
 pub use fault::{BridgeKind, CellCondition, Fault, FaultKind, FaultOrigin, FaultStatus};
@@ -70,6 +67,5 @@ pub use incremental::{run_atpg_incremental, verify_and_compact, PreviousEvaluati
 pub use podem::{Podem, PodemOutcome};
 pub use sat::{SatAtpg, SatOutcome};
 pub use sim::FaultSim;
-pub use tester::TesterTime;
 pub use testset::{Pattern, TestSet};
 pub use value::{Tri, Val};

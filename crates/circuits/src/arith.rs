@@ -90,36 +90,6 @@ pub fn carry_select_add(
     Ok((sums, carry))
 }
 
-/// Inserts a D flip-flop driven by `d`, returning the `q` net.
-///
-/// # Errors
-///
-/// Propagates netlist construction errors.
-///
-/// # Panics
-///
-/// Panics if the library has no flop.
-pub fn register(nl: &mut Netlist, d: NetId, clk: NetId, name: &str) -> Result<NetId, NetlistError> {
-    let dff = nl.lib().flop_id().expect("library has a flop");
-    let q = nl.add_named_net(format!("{name}_q"));
-    nl.add_gate(name, dff, &[d, clk], &[q])?;
-    Ok(q)
-}
-
-/// Registers a whole word.
-///
-/// # Errors
-///
-/// Propagates netlist construction errors.
-pub fn register_word(
-    nl: &mut Netlist,
-    d: &[NetId],
-    clk: NetId,
-    prefix: &str,
-) -> Result<Vec<NetId>, NetlistError> {
-    d.iter().enumerate().map(|(i, &bit)| register(nl, bit, clk, &format!("{prefix}{i}"))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,19 +131,5 @@ mod tests {
         // Uses real FAX1 cells.
         assert!(nl.gates().all(|(_, g)| nl.lib().cell(g.cell).name == "FAX1"));
         assert_eq!(nl.gate_count(), 4);
-    }
-
-    #[test]
-    fn register_word_creates_flops() {
-        let lib = Library::osu018();
-        let mut nl = Netlist::new("r", lib.clone());
-        let clk = nl.add_input("clk");
-        let d: Vec<NetId> = (0..3).map(|i| nl.add_input(format!("d{i}"))).collect();
-        let q = register_word(&mut nl, &d, clk, "r").unwrap();
-        for &n in &q {
-            nl.mark_output(n);
-        }
-        nl.validate().unwrap();
-        assert_eq!(nl.flops().len(), 3);
     }
 }

@@ -35,7 +35,6 @@
 //! # }
 //! ```
 
-pub mod dot;
 pub mod unionfind;
 
 use std::collections::{HashMap, HashSet};

@@ -10,7 +10,7 @@ use rsyn_atpg::incremental::{run_atpg_incremental, verify_and_compact, PreviousE
 use rsyn_cluster::{cluster_faults, Clusters};
 use rsyn_dfm::{extract_faults, GuidelineSet, InternalCatalog};
 use rsyn_logic::Mapper;
-use rsyn_netlist::{GateId, Library, Netlist};
+use rsyn_netlist::{CombView, GateId, Library, Netlist};
 use rsyn_pdesign::flow::{physical_design, physical_design_in, PhysicalDesign};
 use rsyn_pdesign::place::PlaceError;
 use rsyn_pdesign::{Floorplan, Placement};
@@ -93,16 +93,7 @@ impl DesignState {
     ) -> Result<Self, PlaceError> {
         let _span = rsyn_observe::span("flow.analyze");
         rsyn_observe::add("flow.analyses", 1);
-        let pd = match fixed {
-            None => physical_design(&nl, ctx.seed)?,
-            Some((fp, prev)) => physical_design_in(&nl, fp, prev, ctx.seed)?,
-        };
-        let faults = extract_faults(&nl, &pd.layout, &ctx.guidelines, &ctx.catalog);
-        let view = nl.comb_view().expect("valid netlist");
-        let atpg = run_atpg(&nl, &view, &faults, &ctx.atpg);
-        let undetectable = atpg.undetectable_indices();
-        let clusters = cluster_faults(&nl, &faults, &undetectable);
-        Ok(Self { nl, pd, faults, atpg, clusters })
+        Self::analyze_with(nl, ctx, fixed, |nl, view, faults| run_atpg(nl, view, faults, &ctx.atpg))
     }
 
     /// Like [`DesignState::analyze`], but reuses the ATPG verdicts and
@@ -131,13 +122,27 @@ impl DesignState {
     ) -> Result<Self, PlaceError> {
         let _span = rsyn_observe::span("flow.analyze_incremental");
         rsyn_observe::add("flow.analyses_incremental", 1);
+        Self::analyze_with(nl, ctx, fixed, |nl, view, faults| {
+            run_atpg_incremental(nl, view, faults, &ctx.atpg, previous, changed_gates)
+        })
+    }
+
+    /// The sequence both analyses share: physical design, fault
+    /// extraction, the combinational view, the ATPG step `atpg`, and
+    /// clustering of the faults it leaves undetectable.
+    fn analyze_with(
+        nl: Netlist,
+        ctx: &FlowContext,
+        fixed: Option<(Floorplan, Option<&Placement>)>,
+        atpg: impl FnOnce(&Netlist, &CombView, &[Fault]) -> AtpgResult,
+    ) -> Result<Self, PlaceError> {
         let pd = match fixed {
             None => physical_design(&nl, ctx.seed)?,
-            Some((fp, prev_pl)) => physical_design_in(&nl, fp, prev_pl, ctx.seed)?,
+            Some((fp, prev)) => physical_design_in(&nl, fp, prev, ctx.seed)?,
         };
         let faults = extract_faults(&nl, &pd.layout, &ctx.guidelines, &ctx.catalog);
         let view = nl.comb_view().expect("valid netlist");
-        let atpg = run_atpg_incremental(&nl, &view, &faults, &ctx.atpg, previous, changed_gates);
+        let atpg = atpg(&nl, &view, &faults);
         let undetectable = atpg.undetectable_indices();
         let clusters = cluster_faults(&nl, &faults, &undetectable);
         Ok(Self { nl, pd, faults, atpg, clusters })

@@ -20,7 +20,6 @@
 //! The top-level entry point is [`extract_faults`], which produces the
 //! paper's fault set `F` for a placed-and-routed netlist.
 
-pub mod deckio;
 pub mod guideline;
 pub mod internal;
 #[cfg(test)]
@@ -33,7 +32,6 @@ use rsyn_atpg::fault::Fault;
 use rsyn_netlist::Netlist;
 use rsyn_pdesign::Layout;
 
-pub use deckio::{parse_deck, write_deck};
 pub use guideline::{Guideline, GuidelineCategory, GuidelineSet};
 pub use internal::InternalCatalog;
 pub use scan::{scan_layout, Violation, ViolationTarget};

@@ -9,10 +9,9 @@
 //!   defect extraction;
 //! * [`Netlist`] — an arena-based gate-level netlist with typed ids,
 //!   levelization, and a full-scan combinational view;
-//! * a structural Verilog-subset writer and parser ([`verilog`]), and a
-//!   Liberty-subset writer and parser ([`liberty`]) — both report failures
-//!   as positioned [`NetlistError::Parse`] values (line, column, fragment)
-//!   instead of panicking;
+//! * a structural Verilog-subset writer and parser ([`verilog`]), which
+//!   reports failures as positioned [`NetlistError::Parse`] values (line,
+//!   column, fragment) instead of panicking;
 //! * bit-parallel logic simulation ([`sim`]) over a flat levelized
 //!   struct-of-arrays arena ([`arena`]), 64 (`u64`) or 256
 //!   ([`lanes::LaneBlock`]) patterns per gate visit.
@@ -47,7 +46,6 @@ pub mod canon;
 pub mod cell;
 pub mod ids;
 pub mod lanes;
-pub mod liberty;
 pub mod library;
 pub mod netlist;
 pub mod sim;
@@ -61,7 +59,6 @@ pub use canon::{library_hash, CanonicalView};
 pub use cell::{Cell, CellClass, CellOutput, SpNet, Transistor};
 pub use ids::{CellId, GateId, NetId};
 pub use lanes::{LaneBlock, SimWord, LANES, LANE_WORDS};
-pub use liberty::{parse_liberty, write_liberty, LibertyCell, LibertyLibrary, LibertyPin};
 pub use library::Library;
 pub use netlist::{CombView, Driver, Gate, Net, Netlist};
 pub use stats::NetlistStats;

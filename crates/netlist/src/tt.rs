@@ -185,28 +185,6 @@ impl TruthTable {
     pub fn is_constant(&self) -> bool {
         self.bits == 0 || self.bits == Self::mask(self.input_count())
     }
-
-    /// Extends the function to `inputs` variables by adding dummy inputs at
-    /// the high positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is smaller than the current input count or larger
-    /// than [`MAX_TT_INPUTS`].
-    pub fn extend_to(&self, inputs: usize) -> Self {
-        assert!(inputs >= self.input_count() && inputs <= MAX_TT_INPUTS);
-        let mut bits = self.bits;
-        let mut cur = self.input_count();
-        while cur < inputs {
-            let width = 1u32 << cur;
-            if width >= 64 {
-                break;
-            }
-            bits |= bits << width;
-            cur += 1;
-        }
-        Self::new(inputs, bits)
-    }
 }
 
 impl fmt::Debug for TruthTable {
@@ -288,16 +266,6 @@ mod tests {
     fn flip_input_involutes() {
         let tt = TruthTable::new(3, 0b1011_0010);
         assert_eq!(tt.flip_input(1).flip_input(1), tt);
-    }
-
-    #[test]
-    fn extend_keeps_function() {
-        let tt = TruthTable::var(2, 1);
-        let ext = tt.extend_to(4);
-        assert_eq!(ext.input_count(), 4);
-        for m in 0..16u64 {
-            assert_eq!(ext.eval(m), (m >> 1) & 1 == 1);
-        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub enum NetlistError {
         /// The offending name.
         name: String,
     },
-    /// Verilog-subset or Liberty-subset parse failure, with the position
-    /// and source fragment needed to act on it.
+    /// Verilog-subset parse failure, with the position and source fragment
+    /// needed to act on it.
     Parse {
         /// 1-based line number.
         line: usize,

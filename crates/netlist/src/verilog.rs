@@ -287,13 +287,30 @@ mod tests {
         assert!(matches!(err, NetlistError::UnknownCell { .. }));
     }
 
+    fn parse_error(text: &str) -> (usize, usize, String, String) {
+        match parse_verilog(text, Library::osu018()) {
+            Err(NetlistError::Parse { line, col, context, message }) => {
+                (line, col, context, message)
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn missing_pin_is_reported() {
-        let lib = Library::osu018();
+        // The error names the instance's line, the column where it starts
+        // and its text.
         let text =
             "module t (a, y);\n  input a;\n  output y;\n  NAND2X1 u0 (.A(a), .Y(y));\nendmodule\n";
-        let err = parse_verilog(text, lib).unwrap_err();
-        assert!(matches!(err, NetlistError::Parse { .. }));
+        let (line, col, context, message) = parse_error(text);
+        assert_eq!((line, col), (4, 3));
+        assert_eq!(context, "NAND2X1 u0 (.A(a), .Y(y))");
+        assert_eq!(message, "missing connection for pin B");
+
+        // A last statement without its `;` points at the line it starts on.
+        let (line, col, _, message) = parse_error("module t (a, y);\n  input a;\n  output y\n");
+        assert_eq!((line, col), (3, 1));
+        assert_eq!(message, "unterminated statement");
     }
 
     #[test]

@@ -4,13 +4,13 @@
 #   lint   — formatting, clippy, rustdoc (fast; no build artifacts needed)
 #   gates  — release build (the `perf` benchmark package too), tier-1 and
 #            workspace tests (the suites over process-wide state once more
-#            at 16 test threads), and every behavioural gate: manifest
-#            determinism + baselines, Table I, guideline stats, Fig. 2,
-#            Table II on all twelve circuits, the N-detect baseline, the
-#            p1 sweep, the library ablation, checkpoint/resume, warm
-#            cross-run cache, perf trajectory (the resilient flow driver
-#            at 1 and 4 threads); no fault may end Aborted in any of their
-#            manifests
+#            at 16 test threads), the four examples run to completion, and
+#            every behavioural gate: manifest determinism + baselines,
+#            Table I, guideline stats, Fig. 2, Table II on all twelve
+#            circuits, the N-detect baseline, the p1 sweep, the library
+#            ablation, checkpoint/resume, warm cross-run cache, perf
+#            trajectory (the resilient flow driver at 1 and 4 threads); no
+#            fault may end Aborted in any of their manifests
 #   server — flow-service storm: hundreds of concurrent submissions under
 #            injected worker crashes / queue-full sheds, plus
 #            checkpoint-backed preemption, direct-run result
@@ -71,6 +71,15 @@ run_gates() {
   # add cache traffic (and counters) the baselines don't carry. Every
   # cache-aware gate below opts in with an explicit per-run directory.
   unset RSYN_CACHE_DIR
+
+  echo "== examples (release build; each must exit 0)"
+  # Clippy and the test runs only compile the examples; running them keeps
+  # every crate API they call exercised. None writes a file.
+  cargo build --release --examples
+  for example in quickstart cluster_map aes_flow sparc_exu_resynth; do
+    echo "   $example"
+    "target/release/examples/$example" >/dev/null
+  done
 
   echo "== manifest smoke gate (smallest benchmark, threads 1 vs 4)"
   # Run the smallest Table I benchmark at two worker counts; the stable part
