@@ -31,7 +31,7 @@
 //! loop runs it once per accepted design, not once per candidate.
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rsyn_netlist::{CombView, Driver, GateId, NetId, Netlist, SimArena};
@@ -69,32 +69,45 @@ impl<'a> PreviousEvaluation<'a> {
 /// they drive, and every net no gate drives that is not a primary input.
 #[derive(Debug)]
 struct RemapWindow {
-    gates: HashSet<GateId>,
-    nets: HashSet<NetId>,
+    /// Indexed by gate id.
+    gates: Vec<bool>,
+    /// Indexed by net id.
+    nets: Vec<bool>,
 }
 
 impl RemapWindow {
     /// The window of the remap that added `changed` to `nl`.
     fn of(nl: &Netlist, changed: &[GateId]) -> Self {
-        let gates: HashSet<GateId> = changed.iter().copied().collect();
-        let mut nets: HashSet<NetId> =
-            changed.iter().filter_map(|&g| nl.gate(g)).flat_map(|g| g.outputs.clone()).collect();
-        nets.extend(
-            nl.nets()
-                .filter(|(_, net)| !matches!(net.driver, Some(Driver::Gate(..) | Driver::Input)))
-                .map(|(id, _)| id),
-        );
+        let mut gates = vec![false; nl.gate_capacity()];
+        let mut nets: Vec<bool> = nl
+            .nets()
+            .map(|(_, net)| !matches!(net.driver, Some(Driver::Gate(..) | Driver::Input)))
+            .collect();
+        for &g in changed {
+            if let Some(flag) = gates.get_mut(g.index()) {
+                *flag = true;
+            }
+            for &o in nl.gate(g).map_or(&[][..], |gate| &gate.outputs) {
+                nets[o.index()] = true;
+            }
+        }
         Self { gates, nets }
+    }
+
+    fn has_net(&self, net: NetId) -> bool {
+        self.nets.get(net.index()) == Some(&true)
+    }
+
+    fn has_gate(&self, gate: GateId) -> bool {
+        self.gates.get(gate.index()) == Some(&true)
     }
 
     /// True if a fault of this kind may behave differently after the remap.
     fn touches(&self, kind: &FaultKind) -> bool {
-        match kind {
-            FaultKind::StuckAt { net, .. } | FaultKind::Transition { net, .. } => {
-                self.nets.contains(net)
-            }
-            FaultKind::Bridge { a, b, .. } => self.nets.contains(a) || self.nets.contains(b),
-            FaultKind::CellAware { gate, .. } => self.gates.contains(gate),
+        match *kind {
+            FaultKind::StuckAt { net, .. } | FaultKind::Transition { net, .. } => self.has_net(net),
+            FaultKind::Bridge { a, b, .. } => self.has_net(a) || self.has_net(b),
+            FaultKind::CellAware { gate, .. } => self.has_gate(gate),
         }
     }
 }
@@ -290,15 +303,15 @@ mod tests {
         let x = nl.find_net("x").unwrap();
         let y = nl.find_net("y").unwrap();
         let window = RemapWindow::of(&nl, &[gx]);
-        assert!(window.nets.contains(&x));
-        assert!(!window.nets.contains(&y), "a sibling cone is outside the window");
-        assert!(window.gates.contains(&gx));
-        assert!(!window.gates.contains(&nl.find_gate("gy").unwrap()));
+        assert!(window.has_net(x));
+        assert!(!window.has_net(y), "a sibling cone is outside the window");
+        assert!(window.has_gate(gx));
+        assert!(!window.has_gate(nl.find_gate("gy").unwrap()));
         // Removing `gi` leaves its output undriven: in every window after.
         let cn = nl.gate(nl.find_gate("gi").unwrap()).unwrap().outputs[0];
         nl.remove_gate(nl.find_gate("gi").unwrap());
-        assert!(RemapWindow::of(&nl, &[]).nets.contains(&cn));
-        assert!(!RemapWindow::of(&nl, &[]).nets.contains(&nl.find_net("c").unwrap()));
+        assert!(RemapWindow::of(&nl, &[]).has_net(cn));
+        assert!(!RemapWindow::of(&nl, &[]).has_net(nl.find_net("c").unwrap()));
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Criterion bench: placement + routing + DFM scan and translation
 //! (`PDesign()` plus the sign-off scan and its violations' faults), gated by
 //! the internal pre-check in the real flow.
+//!
+//! `dfm_extract` times `extract_faults`, which the flow calls: the scan
+//! streams each violation into the translator. `dfm_scan` and
+//! `dfm_translate` time the two collecting wrappers, `scan_layout` and
+//! `translate_violations`, one phase each.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsyn_bench::{analyzed, context};
-use rsyn_dfm::scan_layout;
 use rsyn_dfm::translate::translate_violations;
+use rsyn_dfm::{extract_faults, scan_layout};
 use rsyn_pdesign::flow::physical_design;
 
 fn bench_pdesign(c: &mut Criterion) {
@@ -26,6 +31,17 @@ fn bench_pdesign(c: &mut Criterion) {
     for (name, state) in &states {
         group.bench_with_input(BenchmarkId::from_parameter(name), state, |b, state| {
             b.iter(|| scan_layout(&state.pd.layout, &ctx.guidelines).len());
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("dfm_extract");
+    group.sample_size(10);
+    for (name, state) in &states {
+        group.bench_with_input(BenchmarkId::from_parameter(name), state, |b, state| {
+            b.iter(|| {
+                extract_faults(&state.nl, &state.pd.layout, &ctx.guidelines, &ctx.catalog).len()
+            });
         });
     }
     group.finish();

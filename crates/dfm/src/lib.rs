@@ -15,7 +15,7 @@
 //!   against the guidelines, producing [`Violation`]s;
 //! * [`translate`] — violations → external faults (stuck-at, transition,
 //!   bridging), with behavioural deduplication and feedback-bridge
-//!   filtering.
+//!   filtering, one violation at a time.
 //!
 //! The top-level entry point is [`extract_faults`], which produces the
 //! paper's fault set `F` for a placed-and-routed netlist.
@@ -53,6 +53,11 @@ pub use stats::{DeckReport, GuidelineStats};
 /// clustering phenomenon of Section II.
 ///
 /// Internal faults come first in the returned vector, then external faults.
+///
+/// The scan measures the layout under the `dfm.scan` span; under
+/// `dfm.translate` it emits the violations guideline by guideline and each
+/// is translated as it comes, so no violation list is built.
+/// `dfm.violations` counts them.
 pub fn extract_faults(
     nl: &Netlist,
     layout: &Layout,
@@ -62,17 +67,22 @@ pub fn extract_faults(
     let _span = rsyn_observe::span("dfm.extract");
     let mut faults = catalog.instance_faults(nl);
     let internal = faults.len() as u64;
-    let violations = {
+    let measured = {
         let _scan_span = rsyn_observe::span("dfm.scan");
-        scan_layout(layout, guidelines)
+        scan::Measured::new(layout, guidelines)
     };
+    let mut violations = 0u64;
     {
         let _translate_span = rsyn_observe::span("dfm.translate");
-        faults.extend(translate::translate_violations(nl, &violations));
+        let mut translator = translate::Translator::new(nl);
+        measured.emit(|guideline, target| {
+            violations += 1;
+            translator.push(guideline, target, &mut faults);
+        });
     }
     rsyn_observe::add_many(&[
         ("dfm.extracts", 1),
-        ("dfm.violations", violations.len() as u64),
+        ("dfm.violations", violations),
         ("dfm.faults.internal", internal),
         ("dfm.faults.external", faults.len() as u64 - internal),
     ]);
@@ -93,6 +103,8 @@ pub(crate) fn extraction_list<T>() -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use rsyn_netlist::Library;
     use rsyn_pdesign::flow::physical_design;
 
@@ -128,5 +140,39 @@ mod tests {
         let external = faults.len() - internal;
         assert!(internal > 0, "every instance contributes internal faults");
         assert!(external > 0, "routed layout produces external faults");
+    }
+
+    #[test]
+    fn extraction_streams_what_scan_and_translate_collect() {
+        let mut rng = StdRng::seed_from_u64(0xE57A);
+        let guidelines = GuidelineSet::standard();
+        let catalog = InternalCatalog::build(&Library::osu018());
+        let (mut placed, mut violations, mut external) = (0, 0, 0);
+        for case in 0..40 {
+            let nl = translate::tests::random_netlist(&mut rng);
+            // A netlist with a cell wider than its floorplan's rows has no layout.
+            let Ok(pd) = physical_design(&nl, case) else { continue };
+            placed += 1;
+            let scanned = scan_layout(&pd.layout, &guidelines);
+            let mut expected = catalog.instance_faults(&nl);
+            let internal = expected.len();
+            expected.extend(translate::translate_violations(&nl, &scanned));
+
+            let counted = rsyn_observe::counter("dfm.violations");
+            let got = extract_faults(&nl, &pd.layout, &guidelines, &catalog);
+            assert_eq!(got, expected, "case {case}");
+            assert_eq!(
+                rsyn_observe::counter("dfm.violations") - counted,
+                scanned.len() as u64,
+                "case {case}"
+            );
+            violations += scanned.len();
+            external += got.len() - internal;
+        }
+        assert!(placed > 30, "{placed} of 40 netlists placed");
+        assert!(
+            violations > 10_000 && external > 1_000,
+            "{violations} violations, {external} faults"
+        );
     }
 }

@@ -6,13 +6,15 @@
 //! involved (which the translation step turns into logic faults).
 //!
 //! A deck grades each rule kind in tiers that differ only in a threshold,
-//! so the scan measures each kind's geometric relations once — at the
-//! loosest threshold of the tiers that enumerate them in the same order —
-//! and every guideline then emits, in deck order, the measured relations
-//! that pass its own threshold. The violation list is the one a separate
-//! query per guideline would produce, order included.
+//! so a scan runs in two phases. `Measured::new` measures each kind's
+//! geometric relations once — at the loosest threshold of the tiers that
+//! enumerate them in the same order — and `Measured::emit` then hands
+//! over, guideline by guideline in deck order, the measured relations that
+//! pass each guideline's own threshold. The violations come out exactly as
+//! a separate query per guideline would produce them, order included.
+//! [`crate::extract_faults`] translates each one as it is emitted, so no
+//! violation list is built; [`scan_layout`] collects them.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use rsyn_netlist::NetId;
@@ -55,6 +57,39 @@ pub enum ViolationTarget {
     },
 }
 
+impl ViolationTarget {
+    /// The target as the scan emits it.
+    pub(crate) fn borrowed(&self) -> Target<'_> {
+        match self {
+            Self::NetOpen { net } => Target::NetOpen(*net),
+            Self::NetPairShort { a, b } => Target::NetPairShort(*a, *b),
+            Self::RegionOpen { nets } => Target::RegionOpen(nets),
+            Self::RegionShort { nets } => Target::RegionShort(nets),
+        }
+    }
+}
+
+/// A [`ViolationTarget`] as [`Measured::emit`] hands it over: a region's
+/// nets are borrowed from the scan.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Target<'a> {
+    NetOpen(NetId),
+    NetPairShort(NetId, NetId),
+    RegionOpen(&'a [NetId]),
+    RegionShort(&'a [NetId]),
+}
+
+impl Target<'_> {
+    fn owned(self) -> ViolationTarget {
+        match self {
+            Self::NetOpen(net) => ViolationTarget::NetOpen { net },
+            Self::NetPairShort(a, b) => ViolationTarget::NetPairShort { a, b },
+            Self::RegionOpen(nets) => ViolationTarget::RegionOpen { nets: nets.to_vec() },
+            Self::RegionShort(nets) => ViolationTarget::RegionShort { nets: nets.to_vec() },
+        }
+    }
+}
+
 /// One DFM guideline violation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Violation {
@@ -66,137 +101,176 @@ pub struct Violation {
 
 /// Scans a layout against a guideline set.
 pub fn scan_layout(layout: &Layout, guidelines: &GuidelineSet) -> Vec<Violation> {
-    let vias: Vec<&Via> = layout.nets.iter().flat_map(|n| n.vias.iter()).collect();
-    let segments: Vec<&Segment> = layout.nets.iter().flat_map(|n| n.segments.iter()).collect();
-    let seg_h: Vec<&Segment> = segments.iter().copied().filter(|s| s.layer == Layer::M2).collect();
-    let seg_v: Vec<&Segment> = segments.iter().copied().filter(|s| s.layer == Layer::M3).collect();
-    let metal: Vec<&Segment> = seg_h.iter().chain(&seg_v).copied().collect();
-
-    let plan = Plan::new(guidelines);
-    let grid = ViaGrid::new(&vias);
-    let via_pairs: Vec<_> =
-        plan.via_pairs.iter().map(|&(r, d)| (r, measure_via_pairs(&vias, &grid, r, d))).collect();
-    let end_of_line: Vec<_> = plan
-        .end_of_line
-        .iter()
-        .map(|&(r, d)| (r, measure_end_of_line(&segments, &vias, &grid, r, d)))
-        .collect();
-    let via_metal =
-        plan.via_metal.map_or_else(Vec::new, |d| measure_via_metal(&vias, &seg_h, &seg_v, d));
-    let runs: Vec<_> = plan
-        .runs
-        .iter()
-        .map(|&(width, space, overlap)| {
-            let h = measure_parallel_runs(&seg_h, true, width, space, overlap);
-            let v = measure_parallel_runs(&seg_v, false, width, space, overlap);
-            (width, (h, v))
-        })
-        .collect();
-    let density = plan.density.then(|| Density::new(layout));
-
     let mut out = crate::extraction_list();
-    for g in guidelines.iter() {
-        let id = g.id;
-        let open = |net| Violation { guideline: id, target: ViolationTarget::NetOpen { net } };
-        let short =
-            |a, b| Violation { guideline: id, target: ViolationTarget::NetPairShort { a, b } };
-        match g.rule {
-            GuidelineRule::ViaSpacing { min_um } => {
-                for p in group(&via_pairs, via_reach(min_um)) {
-                    if p.dist < min_um && p.a != p.b {
-                        out.push(short(p.a, p.b));
+    Measured::new(layout, guidelines)
+        .emit(|guideline, target| out.push(Violation { guideline, target: target.owned() }));
+    out
+}
+
+/// A layout's geometric relations, each rule kind's measured once for a
+/// guideline deck: the first phase of a scan.
+pub(crate) struct Measured<'a> {
+    layout: &'a Layout,
+    guidelines: &'a GuidelineSet,
+    vias: Vec<&'a Via>,
+    segments: Vec<&'a Segment>,
+    /// M2 segments followed by M3 segments.
+    metal: Vec<&'a Segment>,
+    via_pairs: Vec<(i64, Vec<ViaPair>)>,
+    end_of_line: Vec<(i64, Vec<EndOfLineHit>)>,
+    via_metal: Vec<ViaMetalHit>,
+    /// Per band width, the M2 runs followed by the M3 runs.
+    runs: Vec<(f64, Vec<Run>)>,
+    density: Option<Density>,
+}
+
+impl<'a> Measured<'a> {
+    /// Measures every relation `guidelines` tests on `layout`.
+    pub(crate) fn new(layout: &'a Layout, guidelines: &'a GuidelineSet) -> Self {
+        let vias: Vec<&Via> = layout.nets.iter().flat_map(|n| n.vias.iter()).collect();
+        let segments: Vec<&Segment> = layout.nets.iter().flat_map(|n| n.segments.iter()).collect();
+        let seg_h: Vec<&Segment> =
+            segments.iter().copied().filter(|s| s.layer == Layer::M2).collect();
+        let seg_v: Vec<&Segment> =
+            segments.iter().copied().filter(|s| s.layer == Layer::M3).collect();
+
+        let plan = Plan::new(guidelines);
+        let grid = ViaGrid::new(&vias);
+        let via_pairs = plan
+            .via_pairs
+            .iter()
+            .map(|&(r, d)| (r, measure_via_pairs(&vias, &grid, r, d)))
+            .collect();
+        let end_of_line = plan
+            .end_of_line
+            .iter()
+            .map(|&(r, d)| (r, measure_end_of_line(&segments, &vias, &grid, r, d)))
+            .collect();
+        let via_metal =
+            plan.via_metal.map_or_else(Vec::new, |d| measure_via_metal(&vias, &seg_h, &seg_v, d));
+        let runs = plan
+            .runs
+            .iter()
+            .map(|&(width, space, overlap)| {
+                let mut runs = measure_parallel_runs(&seg_h, true, width, space, overlap);
+                runs.extend(measure_parallel_runs(&seg_v, false, width, space, overlap));
+                (width, runs)
+            })
+            .collect();
+        let density = plan.density.then(|| Density::new(layout));
+        let metal = seg_h.into_iter().chain(seg_v).collect();
+        Measured {
+            layout,
+            guidelines,
+            vias,
+            segments,
+            metal,
+            via_pairs,
+            end_of_line,
+            via_metal,
+            runs,
+            density,
+        }
+    }
+
+    /// Hands every violation to `sink` as `(guideline id, target)`,
+    /// guideline by guideline in deck order: the second phase of a scan.
+    pub(crate) fn emit(&self, mut sink: impl FnMut(u16, Target<'_>)) {
+        for g in self.guidelines.iter() {
+            let id = g.id;
+            match g.rule {
+                GuidelineRule::ViaSpacing { min_um } => {
+                    for p in group(&self.via_pairs, via_reach(min_um)) {
+                        if p.dist < min_um && p.a != p.b {
+                            sink(id, Target::NetPairShort(p.a, p.b));
+                        }
                     }
                 }
-            }
-            GuidelineRule::SameNetViaSpacing { min_um } => {
-                for p in group(&via_pairs, via_reach(min_um)) {
-                    if p.dist < min_um && p.a == p.b {
-                        out.push(open(p.a));
+                GuidelineRule::SameNetViaSpacing { min_um } => {
+                    for p in group(&self.via_pairs, via_reach(min_um)) {
+                        if p.dist < min_um && p.a == p.b {
+                            sink(id, Target::NetOpen(p.a));
+                        }
                     }
                 }
-            }
-            GuidelineRule::RedundantVia { wirelength_per_via_um } => {
-                for rn in &layout.nets {
-                    let vias = rn.vias.len().max(1);
-                    if rn.wirelength() / vias as f64 > wirelength_per_via_um {
-                        out.push(open(rn.net));
+                GuidelineRule::RedundantVia { wirelength_per_via_um } => {
+                    for rn in &self.layout.nets {
+                        let vias = rn.vias.len().max(1);
+                        if rn.wirelength() / vias as f64 > wirelength_per_via_um {
+                            sink(id, Target::NetOpen(rn.net));
+                        }
                     }
                 }
-            }
-            GuidelineRule::ViaMetalSpacing { min_um } => {
-                for hit in &via_metal {
-                    let (via, seg) = (vias[hit.via as usize], metal[hit.seg as usize]);
-                    if hit.dist < min_um && near_metal(seg, via.at, min_um) {
-                        out.push(short(via.net, seg.net));
+                GuidelineRule::ViaMetalSpacing { min_um } => {
+                    for hit in &self.via_metal {
+                        let (via, seg) =
+                            (self.vias[hit.via as usize], self.metal[hit.seg as usize]);
+                        if hit.dist < min_um && near_metal(seg, via.at, min_um) {
+                            sink(id, Target::NetPairShort(via.net, seg.net));
+                        }
                     }
                 }
-            }
-            GuidelineRule::ParallelRun { min_space_um, min_overlap_um } => {
-                let (h, v) = group(&runs, run_band_width(min_space_um));
-                for r in h.iter().chain(v) {
-                    if r.space >= min_space_um {
-                        continue;
-                    }
-                    if r.overlap > min_overlap_um {
-                        out.push(short(r.a, r.b));
-                    }
-                }
-            }
-            GuidelineRule::LongWire { max_len_um } => {
-                for seg in &segments {
-                    if seg.length() > max_len_um {
-                        out.push(open(seg.net));
+                GuidelineRule::ParallelRun { min_space_um, min_overlap_um } => {
+                    for r in group(&self.runs, run_band_width(min_space_um)) {
+                        if r.space >= min_space_um {
+                            continue;
+                        }
+                        if r.overlap > min_overlap_um {
+                            sink(id, Target::NetPairShort(r.a, r.b));
+                        }
                     }
                 }
-            }
-            GuidelineRule::Jog { max_len_um } => {
-                for rn in &layout.nets {
-                    if rn.segments.len() > 2 {
-                        for seg in &rn.segments {
-                            let l = seg.length();
-                            if l > 1e-9 && l < max_len_um {
-                                out.push(open(rn.net));
+                GuidelineRule::LongWire { max_len_um } => {
+                    for seg in &self.segments {
+                        if seg.length() > max_len_um {
+                            sink(id, Target::NetOpen(seg.net));
+                        }
+                    }
+                }
+                GuidelineRule::Jog { max_len_um } => {
+                    for rn in &self.layout.nets {
+                        if rn.segments.len() > 2 {
+                            for seg in &rn.segments {
+                                let l = seg.length();
+                                if l > 1e-9 && l < max_len_um {
+                                    sink(id, Target::NetOpen(rn.net));
+                                }
                             }
                         }
                     }
                 }
-            }
-            GuidelineRule::EndOfLine { min_um } => {
-                for hit in group(&end_of_line, via_reach(min_um)) {
-                    if hit.dist < min_um {
-                        out.push(short(hit.seg_net, hit.via_net));
+                GuidelineRule::EndOfLine { min_um } => {
+                    for hit in group(&self.end_of_line, via_reach(min_um)) {
+                        if hit.dist < min_um {
+                            sink(id, Target::NetPairShort(hit.seg_net, hit.via_net));
+                        }
                     }
                 }
-            }
-            GuidelineRule::DensityHigh { max } => {
-                for nets in density.as_ref().expect("planned").windows(|d| d > max) {
-                    out.push(Violation {
-                        guideline: id,
-                        target: ViolationTarget::RegionShort { nets },
-                    });
+                GuidelineRule::DensityHigh { max } => {
+                    self.density().windows(|d| d > max, |nets| sink(id, Target::RegionShort(nets)));
                 }
-            }
-            GuidelineRule::DensityLow { min } => {
-                for nets in density.as_ref().expect("planned").windows(|d| d < min) {
-                    if !nets.is_empty() {
-                        out.push(Violation {
-                            guideline: id,
-                            target: ViolationTarget::RegionOpen { nets },
-                        });
-                    }
+                GuidelineRule::DensityLow { min } => {
+                    self.density().windows(
+                        |d| d < min,
+                        |nets| {
+                            if !nets.is_empty() {
+                                sink(id, Target::RegionOpen(nets));
+                            }
+                        },
+                    );
                 }
-            }
-            GuidelineRule::DensityGradient { max_delta } => {
-                for nets in density.as_ref().expect("planned").gradient_windows(max_delta) {
-                    out.push(Violation {
-                        guideline: id,
-                        target: ViolationTarget::RegionOpen { nets },
+                GuidelineRule::DensityGradient { max_delta } => {
+                    self.density().gradient_windows(max_delta, |nets| {
+                        sink(id, Target::RegionOpen(nets));
                     });
                 }
             }
         }
     }
-    out
+
+    fn density(&self) -> &Density {
+        self.density.as_ref().expect("planned")
+    }
 }
 
 // --- measurement plan ------------------------------------------------------------
@@ -315,47 +389,82 @@ struct Run {
     overlap: f64,
 }
 
-/// Vias on a 3 µm grid: buckets in key order, each bucket's vias in layout
-/// order, so a run of consecutive buckets is one slice of `members`.
+/// Vias on a 3 µm grid: one bucket per grid cell of the vias' bounding box,
+/// buckets in key order — column by column, `(x, y)` — and each bucket's
+/// vias in layout order, so a run of consecutive buckets of one column is
+/// one slice of `members`. It costs 4 bytes per 9 µm² of the box, which a
+/// routed layout keeps within its floorplan.
 struct ViaGrid {
-    keys: Vec<(i64, i64)>,
+    /// Key of bucket 0.
+    origin: (i64, i64),
+    columns: i64,
+    /// Buckets per column.
+    rows: i64,
     /// Start of each bucket in `members`, plus the end.
-    starts: Vec<usize>,
+    starts: Vec<u32>,
     members: Vec<u32>,
 }
 
 impl ViaGrid {
     fn new(vias: &[&Via]) -> Self {
-        let mut order: Vec<((i64, i64), u32)> = vias
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                (((v.at.x / VIA_CELL_UM) as i64, (v.at.y / VIA_CELL_UM) as i64), i as u32)
-            })
-            .collect();
-        order.sort_unstable();
-        let mut grid = ViaGrid { keys: Vec::new(), starts: Vec::new(), members: Vec::new() };
-        for (pos, &(key, i)) in order.iter().enumerate() {
-            if grid.keys.last() != Some(&key) {
-                grid.keys.push(key);
-                grid.starts.push(pos);
-            }
-            grid.members.push(i);
+        let key = |v: &&Via| ((v.at.x / VIA_CELL_UM) as i64, (v.at.y / VIA_CELL_UM) as i64);
+        let lo = vias.iter().map(key).reduce(|a, b| (a.0.min(b.0), a.1.min(b.1)));
+        let hi = vias.iter().map(key).reduce(|a, b| (a.0.max(b.0), a.1.max(b.1)));
+        let (origin, hi) = (lo.unwrap_or((0, 0)), hi.unwrap_or((-1, -1)));
+        let (columns, rows) = (hi.0 - origin.0 + 1, hi.1 - origin.1 + 1);
+        let mut grid = ViaGrid {
+            origin,
+            columns,
+            rows,
+            starts: vec![0; (columns * rows) as usize + 1],
+            members: vec![0; vias.len()],
+        };
+        // Counting sort: each bucket's size at its end, the prefix sums
+        // (bucket starts), then each via at its bucket's next free slot,
+        // which leaves every bucket's end where its start was.
+        for v in vias {
+            let b = grid.bucket(key(v));
+            grid.starts[b + 1] += 1;
         }
-        grid.starts.push(order.len());
+        for b in 1..grid.starts.len() {
+            grid.starts[b] += grid.starts[b - 1];
+        }
+        for (i, v) in vias.iter().enumerate() {
+            let b = grid.bucket(key(v));
+            grid.members[grid.starts[b] as usize] = i as u32;
+            grid.starts[b] += 1;
+        }
+        let end = grid.starts.len() - 1;
+        grid.starts.copy_within(0..end, 1);
+        grid.starts[0] = 0;
         grid
     }
 
-    /// Indices of the buckets `(x, y0..=y1)`.
+    fn buckets(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn bucket(&self, (x, y): (i64, i64)) -> usize {
+        ((x - self.origin.0) * self.rows + (y - self.origin.1)) as usize
+    }
+
+    fn key(&self, bucket: usize) -> (i64, i64) {
+        let b = bucket as i64;
+        (self.origin.0 + b / self.rows, self.origin.1 + b % self.rows)
+    }
+
+    /// Indices of the buckets `(x, y0..=y1)` inside the grid.
     fn column(&self, x: i64, y0: i64, y1: i64) -> Range<usize> {
-        let lo = self.keys.partition_point(|&k| k < (x, y0));
-        let hi = self.keys.partition_point(|&k| k <= (x, y1));
-        lo..hi.max(lo)
+        let (y0, y1) = (y0.max(self.origin.1), y1.min(self.origin.1 + self.rows - 1));
+        if x < self.origin.0 || x >= self.origin.0 + self.columns || y0 > y1 {
+            return 0..0;
+        }
+        self.bucket((x, y0))..self.bucket((x, y1)) + 1
     }
 
     /// The vias of buckets `range`, bucket by bucket.
     fn members(&self, range: Range<usize>) -> &[u32] {
-        &self.members[self.starts[range.start]..self.starts[range.end]]
+        &self.members[self.starts[range.start] as usize..self.starts[range.end] as usize]
     }
 }
 
@@ -365,14 +474,18 @@ impl ViaGrid {
 /// decides fault order (and thus ATPG's test set).
 fn measure_via_pairs(vias: &[&Via], grid: &ViaGrid, reach: i64, dist: f64) -> Vec<ViaPair> {
     let mut out = Vec::new();
-    for (k, &(bx, by)) in grid.keys.iter().enumerate() {
+    for k in 0..grid.buckets() {
         let idxs = grid.members(k..k + 1);
+        if idxs.is_empty() {
+            continue;
+        }
+        let (bx, by) = grid.key(k);
         for dx in 0..=reach {
             let y0 = if dx == 0 { by } else { by - reach };
             for peer in grid.column(bx + dx, y0, by + reach) {
+                let peers = grid.members(peer..peer + 1);
                 for (pos, &i) in idxs.iter().enumerate() {
-                    let js =
-                        if peer == k { &idxs[pos + 1..] } else { grid.members(peer..peer + 1) };
+                    let js = if peer == k { &idxs[pos + 1..] } else { peers };
                     let a = vias[i as usize];
                     for &j in js {
                         let b = vias[j as usize];
@@ -571,36 +684,69 @@ fn measure_parallel_runs(
 /// The density map and each window's first few nets, computed once per scan.
 struct Density {
     map: Vec<Vec<f64>>,
-    nets: HashMap<(usize, usize), Vec<NetId>>,
+    /// Windows per row of `map`.
+    columns: usize,
+    /// `REGION_NET_CAP` slots per window, windows row by row as in `map`.
+    nets: Vec<NetId>,
+    /// Filled slots per window.
+    filled: Vec<u8>,
 }
 
 impl Density {
+    /// The map and the first few nets crossing each of its windows.
     fn new(layout: &Layout) -> Self {
-        Density { map: layout.density_map(DENSITY_WINDOW_UM), nets: window_nets(layout) }
-    }
-
-    fn nets_of(&self, window: (usize, usize)) -> Vec<NetId> {
-        self.nets.get(&window).cloned().unwrap_or_default()
-    }
-
-    /// Nets crossing each density window matching `pred` (capped).
-    fn windows<F: Fn(f64) -> bool>(&self, pred: F) -> Vec<Vec<NetId>> {
-        let mut out = Vec::new();
-        for (iy, row) in self.map.iter().enumerate() {
-            for (ix, &d) in row.iter().enumerate() {
-                if pred(d) {
-                    out.push(self.nets_of((ix, iy)));
+        let map = layout.density_map(DENSITY_WINDOW_UM);
+        let (rows, columns) = (map.len(), map[0].len());
+        let mut nets = vec![NetId::from_index(0); rows * columns * REGION_NET_CAP];
+        let mut filled = vec![0u8; rows * columns];
+        for rn in &layout.nets {
+            for seg in &rn.segments {
+                let steps = (seg.length() / (DENSITY_WINDOW_UM / 2.0)).ceil().max(1.0) as usize;
+                for s in 0..=steps {
+                    let t = s as f64 / steps as f64;
+                    let x = seg.a.x + (seg.b.x - seg.a.x) * t;
+                    let y = seg.a.y + (seg.b.y - seg.a.y) * t;
+                    let (ix, iy) =
+                        ((x / DENSITY_WINDOW_UM) as usize, (y / DENSITY_WINDOW_UM) as usize);
+                    // A point off the map is in no window a guideline reports.
+                    if ix >= columns || iy >= rows {
+                        continue;
+                    }
+                    let w = iy * columns + ix;
+                    let slots = &mut nets[w * REGION_NET_CAP..(w + 1) * REGION_NET_CAP];
+                    let n = usize::from(filled[w]);
+                    if n < REGION_NET_CAP && !slots[..n].contains(&rn.net) {
+                        slots[n] = rn.net;
+                        filled[w] += 1;
+                    }
                 }
             }
         }
-        out
+        Density { map, columns, nets, filled }
     }
 
-    /// Windows whose density differs from a right/up neighbour by more than
-    /// `max_delta`; returns the nets of the sparser window (open risk).
-    fn gradient_windows(&self, max_delta: f64) -> Vec<Vec<NetId>> {
+    fn nets_of(&self, (ix, iy): (usize, usize)) -> &[NetId] {
+        let w = iy * self.columns + ix;
+        &self.nets[w * REGION_NET_CAP..w * REGION_NET_CAP + usize::from(self.filled[w])]
+    }
+
+    /// Calls `emit` with the nets crossing each density window matching
+    /// `pred` (capped), row by row.
+    fn windows(&self, pred: impl Fn(f64) -> bool, mut emit: impl FnMut(&[NetId])) {
+        for (iy, row) in self.map.iter().enumerate() {
+            for (ix, &d) in row.iter().enumerate() {
+                if pred(d) {
+                    emit(self.nets_of((ix, iy)));
+                }
+            }
+        }
+    }
+
+    /// Calls `emit` with the nets of the sparser window (open risk) of
+    /// every window pair whose density differs from a right/up neighbour by
+    /// more than `max_delta`, when that window has any.
+    fn gradient_windows(&self, max_delta: f64, mut emit: impl FnMut(&[NetId])) {
         let map = &self.map;
-        let mut out = Vec::new();
         for iy in 0..map.len() {
             for ix in 0..map[iy].len() {
                 for (nx, ny) in [(ix + 1, iy), (ix, iy + 1)] {
@@ -611,36 +757,14 @@ impl Density {
                             let key = if d0 < d1 { (ix, iy) } else { (nx, ny) };
                             let ns = self.nets_of(key);
                             if !ns.is_empty() {
-                                out.push(ns);
+                                emit(ns);
                             }
                         }
                     }
                 }
             }
         }
-        out
     }
-}
-
-/// First few nets crossing each window.
-fn window_nets(layout: &Layout) -> HashMap<(usize, usize), Vec<NetId>> {
-    let mut map: HashMap<(usize, usize), Vec<NetId>> = HashMap::new();
-    for rn in &layout.nets {
-        for seg in &rn.segments {
-            let steps = (seg.length() / (DENSITY_WINDOW_UM / 2.0)).ceil().max(1.0) as usize;
-            for s in 0..=steps {
-                let t = s as f64 / steps as f64;
-                let x = seg.a.x + (seg.b.x - seg.a.x) * t;
-                let y = seg.a.y + (seg.b.y - seg.a.y) * t;
-                let key = ((x / DENSITY_WINDOW_UM) as usize, (y / DENSITY_WINDOW_UM) as usize);
-                let entry = map.entry(key).or_default();
-                if entry.len() < REGION_NET_CAP && !entry.contains(&rn.net) {
-                    entry.push(rn.net);
-                }
-            }
-        }
-    }
-    map
 }
 
 #[cfg(test)]
@@ -862,6 +986,94 @@ mod tests {
             let set = GuidelineSet::standard();
             assert_eq!(scan_layout(&layout, &set), reference::scan::scan_layout(&layout, &set));
         }
+    }
+
+    /// Every via rule at thresholds whose bucket reach is 0, 1, 2 and 3,
+    /// each on a bucket edge and just inside it.
+    fn via_deck() -> GuidelineSet {
+        let mut guidelines = Vec::new();
+        for min_um in [0.0, 2.5, 3.0, 5.5, 6.0, 8.5, 9.0] {
+            for rule in [
+                GuidelineRule::ViaSpacing { min_um },
+                GuidelineRule::SameNetViaSpacing { min_um },
+                GuidelineRule::EndOfLine { min_um },
+                GuidelineRule::ViaMetalSpacing { min_um: min_um / 2.0 },
+            ] {
+                let id = guidelines.len() as u16;
+                let name = format!("V.{id}");
+                guidelines.push(Guideline { id, category: GuidelineCategory::Via, name, rule });
+            }
+        }
+        GuidelineSet::from_guidelines(guidelines)
+    }
+
+    #[test]
+    fn via_grid_matches_reference_at_its_edges() {
+        let floorplan = Floorplan { rows: 5, sites_per_row: 20, utilization: 0.7 };
+        let (w, h) = (floorplan.width_um(), floorplan.height_um());
+        let net = NetId::from_index;
+        let seg = |n: usize, layer, a: (f64, f64), b: (f64, f64)| Segment {
+            layer,
+            a: Point::new(a.0, a.1),
+            b: Point::new(b.0, b.1),
+            net: net(n),
+        };
+        let via = |n: usize, x: f64, y: f64| Via {
+            at: Point::new(x, y),
+            from: Layer::M2,
+            to: Layer::M3,
+            net: net(n),
+        };
+        // Segments at both corners, so end-of-line and via-to-metal
+        // queries reach past every edge of the grid.
+        let segments = |n: usize| {
+            vec![
+                seg(n, Layer::M2, (0.0, 1.0 + n as f64), (6.0 + n as f64, 1.0 + n as f64)),
+                seg(n, Layer::M3, (2.0 + n as f64, 0.0), (2.0 + n as f64, 7.0)),
+                seg(
+                    n,
+                    Layer::M2,
+                    (w - 8.0, h - 1.0 - n as f64),
+                    (w - 0.5 * n as f64, h - 1.0 - n as f64),
+                ),
+                seg(n, Layer::M3, (w - 1.5 - n as f64, h - 9.0), (w - 1.5 - n as f64, h)),
+            ]
+        };
+        let no_vias = Layout {
+            floorplan,
+            cells: vec![],
+            nets: (0..3)
+                .map(|n| RoutedNet { net: net(n), segments: segments(n), vias: vec![] })
+                .collect(),
+        };
+        // Vias only in bucket (0, 0) and in the top-right bucket, on their
+        // edges too, stacked and of the same and of other nets.
+        let (tx, ty) =
+            ((w / VIA_CELL_UM).floor() * VIA_CELL_UM, (h / VIA_CELL_UM).floor() * VIA_CELL_UM);
+        let corner_vias = [
+            vec![via(0, 0.0, 0.0), via(0, 1.5, 2.5), via(0, tx, ty), via(0, w, h)],
+            vec![via(1, 2.9, 0.0), via(1, 0.0, 0.0), via(1, tx + 1.0, ty + 0.5)],
+            vec![via(2, 1.0, 1.0), via(2, tx + 2.5, ty), via(2, tx, ty + 2.0)],
+        ];
+        let corners = Layout {
+            floorplan,
+            cells: vec![],
+            nets: corner_vias
+                .into_iter()
+                .enumerate()
+                .map(|(n, vias)| RoutedNet { net: net(n), segments: segments(n), vias })
+                .collect(),
+        };
+        let deck = via_deck();
+        assert_eq!(scan_layout(&no_vias, &deck), reference::scan::scan_layout(&no_vias, &deck));
+        let got = scan_layout(&corners, &deck);
+        assert_eq!(got, reference::scan::scan_layout(&corners, &deck));
+        let emitted = |kind: fn(&GuidelineRule) -> bool| {
+            got.iter().filter(|v| kind(&deck.by_id(v.guideline).unwrap().rule)).count()
+        };
+        assert!(emitted(|r| matches!(r, GuidelineRule::ViaSpacing { .. })) > 0);
+        assert!(emitted(|r| matches!(r, GuidelineRule::SameNetViaSpacing { .. })) > 0);
+        assert!(emitted(|r| matches!(r, GuidelineRule::EndOfLine { .. })) > 0);
     }
 
     #[test]

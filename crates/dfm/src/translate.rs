@@ -7,101 +7,119 @@
 //! feedback bridges (one net in the other's fanout cone) are excluded —
 //! they would require sequential test generation, outside the paper's
 //! combinational scope.
-
-use std::collections::HashSet;
+//!
+//! A `Translator` takes one violation at a time, so the scan can hand
+//! each over as it is emitted; its deduplication state is dense per net
+//! and per net pair.
 
 use rsyn_atpg::fault::{BridgeKind, Fault, FaultKind};
 use rsyn_netlist::{CellClass, Driver, NetId, Netlist};
 
-use crate::scan::{Violation, ViolationTarget};
-
-/// Canonical behavioural identity of an external fault (dedupe key).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    Sa(NetId, bool),
-    Tr(NetId, bool),
-    Br(NetId, NetId, BridgeKind),
-}
+use crate::scan::{Target, Violation};
 
 /// Translates violations into a deduplicated external fault list.
 pub fn translate_violations(nl: &Netlist, violations: &[Violation]) -> Vec<Fault> {
-    let mut seen: HashSet<Key> = HashSet::new();
-    let mut out: Vec<Fault> = crate::extraction_list();
-    let mut cones = Cones::new(nl);
-
-    let push_open = |net: NetId, guideline: u16, seen: &mut HashSet<Key>, out: &mut Vec<Fault>| {
-        if !faultable(nl, net) {
-            return;
-        }
-        // Opens manifest as resistive (transition) or full (stuck-at)
-        // defects; pick deterministically by site so the mix is stable.
-        let h = mix(net.index() as u64, guideline as u64);
-        let fault = match h % 4 {
-            0 => (Key::Sa(net, false), FaultKind::StuckAt { net, value: false }),
-            1 => (Key::Sa(net, true), FaultKind::StuckAt { net, value: true }),
-            2 => (Key::Tr(net, true), FaultKind::Transition { net, rising: true }),
-            _ => (Key::Tr(net, false), FaultKind::Transition { net, rising: false }),
-        };
-        if seen.insert(fault.0) {
-            out.push(Fault::external(fault.1, guideline));
-        }
-    };
-
+    let mut out = crate::extraction_list();
+    let mut translator = Translator::new(nl);
     for v in violations {
-        match &v.target {
-            ViolationTarget::NetOpen { net } => push_open(*net, v.guideline, &mut seen, &mut out),
-            ViolationTarget::RegionOpen { nets } => {
-                for &net in nets {
-                    push_open(net, v.guideline, &mut seen, &mut out);
-                }
-            }
-            ViolationTarget::NetPairShort { a, b } => {
-                push_bridge(nl, &mut cones, *a, *b, v.guideline, &mut seen, &mut out);
-            }
-            ViolationTarget::RegionShort { nets } => {
-                for pair in nets.chunks(2) {
-                    if let [a, b] = pair {
-                        push_bridge(nl, &mut cones, *a, *b, v.guideline, &mut seen, &mut out);
-                    }
-                }
-            }
-        }
+        translator.push(v.guideline, v.target.borrowed(), &mut out);
     }
     out
 }
 
-fn push_bridge(
-    nl: &Netlist,
-    cones: &mut Cones<'_>,
-    a: NetId,
-    b: NetId,
-    guideline: u16,
-    seen: &mut HashSet<Key>,
-    out: &mut Vec<Fault>,
-) {
-    if a == b || !faultable(nl, a) || !faultable(nl, b) {
-        return;
-    }
-    let (a, b) = if a <= b { (a, b) } else { (b, a) };
-    let kind = if mix(a.index() as u64, b.index() as u64) % 2 == 0 {
-        BridgeKind::WiredAnd
-    } else {
-        BridgeKind::WiredOr
-    };
-    let key = Key::Br(a, b, kind);
-    if seen.contains(&key) {
-        return;
-    }
-    if cones.reaches(a, b) || cones.reaches(b, a) {
-        return; // feedback bridge: out of combinational scope
-    }
-    seen.insert(key);
-    out.push(Fault::external(FaultKind::Bridge { a, b, kind }, guideline));
+/// Set in [`Translator::nets`] for a net that can carry faults: driven, not
+/// a constant.
+const FAULTABLE: u8 = 1 << 4;
+
+/// Turns violations, one at a time, into the external faults no earlier
+/// violation produced.
+pub(crate) struct Translator<'a> {
+    /// Per net: [`FAULTABLE`], and bit `h` once the open fault of kind `h`
+    /// (see [`Translator::open`]) is emitted.
+    nets: Vec<u8>,
+    /// One bit per unordered pair of distinct nets, set once its bridge is
+    /// emitted or found to be a feedback bridge: nets² / 16 bytes.
+    pairs: Vec<u64>,
+    cones: Cones<'a>,
 }
 
-/// Nets that can carry faults: driven, not constants.
-fn faultable(nl: &Netlist, net: NetId) -> bool {
-    !matches!(nl.net(net).driver, Some(Driver::Const(_)) | None)
+impl<'a> Translator<'a> {
+    pub(crate) fn new(nl: &'a Netlist) -> Self {
+        let n = nl.net_count();
+        let nets = nl
+            .nets()
+            .map(|(_, net)| match net.driver {
+                Some(Driver::Const(_)) | None => 0,
+                _ => FAULTABLE,
+            })
+            .collect();
+        let pairs = vec![0; (n * n.saturating_sub(1) / 2).div_ceil(64)];
+        Self { nets, pairs, cones: Cones::new(nl) }
+    }
+
+    /// Appends the new faults of one violation of `guideline` to `out`.
+    pub(crate) fn push(&mut self, guideline: u16, target: Target<'_>, out: &mut Vec<Fault>) {
+        match target {
+            Target::NetOpen(net) => self.open(net, guideline, out),
+            Target::RegionOpen(nets) => {
+                for &net in nets {
+                    self.open(net, guideline, out);
+                }
+            }
+            Target::NetPairShort(a, b) => self.bridge(a, b, guideline, out),
+            Target::RegionShort(nets) => {
+                for pair in nets.chunks_exact(2) {
+                    self.bridge(pair[0], pair[1], guideline, out);
+                }
+            }
+        }
+    }
+
+    fn open(&mut self, net: NetId, guideline: u16, out: &mut Vec<Fault>) {
+        let state = &mut self.nets[net.index()];
+        if *state & FAULTABLE == 0 {
+            return;
+        }
+        // Opens manifest as resistive (transition) or full (stuck-at)
+        // defects; pick deterministically by site so the mix is stable.
+        let h = mix(net.index() as u64, guideline as u64) % 4;
+        if *state & 1 << h != 0 {
+            return;
+        }
+        *state |= 1 << h;
+        let kind = match h {
+            0 => FaultKind::StuckAt { net, value: false },
+            1 => FaultKind::StuckAt { net, value: true },
+            2 => FaultKind::Transition { net, rising: true },
+            _ => FaultKind::Transition { net, rising: false },
+        };
+        out.push(Fault::external(kind, guideline));
+    }
+
+    fn bridge(&mut self, a: NetId, b: NetId, guideline: u16, out: &mut Vec<Fault>) {
+        let faultable = |n: NetId| self.nets[n.index()] & FAULTABLE != 0;
+        if a == b || !faultable(a) || !faultable(b) {
+            return;
+        }
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        // A pair's bridge kind is a function of the pair, so deciding each
+        // pair once decides each bridge once.
+        let pair = b.index() * (b.index() - 1) / 2 + a.index();
+        let (word, bit) = (pair / 64, 1 << (pair % 64));
+        if self.pairs[word] & bit != 0 {
+            return;
+        }
+        self.pairs[word] |= bit;
+        if self.cones.reaches(a, b) || self.cones.reaches(b, a) {
+            return; // feedback bridge: out of combinational scope
+        }
+        let kind = if mix(a.index() as u64, b.index() as u64) % 2 == 0 {
+            BridgeKind::WiredAnd
+        } else {
+            BridgeKind::WiredOr
+        };
+        out.push(Fault::external(FaultKind::Bridge { a, b, kind }, guideline));
+    }
 }
 
 fn mix(a: u64, b: u64) -> u64 {
@@ -177,7 +195,7 @@ fn in_cone(cone: &[u64], net: NetId) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference;
     use crate::scan::ViolationTarget;
@@ -285,7 +303,7 @@ mod tests {
     /// A random netlist: inputs, both constants, an undriven net, single-
     /// and multi-output cells, and flops whose outputs feed back into the
     /// logic that drives them.
-    fn random_netlist(rng: &mut StdRng) -> Netlist {
+    pub(crate) fn random_netlist(rng: &mut StdRng) -> Netlist {
         let lib = Library::osu018();
         let mut nl = Netlist::new("r", lib.clone());
         let mut nets: Vec<NetId> =

@@ -133,9 +133,16 @@ impl Layout {
         self.nets.iter().map(|n| n.vias.len()).sum()
     }
 
-    /// Routed wirelength of one net in µm (0 if unrouted).
-    pub fn net_wirelength(&self, net: NetId) -> f64 {
-        self.nets.iter().find(|r| r.net == net).map(RoutedNet::wirelength).unwrap_or(0.0)
+    /// Routed wirelength in µm of each net id below `nets` (0 if
+    /// unrouted), in one pass: a net routed twice counts its first entry.
+    pub fn net_wirelengths(&self, nets: usize) -> Vec<f64> {
+        let mut out = vec![0.0; nets];
+        for rn in self.nets.iter().rev() {
+            if let Some(w) = out.get_mut(rn.net.index()) {
+                *w = rn.wirelength();
+            }
+        }
+        out
     }
 
     /// Metal density map: fraction of each `window_um`-sized square window

@@ -134,14 +134,15 @@ impl Placement {
                 row += 1;
                 site = 0;
                 reverse = !reverse;
-                if row >= self.fp.rows {
-                    let needed: usize = order
-                        .iter()
-                        .filter(|&&g| self.slots[g.index()].is_none())
-                        .map(|&g| gate_width_sites(nl, g) as usize)
-                        .sum();
-                    return Err(PlaceError::AreaExceeded { needed_sites: needed, free_sites: 0 });
-                }
+            }
+            // Out of rows, or a cell wider than a row, which fits in none.
+            if row >= self.fp.rows || w > self.fp.sites_per_row {
+                let needed: usize = order
+                    .iter()
+                    .filter(|&&g| self.slots[g.index()].is_none())
+                    .map(|&g| gate_width_sites(nl, g) as usize)
+                    .sum();
+                return Err(PlaceError::AreaExceeded { needed_sites: needed, free_sites: 0 });
             }
             // Boustrophedon: odd rows fill right-to-left for locality.
             let start = if reverse { self.fp.sites_per_row - site - w } else { site };
@@ -400,6 +401,20 @@ mod tests {
         let fp = Floorplan::for_cell_area(nl.total_area() / 20.0, 0.7);
         let err = Placement::global(&nl, fp, 1).unwrap_err();
         assert!(matches!(err, PlaceError::AreaExceeded { .. }));
+    }
+
+    #[test]
+    fn a_cell_wider_than_a_row_fits_no_row() {
+        let lib = Library::osu018();
+        let mut nl = Netlist::new("wide", lib.clone());
+        let a = nl.add_input("a");
+        let (s, c) = (nl.add_net(), nl.add_net());
+        let fa = nl.add_gate("fa", lib.cell_id("FAX1").unwrap(), &[a, a, a], &[s, c]).unwrap();
+        nl.mark_output(s);
+        let width = gate_width_sites(&nl, fa) as usize;
+        let fp = Floorplan { rows: 4, sites_per_row: width - 1, utilization: 0.7 };
+        let err = Placement::global(&nl, fp, 1).unwrap_err();
+        assert_eq!(err, PlaceError::AreaExceeded { needed_sites: width, free_sites: 0 });
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rsyn_netlist::{sim::ParallelSim, CombView, LaneBlock, Netlist, LANE_WORDS};
 
 use crate::layout::Layout;
-use crate::timing::net_load_ff;
+use crate::timing::net_loads_ff;
 
 /// Supply voltage (V) for energy scaling.
 pub const VDD: f64 = 1.8;
@@ -77,13 +77,14 @@ pub fn estimate(nl: &Netlist, view: &CombView, layout: &Layout, seed: u64) -> Po
     let total_transitions = total_transitions.max(1) as f64;
 
     // Dynamic: per net, alpha * C * V^2 * f (plus per-gate internal energy).
+    let loads = net_loads_ff(nl, layout);
     let mut dynamic_w = 0.0f64;
     for (id, net) in nl.nets() {
         if net.driver.is_none() {
             continue;
         }
         let alpha = toggles[id.index()] as f64 / total_transitions;
-        let cap_f = net_load_ff(nl, layout, id) * 1e-15;
+        let cap_f = loads[id.index()] * 1e-15;
         dynamic_w += alpha * cap_f * VDD * VDD * FREQ_HZ;
     }
     // Cell-internal power: the internal nodes of a cell switch with every

@@ -39,26 +39,32 @@ impl TimingReport {
     }
 }
 
-/// Capacitive load on a net in fF: sink pin caps + routed wire cap.
-pub fn net_load_ff(nl: &Netlist, layout: &Layout, net: NetId) -> f64 {
-    let pin_cap: f64 = nl
-        .net(net)
-        .loads
-        .iter()
-        .map(|&(g, _)| nl.lib().cell(nl.gate(g).expect("live").cell).input_cap)
-        .sum();
-    pin_cap + WIRE_CAP_FF_PER_UM * layout.net_wirelength(net)
+/// Capacitive load on every net in fF, indexed by `NetId`: sink pin caps
+/// plus routed wire cap.
+pub fn net_loads_ff(nl: &Netlist, layout: &Layout) -> Vec<f64> {
+    let wirelengths = layout.net_wirelengths(nl.net_count());
+    nl.nets()
+        .map(|(id, net)| {
+            let pin_cap: f64 = net
+                .loads
+                .iter()
+                .map(|&(g, _)| nl.lib().cell(nl.gate(g).expect("live").cell).input_cap)
+                .sum();
+            pin_cap + WIRE_CAP_FF_PER_UM * wirelengths[id.index()]
+        })
+        .collect()
 }
 
 /// Runs static timing analysis.
 pub fn analyze(nl: &Netlist, view: &CombView, layout: &Layout) -> TimingReport {
+    let loads = net_loads_ff(nl, layout);
     let mut arrivals = vec![0.0f64; nl.net_count()];
     for &gid in &view.order {
         let gate = nl.gate(gid).expect("live gate");
         let cell = nl.lib().cell(gate.cell);
         let in_arr = gate.inputs.iter().map(|&n| arrivals[n.index()]).fold(0.0f64, f64::max);
         for &o in &gate.outputs {
-            let load = net_load_ff(nl, layout, o);
+            let load = loads[o.index()];
             arrivals[o.index()] = in_arr + cell.intrinsic_delay + cell.delay_slope * load;
         }
     }
@@ -82,7 +88,7 @@ pub fn analyze(nl: &Netlist, view: &CombView, layout: &Layout) -> TimingReport {
         // delay, constrains every input.
         let mut in_req = f64::INFINITY;
         for &o in &gate.outputs {
-            let load = net_load_ff(nl, layout, o);
+            let load = loads[o.index()];
             let d = cell.intrinsic_delay + cell.delay_slope * load;
             in_req = in_req.min(required[o.index()] - d);
         }
