@@ -32,12 +32,55 @@
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use rsyn_netlist::{CombView, Driver, GateId, NetId, Netlist, SimArena};
 
 use crate::engine::{last_detections, retain_last_detections, run_atpg, AtpgOptions, AtpgResult};
 use crate::fault::{Fault, FaultKind, FaultStatus};
+
+/// A map keyed by fault kind, hashed by [`KindHasher`].
+type KindMap<'a, V> = HashMap<&'a FaultKind, V, BuildHasherDefault<KindHasher>>;
+
+/// A multiply-rotate hasher (one `rotate ^ word * odd constant` step per
+/// written word) for the classify maps. Their keys are net and gate ids
+/// and condition patterns that the program assigns, not values an input
+/// chooses, so SipHash's defence against crafted collisions buys nothing
+/// there, and hashing every fault kind with it was most of the classify
+/// span.
+#[derive(Default)]
+struct KindHasher(u64);
+
+impl Hasher for KindHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// The previous evaluation an incremental run carries statuses over from.
 /// Every candidate evaluated against one design state shares one, so its
@@ -47,7 +90,7 @@ use crate::fault::{Fault, FaultKind, FaultStatus};
 pub struct PreviousEvaluation<'a> {
     faults: &'a [Fault],
     result: &'a AtpgResult,
-    statuses: OnceCell<HashMap<&'a FaultKind, FaultStatus>>,
+    statuses: OnceCell<KindMap<'a, FaultStatus>>,
 }
 
 impl<'a> PreviousEvaluation<'a> {
@@ -58,7 +101,7 @@ impl<'a> PreviousEvaluation<'a> {
     }
 
     /// The previous status of every fault kind.
-    fn statuses(&self) -> &HashMap<&'a FaultKind, FaultStatus> {
+    fn statuses(&self) -> &KindMap<'a, FaultStatus> {
         self.statuses.get_or_init(|| {
             self.faults.iter().map(|f| &f.kind).zip(self.result.statuses.iter().copied()).collect()
         })
@@ -144,7 +187,7 @@ pub fn run_atpg_incremental(
     let window = RemapWindow::of(nl, changed_gates);
     let carried = previous.statuses();
     let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-    let mut slot_of: HashMap<&FaultKind, usize> = HashMap::new();
+    let mut slot_of: KindMap<'_, usize> = KindMap::default();
     // One fault per re-run kind, and (fault index, kind slot) per re-run fault.
     let mut kinds: Vec<Fault> = Vec::new();
     let mut rerun: Vec<(usize, usize)> = Vec::new();

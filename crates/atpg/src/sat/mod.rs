@@ -43,7 +43,7 @@ mod solver;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rsyn_netlist::tt::MAX_TT_INPUTS;
+use rsyn_netlist::tt::{Cube, MAX_TT_INPUTS};
 use rsyn_netlist::{CombView, Netlist, SimArena, TruthTable};
 
 use crate::fault::{BridgeKind, CellCondition, Fault, FaultKind};
@@ -63,11 +63,10 @@ pub enum SatOutcome {
 /// No op drives the net.
 const UNDRIVEN: u32 = u32::MAX;
 
-/// Cubes `(care, values)` over a function's inputs: the prime implicants of
-/// its on-set and of its off-set.
+/// The prime implicants of a function's on-set and of its off-set.
 struct Cover {
-    on: Vec<(u8, u8)>,
-    off: Vec<(u8, u8)>,
+    on: Vec<Cube>,
+    off: Vec<Cube>,
 }
 
 /// How a fault changes its sites in the faulty machine.
@@ -412,12 +411,9 @@ impl SatAtpg {
     /// Adds `out ↔ tt(inputs)`: one clause per prime implicant of the
     /// on-set (`cube → out`) and of the off-set (`cube → !out`).
     fn encode(&mut self, tt: TruthTable, inputs: &[Lit], out: Lit) {
-        let cover = self.covers.entry(tt).or_insert_with(|| {
-            let n = tt.input_count();
-            Cover {
-                on: prime_implicants(tt.bits(), n),
-                off: prime_implicants(!tt.bits() & TruthTable::one(n).bits(), n),
-            }
+        let cover = self.covers.entry(tt).or_insert_with(|| Cover {
+            on: tt.prime_implicants(),
+            off: tt.not().prime_implicants(),
         });
         for (cubes, head) in [(&cover.on, out), (&cover.off, !out)] {
             for &(care, values) in cubes {
@@ -444,39 +440,6 @@ fn flipped(tt: TruthTable, conditions: &[CellCondition], pin: u8) -> TruthTable 
         .filter(|c| c.output == pin)
         .fold(0u64, |acc, c| acc | 1 << (c.pattern & mask));
     TruthTable::new(n, tt.bits() ^ flip)
-}
-
-/// The minterms of the cube `(care, values)` over `n` inputs, as a
-/// truth-table bit set.
-fn cube_minterms(care: u8, values: u8, n: usize) -> u64 {
-    (0..1u64 << n).filter(|&m| m as u8 & care == values).fold(0, |acc, m| acc | 1 << m)
-}
-
-/// The prime implicants of the function whose on-set is `on` (`n ≤ 6`
-/// inputs): every cube inside the on-set from which no literal can be
-/// dropped, in a fixed enumeration order.
-fn prime_implicants(on: u64, n: usize) -> Vec<(u8, u8)> {
-    let mut primes = Vec::new();
-    for care in 0..1u8 << n {
-        // Every `values` ⊆ `care`, by the subset-enumeration trick.
-        let mut values = care;
-        loop {
-            let inside = |c: u8, v: u8| cube_minterms(c, v, n) & !on == 0;
-            if inside(care, values)
-                && (0..n).filter(|&i| care >> i & 1 == 1).all(|i| {
-                    let bit = 1u8 << i;
-                    !inside(care & !bit, values & !bit)
-                })
-            {
-                primes.push((care, values));
-            }
-            if values == 0 {
-                break;
-            }
-            values = (values - 1) & care;
-        }
-    }
-    primes
 }
 
 #[cfg(test)]
@@ -532,35 +495,6 @@ mod tests {
         };
         let z = view.pis.iter().position(|&p| p == nl.find_net("z").unwrap()).unwrap();
         assert!(!test[0].get(z), "z lies outside o's fan-in");
-    }
-
-    #[test]
-    fn primes_of_common_cells() {
-        // AND2: on-set a·b; off-set ¬a + ¬b.
-        assert_eq!(prime_implicants(0x8, 2), vec![(0b11, 0b11)]);
-        assert_eq!(prime_implicants(0x7, 2), vec![(0b01, 0b00), (0b10, 0b00)]);
-        // XOR2 has no mergeable minterms.
-        assert_eq!(prime_implicants(0x6, 2), vec![(0b11, 0b10), (0b11, 0b01)]);
-        // Constants: the empty cube, or nothing.
-        assert_eq!(prime_implicants(1, 0), vec![(0, 0)]);
-        assert!(prime_implicants(0, 3).is_empty());
-    }
-
-    /// Every cover is exact: the on-set primes cover exactly the on-set,
-    /// for random functions of up to six inputs.
-    #[test]
-    fn primes_cover_their_function() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..200 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let n = (state % 7) as usize;
-            let f = TruthTable::new(n, state.rotate_left(17)).bits();
-            let union =
-                prime_implicants(f, n).iter().fold(0, |acc, &(c, v)| acc | cube_minterms(c, v, n));
-            assert_eq!(union, f, "n={n}");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use rsyn_netlist::arena::{eval_cell, SimArena};
+use rsyn_netlist::arena::SimArena;
 use rsyn_netlist::tt::MAX_TT_INPUTS;
 use rsyn_netlist::{CombView, LaneBlock, Netlist, SimWord};
 
@@ -186,7 +186,7 @@ impl<W: SimWord> FaultSim<W> {
                     ins[i] = self.faulty_value(slot);
                 }
                 let ins = &ins[..slots.len()];
-                let mut v = eval_cell(arena.op_tt(k), ins);
+                let mut v = arena.eval_op(k, ins);
                 // Cell-aware activation: flip the output in lanes where the
                 // faulty-machine inputs match a condition pattern.
                 if ca_gate == Some(arena.op_gate(k)) {

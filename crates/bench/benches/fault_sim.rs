@@ -1,5 +1,9 @@
 //! Criterion bench: 256-lane parallel fault simulation throughput (the
-//! random-phase workhorse that drops most faults before PODEM runs).
+//! random-phase workhorse that drops most faults before PODEM runs). The
+//! circuits span the share of ops with three or more inputs, which the
+//! kernel evaluates through compiled cube covers: most of `sparc_ffu`'s
+//! and `sparc_exu`'s, about a third of `systemcaes`' and `aes_core`'s, a
+//! fifth of `sparc_tlu`'s.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rsyn_atpg::sim::FaultSim;
@@ -9,7 +13,7 @@ use rsyn_netlist::{LaneBlock, LANE_WORDS};
 fn bench_fault_sim(c: &mut Criterion) {
     let ctx = context();
     let mut group = c.benchmark_group("fault_sim_256lane");
-    for name in ["sparc_tlu", "sparc_exu", "aes_core"] {
+    for name in ["sparc_tlu", "sparc_exu", "aes_core", "systemcaes", "sparc_ffu"] {
         let state = analyzed(name, &ctx);
         let view = state.nl.comb_view().unwrap();
         group.throughput(Throughput::Elements(state.faults.len() as u64));

@@ -106,18 +106,17 @@ fn print_slowest(trace: &trace::Trace, title: &str, pick: &dyn Fn(&str) -> bool,
 }
 
 /// Prints the PODEM phase split — the `atpg.podem.*_ms` volatiles the
-/// engine accumulates while tracing is armed — as shares of the summed
-/// `atpg.podem` span time.
+/// engine accumulates while tracing is armed, and the nested `atpg.sat`
+/// span — as shares of the summed `atpg.podem` span time.
 fn print_podem_phases(timings: &BTreeMap<String, f64>) {
     let Some(&wall) = timings.get("span.atpg.podem.wall_ms") else { return };
     println!("\nPODEM phase split (span.atpg.podem.wall_ms {wall:.3} ms):");
-    for phase in ["imply", "xpath", "objective", "backtrace"] {
-        if let Some(&ms) = timings.get(&format!("atpg.podem.{phase}_ms")) {
-            println!(
-                "  {phase:<12} {ms:>10.3} ms  {:>5.1}%",
-                100.0 * ms / wall.max(f64::MIN_POSITIVE)
-            );
-        }
+    let sat = timings.get("span.atpg.sat.wall_ms").map(|&ms| ("sat", ms));
+    let phases = ["imply", "xpath", "objective", "backtrace"]
+        .into_iter()
+        .filter_map(|phase| timings.get(&format!("atpg.podem.{phase}_ms")).map(|&ms| (phase, ms)));
+    for (phase, ms) in phases.chain(sat) {
+        println!("  {phase:<12} {ms:>10.3} ms  {:>5.1}%", 100.0 * ms / wall.max(f64::MIN_POSITIVE));
     }
 }
 

@@ -9,6 +9,7 @@
 //! ```text
 //! op k (one per gate output pin, sorted by logic level, stable):
 //!   op_tt[k]        truth table of the output function   (inline, 16 B)
+//!   op_cover[k]      range of cubes[] + complement flag (3+ inputs only)
 //!   op_in_base[k]┐
 //!   op_in_count[k]┴─ slice of in_slots[]: input net slots (u32 indices)
 //!   op_out[k]        output net slot
@@ -21,7 +22,16 @@
 //! net_load_start[n..n+1] CSR row of net_loads[]: ops reading net slot n
 //! pis[], pos[]           view PI / PO net slots
 //! const_ones[]           net slots tied to constant 1
+//! cubes[]                the compiled covers, one per distinct truth table
 //! ```
+//!
+//! [`SimArena::eval_op`] evaluates an op of one or two inputs by a direct
+//! boolean expression, and an op of three or more inputs by its compiled
+//! cover: an irredundant prime cover of the on-set, or of the off-set and
+//! complemented, whichever has fewer literals (an AOI22 is two 2-literal
+//! cubes, where its seven off-set minterms would be 28 literals). The
+//! primes are [`TruthTable::prime_implicants`], the routine the SAT
+//! prover's clauses come from.
 //!
 //! Evaluation is generic over [`SimWord`], so the same kernel runs 64
 //! patterns (`u64`) or 256 patterns ([`LaneBlock`]) per gate visit. The
@@ -31,9 +41,12 @@
 //!
 //! [`LaneBlock`]: crate::lanes::LaneBlock
 
+use std::collections::HashMap;
+
+use crate::ids::NetId;
 use crate::lanes::SimWord;
 use crate::netlist::{CombView, Driver, Netlist};
-use crate::tt::{TruthTable, MAX_TT_INPUTS};
+use crate::tt::{Cube, TruthTable, MAX_TT_INPUTS};
 
 /// One gate-output evaluation record of a [`SimArena`] (borrowed view).
 #[derive(Clone, Copy, Debug)]
@@ -62,6 +75,7 @@ pub struct OpRef<'a> {
 pub struct SimArena {
     net_count: usize,
     op_tt: Vec<TruthTable>,
+    op_cover: Vec<CoverRef>,
     op_in_base: Vec<u32>,
     op_in_count: Vec<u8>,
     op_out: Vec<u32>,
@@ -77,6 +91,16 @@ pub struct SimArena {
     pis: Vec<u32>,
     pos: Vec<u32>,
     const_ones: Vec<u32>,
+    cubes: Vec<Cube>,
+}
+
+/// An op's compiled cover: `cubes[start..start + len]`, of the off-set
+/// when `complement` is set. Ops of fewer than three inputs have none.
+#[derive(Clone, Copy, Debug, Default)]
+struct CoverRef {
+    start: u32,
+    len: u8,
+    complement: bool,
 }
 
 impl SimArena {
@@ -107,23 +131,22 @@ impl SimArena {
 
         // Emit ops in view (topological) order, then stable-sort by level:
         // ties keep view order, and a gate's pins stay adjacent.
-        struct ProtoOp {
+        struct ProtoOp<'a> {
             tt: TruthTable,
-            inputs: Vec<u32>,
+            inputs: &'a [NetId],
             out: u32,
             out_pin: u8,
             gate: u32,
             level: u32,
         }
-        let mut protos: Vec<ProtoOp> = Vec::new();
+        let mut protos: Vec<ProtoOp<'_>> = Vec::new();
         for &gid in &view.order {
             let gate = nl.gate(gid).expect("live gate in view");
             let cell = nl.lib().cell(gate.cell);
-            let inputs: Vec<u32> = gate.inputs.iter().map(|n| n.index() as u32).collect();
             for (pin, out) in cell.outputs.iter().enumerate() {
                 protos.push(ProtoOp {
                     tt: out.function,
-                    inputs: inputs.clone(),
+                    inputs: &gate.inputs,
                     out: gate.outputs[pin].index() as u32,
                     out_pin: pin as u8,
                     gate: gid.index() as u32,
@@ -137,6 +160,7 @@ impl SimArena {
         let mut arena = Self {
             net_count: nl.net_count(),
             op_tt: Vec::with_capacity(protos.len()),
+            op_cover: Vec::with_capacity(protos.len()),
             op_in_base: Vec::with_capacity(protos.len()),
             op_in_count: Vec::with_capacity(protos.len()),
             op_out: Vec::with_capacity(protos.len()),
@@ -156,18 +180,31 @@ impl SimArena {
                 .filter(|(_, net)| net.driver == Some(Driver::Const(true)))
                 .map(|(id, _)| id.index() as u32)
                 .collect(),
+            cubes: Vec::new(),
         };
 
+        let mut compiled: HashMap<TruthTable, CoverRef> = HashMap::new();
         for p in &protos {
             debug_assert!(p.inputs.len() <= MAX_TT_INPUTS);
+            let cover = if p.inputs.len() < 3 {
+                CoverRef::default()
+            } else {
+                *compiled.entry(p.tt).or_insert_with(|| {
+                    let (cubes, complement) = compile(p.tt);
+                    let start = arena.cubes.len() as u32;
+                    arena.cubes.extend_from_slice(&cubes);
+                    CoverRef { start, len: cubes.len() as u8, complement }
+                })
+            };
             arena.op_tt.push(p.tt);
+            arena.op_cover.push(cover);
             arena.op_in_base.push(arena.in_slots.len() as u32);
             arena.op_in_count.push(p.inputs.len() as u8);
             arena.op_out.push(p.out);
             arena.op_out_pin.push(p.out_pin);
             arena.op_gate.push(p.gate);
             arena.op_level.push(p.level);
-            arena.in_slots.extend_from_slice(&p.inputs);
+            arena.in_slots.extend(p.inputs.iter().map(|n| n.index() as u32));
             arena.level_starts[p.level as usize + 1] += 1;
         }
         for l in 0..level_count {
@@ -331,8 +368,21 @@ impl SimArena {
             for (i, &slot) in self.in_slots[base..base + n].iter().enumerate() {
                 ins[i] = values[slot as usize];
             }
-            values[self.op_out[k] as usize] = eval_cell(self.op_tt[k], &ins[..n]);
+            values[self.op_out[k] as usize] = self.eval_op(k, &ins[..n]);
         }
+    }
+
+    /// Evaluates op `k` over the lane values of its inputs, in pin order:
+    /// a direct expression for one or two inputs, the op's compiled cover
+    /// (see the [module docs](self)) for more.
+    #[inline]
+    pub fn eval_op<W: SimWord>(&self, k: usize, ins: &[W]) -> W {
+        if ins.len() < 3 {
+            return eval_direct(self.op_tt[k], ins);
+        }
+        let c = self.op_cover[k];
+        let start = c.start as usize;
+        eval_cover(&self.cubes[start..start + c.len as usize], c.complement, ins)
     }
 
     /// Borrowed view of op `k`.
@@ -349,14 +399,10 @@ impl SimArena {
     }
 }
 
-/// Evaluates one cell output function over a block of lanes.
-///
-/// This is the wide counterpart of [`TruthTable::eval_parallel`]: `ins[i]`
-/// carries the lane values of input `i`. Common 0/1/2-input functions are
-/// dispatched to single boolean expressions; everything else falls back to a
-/// minterm OR-loop (iterating the complement when that has fewer terms).
+/// Evaluates a function of at most two inputs over a block of lanes, by
+/// one boolean expression per function.
 #[inline]
-pub fn eval_cell<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
+fn eval_direct<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
     debug_assert_eq!(ins.len(), tt.input_count());
     let bits = tt.bits();
     match ins.len() {
@@ -367,7 +413,7 @@ pub fn eval_cell<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
             0b01 => !ins[0],
             _ => W::ONES,
         },
-        2 => {
+        _ => {
             let (a, b) = (ins[0], ins[1]);
             match bits & 0xF {
                 0x0 => W::ZERO,
@@ -381,32 +427,46 @@ pub fn eval_cell<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
                 0xC => b,
                 0x5 => !a,
                 0x3 => !b,
-                0xF => W::ONES,
-                _ => eval_minterms(tt, ins),
+                0x2 => a & !b,
+                0x4 => !a & b,
+                0xB => a | !b,
+                0xD => !a | b,
+                _ => W::ONES,
             }
         }
-        _ => eval_minterms(tt, ins),
     }
 }
 
-/// Minterm OR-loop over the smaller of the function's on-set / off-set.
-fn eval_minterms<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
-    let n = tt.input_count();
-    let total = 1usize << n;
-    let bits = tt.bits();
-    let ones = bits.count_ones() as usize;
-    let (target, invert) = if ones * 2 > total { (false, true) } else { (true, false) };
-    let mut out = W::ZERO;
-    for m in 0..total {
-        if ((bits >> m) & 1 == 1) == target {
-            let mut term = W::ONES;
-            for (i, &v) in ins.iter().enumerate() {
-                term &= if (m >> i) & 1 == 1 { v } else { !v };
-            }
-            out |= term;
-        }
+/// The cover [`SimArena::eval_op`] evaluates for `tt`: an irredundant
+/// prime cover of the on-set, or of the off-set with the complement flag
+/// set, whichever has fewer literals, then fewer cubes (a NAND3 is the
+/// complemented cube `abc`, not `¬a + ¬b + ¬c`), then the on-set.
+fn compile(tt: TruthTable) -> (Vec<Cube>, bool) {
+    let cost = |cubes: &[Cube]| (cubes.iter().map(|c| c.0.count_ones()).sum::<u32>(), cubes.len());
+    let (on, off) = (tt.irredundant_cover(), tt.not().irredundant_cover());
+    if cost(&off) < cost(&on) {
+        (off, true)
+    } else {
+        (on, false)
     }
-    if invert {
+}
+
+/// The OR of the cubes' literal ANDs over `ins`, complemented when
+/// `complement` is set.
+#[inline]
+fn eval_cover<W: SimWord>(cubes: &[Cube], complement: bool, ins: &[W]) -> W {
+    let mut out = W::ZERO;
+    for &(care, values) in cubes {
+        let mut term = W::ONES;
+        let mut rest = care;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            term &= if values >> i & 1 == 1 { ins[i] } else { !ins[i] };
+            rest &= rest - 1;
+        }
+        out |= term;
+    }
+    if complement {
         !out
     } else {
         out
@@ -416,6 +476,7 @@ fn eval_minterms<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::LaneBlock;
     use crate::library::Library;
 
     fn sample() -> (Netlist, CombView) {
@@ -481,28 +542,81 @@ mod tests {
         }
     }
 
+    /// A xorshift stream of lane words.
+    fn lanes(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
     #[test]
-    fn eval_cell_matches_eval_parallel() {
-        // Every cell function of the library, random-ish lane data.
+    fn eval_op_matches_eval_parallel() {
+        // One gate of every combinational library cell, random lane data.
         let lib = Library::osu018();
-        let mut lane = 0x9E37_79B9_7F4A_7C15u64;
-        for (_, cell) in lib.iter() {
-            for out in &cell.outputs {
-                let n = out.function.input_count();
-                let ins: Vec<u64> = (0..n)
-                    .map(|_| {
-                        lane = lane.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(17);
-                        lane
-                    })
-                    .collect();
-                assert_eq!(
-                    eval_cell(out.function, &ins),
-                    out.function.eval_parallel(&ins),
-                    "cell {} pin {}",
-                    cell.name,
-                    out.name
-                );
+        let mut nl = Netlist::new("cells", lib.clone());
+        let pis: Vec<_> = (0..MAX_TT_INPUTS).map(|i| nl.add_input(format!("i{i}"))).collect();
+        for (id, cell) in lib.iter().filter(|(_, c)| c.class == crate::CellClass::Comb) {
+            let outs: Vec<_> = cell.outputs.iter().map(|_| nl.add_net()).collect();
+            nl.add_gate(cell.name.clone(), id, &pis[..cell.input_count()], &outs).unwrap();
+            for &o in &outs {
+                nl.mark_output(o);
             }
+        }
+        let view = nl.comb_view().unwrap();
+        let arena = SimArena::build(&nl, &view);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for k in 0..arena.op_count() {
+            let tt = arena.op_tt(k);
+            let ins: Vec<u64> = (0..tt.input_count()).map(|_| lanes(&mut state)).collect();
+            let gate = nl.gate(crate::GateId::from_index(arena.op_gate(k) as usize)).unwrap();
+            let cell = nl.lib().cell(gate.cell);
+            assert_eq!(
+                arena.eval_op(k, &ins),
+                tt.eval_parallel(&ins),
+                "cell {} pin {}",
+                cell.name,
+                cell.outputs[arena.op_out_pin(k) as usize].name
+            );
+        }
+    }
+
+    /// The compiled cover of every function of at most four inputs and of
+    /// 256 random five- and six-input ones equals the minterm reference at
+    /// both lane widths, and needs no more literals than the minterm form
+    /// of its side; the direct expressions cover every function of at most
+    /// two inputs.
+    #[test]
+    fn compiled_covers_match_eval_parallel() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut check = |tt: TruthTable| {
+            let n = tt.input_count();
+            let words: Vec<[u64; 4]> =
+                (0..n).map(|_| [(); 4].map(|()| lanes(&mut state))).collect();
+            let (cubes, complement) = compile(tt);
+            let side = if complement { tt.not() } else { tt };
+            let literals: u32 = cubes.iter().map(|c| c.0.count_ones()).sum();
+            assert!(literals <= side.bits().count_ones() * n as u32, "{tt:?}");
+            let blocks: Vec<LaneBlock> = words.iter().map(|&w| LaneBlock::from_words(w)).collect();
+            let wide = eval_cover(&cubes, complement, &blocks);
+            for w in 0..4 {
+                let ins: Vec<u64> = words.iter().map(|x| x[w]).collect();
+                let reference = tt.eval_parallel(&ins);
+                assert_eq!(eval_cover(&cubes, complement, &ins), reference, "{tt:?}");
+                assert_eq!(wide.word(w), reference, "{tt:?} word {w}");
+                if n < 3 {
+                    assert_eq!(eval_direct(tt, &ins), reference, "{tt:?}");
+                }
+            }
+        };
+        for n in 0..=4usize {
+            for bits in 0..1u64 << (1 << n) {
+                check(TruthTable::new(n, bits));
+            }
+        }
+        let mut functions = 0x0123_4567_89AB_CDEFu64;
+        for i in 0..256 {
+            check(TruthTable::new(5 + i % 2, lanes(&mut functions)));
         }
     }
 

@@ -10,6 +10,12 @@ use std::fmt;
 /// Maximum number of truth-table inputs supported.
 pub const MAX_TT_INPUTS: usize = 6;
 
+/// A cube `(care, values)` over a function's inputs: input `i` is a literal
+/// of the cube when bit `i` of `care` is set, positive when bit `i` of
+/// `values` is set too (`values ⊆ care`). The empty cube `(0, 0)` is the
+/// constant one.
+pub type Cube = (u8, u8);
+
 /// A complete truth table of a boolean function with up to six inputs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TruthTable {
@@ -185,6 +191,90 @@ impl TruthTable {
     pub fn is_constant(&self) -> bool {
         self.bits == 0 || self.bits == Self::mask(self.input_count())
     }
+
+    /// The minterms of `cube` over this function's inputs, as a bit set.
+    fn cube_minterms(&self, (care, values): Cube) -> u64 {
+        (0..self.input_count()).filter(|&i| care >> i & 1 == 1).fold(
+            Self::mask(self.input_count()),
+            |acc, i| {
+                let var = Self::var_pattern(i);
+                acc & if values >> i & 1 == 1 { var } else { !var }
+            },
+        )
+    }
+
+    /// The prime implicants of the function's on-set: every cube inside the
+    /// on-set from which no literal can be dropped, by ascending `care` and
+    /// then descending `values`. The SAT prover's CNF (Larrabee 1992) takes
+    /// all of them; the simulator's covers pick among them.
+    pub fn prime_implicants(&self) -> Vec<Cube> {
+        let n = self.input_count();
+        // `forall[care]`: the function with every input outside `care`
+        // universally quantified, so the cube `(care, values)` lies inside
+        // the on-set exactly when bit `values` of it is set. Each entry
+        // quantifies one more input than an entry computed before it.
+        let all = (1usize << n) - 1;
+        let mut forall = vec![0u64; all + 1];
+        forall[all] = self.bits;
+        for care in (0..all).rev() {
+            let i = (!care & all).trailing_zeros() as usize;
+            let (f, var, shift) = (forall[care | 1 << i], Self::var_pattern(i), 1 << i);
+            let both = f & !var & (f & var) >> shift;
+            forall[care] = both | both << shift;
+        }
+        let inside = |(care, values): Cube| forall[care as usize] >> values & 1 == 1;
+        let mut primes = Vec::new();
+        for care in 0..1u8 << n {
+            // Every `values` ⊆ `care`, by the subset-enumeration trick.
+            let mut values = care;
+            loop {
+                if inside((care, values))
+                    && (0..n).filter(|&i| care >> i & 1 == 1).all(|i| {
+                        let bit = 1u8 << i;
+                        !inside((care & !bit, values & !bit))
+                    })
+                {
+                    primes.push((care, values));
+                }
+                if values == 0 {
+                    break;
+                }
+                values = (values - 1) & care;
+            }
+        }
+        primes
+    }
+
+    /// An irredundant cover of the on-set by prime implicants, in
+    /// [`TruthTable::prime_implicants`] order: greedily the prime that
+    /// covers the most uncovered minterms (ties: fewer literals, then the
+    /// earlier prime), then every cube the others already cover is dropped,
+    /// most literals first. No cube of the result is covered by the rest,
+    /// so it has at most one cube per minterm.
+    pub(crate) fn irredundant_cover(&self) -> Vec<Cube> {
+        let primes = self.prime_implicants();
+        let sets: Vec<u64> = primes.iter().map(|&c| self.cube_minterms(c)).collect();
+        let mut chosen = vec![false; primes.len()];
+        let mut covered = 0u64;
+        while covered != self.bits {
+            let best = (0..primes.len())
+                .max_by_key(|&p| {
+                    let gain = (sets[p] & !covered).count_ones();
+                    (gain, std::cmp::Reverse(primes[p].0.count_ones()), std::cmp::Reverse(p))
+                })
+                .expect("an uncovered minterm lies in some prime");
+            chosen[best] = true;
+            covered |= sets[best];
+        }
+        let mut by_literals: Vec<usize> = (0..primes.len()).filter(|&p| chosen[p]).collect();
+        by_literals.sort_by_key(|&p| std::cmp::Reverse(primes[p].0.count_ones()));
+        for p in by_literals {
+            chosen[p] = false;
+            let rest = (0..primes.len()).filter(|&q| chosen[q]).fold(0, |acc, q| acc | sets[q]);
+            chosen[p] = rest != self.bits;
+        }
+        (0..primes.len()).filter(|&p| chosen[p]).map(|p| primes[p]).collect()
+    }
 }
 
 impl fmt::Debug for TruthTable {
@@ -272,6 +362,45 @@ mod tests {
     fn display_is_msb_first() {
         let tt = TruthTable::new(2, 0b0110);
         assert_eq!(tt.to_string(), "0110");
+    }
+
+    #[test]
+    fn primes_of_common_cells() {
+        let primes = |inputs: usize, bits: u64| TruthTable::new(inputs, bits).prime_implicants();
+        // AND2: on-set a·b; off-set ¬a + ¬b.
+        assert_eq!(primes(2, 0x8), vec![(0b11, 0b11)]);
+        assert_eq!(primes(2, 0x7), vec![(0b01, 0b00), (0b10, 0b00)]);
+        // XOR2 has no mergeable minterms.
+        assert_eq!(primes(2, 0x6), vec![(0b11, 0b10), (0b11, 0b01)]);
+        // Constants: the empty cube, or nothing.
+        assert_eq!(primes(0, 1), vec![(0, 0)]);
+        assert!(primes(3, 0).is_empty());
+    }
+
+    /// Random functions of up to six inputs: the primes cover exactly the
+    /// on-set, and the irredundant cover is a subset of them that does too
+    /// and whose every cube covers a minterm the others miss.
+    #[test]
+    fn primes_cover_their_function() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let n = (state % 7) as usize;
+            let tt = TruthTable::new(n, state.rotate_left(17));
+            let union = |cubes: &[Cube]| cubes.iter().fold(0, |acc, &c| acc | tt.cube_minterms(c));
+            let primes = tt.prime_implicants();
+            assert_eq!(union(&primes), tt.bits(), "n={n}");
+            let cover = tt.irredundant_cover();
+            assert_eq!(union(&cover), tt.bits(), "{tt:?}");
+            for (i, cube) in cover.iter().enumerate() {
+                assert!(primes.contains(cube), "{tt:?}");
+                let mut rest = cover.clone();
+                rest.remove(i);
+                assert_ne!(union(&rest), tt.bits(), "{tt:?}: cube {cube:?} is redundant");
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 # Repository verification gate. Stages (pass one as $1, default `all`):
 #
 #   lint   — formatting, clippy, rustdoc (fast; no build artifacts needed)
-#   gates  — release build (the `perf` benchmark package too), tier-1 and
-#            workspace tests (the suites over process-wide state once more
-#            at 16 test threads), the four examples run to completion, and
+#   gates  — release build (the `perf` benchmark package too, with its
+#            unit tests), tier-1 and workspace tests (the suites over
+#            process-wide state once more at 16 test threads), the four
+#            examples run to completion, and
 #            every behavioural gate: manifest determinism + baselines,
 #            Table I, guideline stats, Fig. 2, Table II on all twelve
 #            circuits, the N-detect baseline, the p1 sweep, the library
@@ -50,6 +51,11 @@ run_gates() {
   # option structs, so an API change that breaks it must fail here rather
   # than when the benchmark first runs.
   cargo build --release --offline --manifest-path perf/Cargo.toml
+
+  echo "== cargo test --release (perf benchmark package)"
+  # Its quartiles, the compare classification, and the metric names, units
+  # and bounds it shares with BENCHMARK.json.
+  cargo test --release --offline --manifest-path perf/Cargo.toml
 
   echo "== cargo test -q (tier-1)"
   cargo test -q

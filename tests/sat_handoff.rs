@@ -1,7 +1,8 @@
 //! The PODEM → SAT hand-off on a real benchmark. PODEM gives up on some of
 //! `sparc_tlu`'s seed faults at `BACKTRACK_LIMIT` (on the 8-input circuits
-//! of `tests/properties.rs` it never does); the engine's `atpg.sat` trace
-//! zones name exactly those faults, and the SAT prover decides each one.
+//! of `tests/properties.rs` it never does); the engine's `atpg.sat.fault`
+//! trace zones name exactly those faults, and the SAT prover decides each
+//! one.
 
 use rsyn::atpg::{run_atpg, Fault, FaultSim, FaultStatus, Pattern, SatAtpg, SatOutcome};
 use rsyn::circuits::build_benchmark_with;
@@ -31,7 +32,7 @@ fn faults_podem_gives_up_on_are_decided_by_sat() {
     let faults = extract_faults(&nl, &pd.layout, &ctx.guidelines, &ctx.catalog);
     let view = nl.comb_view().expect("acyclic netlist");
 
-    let (result, sat_calls, zones) = {
+    let (result, sat_calls, sat_spans, zones) = {
         let _scope = rsyn::observe::child_scope();
         trace::start();
         let result = run_atpg(&nl, &view, &faults, &ctx.atpg);
@@ -39,13 +40,15 @@ fn faults_podem_gives_up_on_are_decided_by_sat() {
         let zones: Vec<usize> = trace
             .events
             .iter()
-            .filter(|e| e.name == "atpg.sat")
+            .filter(|e| e.name == "atpg.sat.fault")
             .map(|e| e.id.expect("a SAT zone names its fault") as usize)
             .collect();
-        (result, rsyn::observe::counter("atpg.sat.calls"), zones)
+        let counter = rsyn::observe::counter;
+        (result, counter("atpg.sat.calls"), counter("span.atpg.sat.calls"), zones)
     };
     assert!(!zones.is_empty(), "PODEM gives up on some of sparc_tlu's faults");
     assert_eq!(sat_calls, zones.len() as u64);
+    assert_eq!(sat_spans, sat_calls, "one atpg.sat span per SAT call");
 
     let mut prover = SatAtpg::new(&nl, &view);
     let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
