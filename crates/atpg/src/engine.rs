@@ -41,7 +41,7 @@ use crate::fault::{Fault, FaultKind, FaultStatus};
 use crate::podem::{Podem, PodemOutcome, Target};
 use crate::sat::{SatAtpg, SatOutcome};
 use crate::sim::FaultSim;
-use crate::testset::{window_mask, window_offsets, Pattern, TestSet};
+use crate::testset::{pack, window_mask, window_offsets, Pattern, TestSet};
 
 /// Number of 64-pattern random words each shard simulates before PODEM.
 pub const RANDOM_WORDS: usize = 8;
@@ -371,23 +371,11 @@ struct ShardIdentity {
 /// consecutive lanes (a transition fault's initialisation pattern first).
 ///
 /// Every PODEM and SAT detection is confirmed this way before it is
-/// trusted (standard pattern verification). A confirm loads at most two
-/// patterns but pays a full-design good-machine sweep, so it runs at the
-/// narrow `u64` width: a 256-lane block would quadruple the dominant cost
-/// to fill lanes that carry nothing. Detection bits are identical at any
-/// width (each 64-lane word is an independent simulation).
-fn confirms(sim: &mut FaultSim<u64>, fault: &Fault, patterns: &[Pattern], npis: usize) -> bool {
+/// trusted (standard pattern verification).
+fn confirms(sim: &mut FaultSim, fault: &Fault, patterns: &[Pattern], npis: usize) -> bool {
     let _t = rsyn_observe::span_volatile("sim.confirm");
-    let mut lanes = vec![0u64; npis];
-    for (k, p) in patterns.iter().enumerate() {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if p.get(i) {
-                *lane |= 1 << k;
-            }
-        }
-    }
-    sim.set_patterns(&lanes);
-    sim.detect_lanes(fault) & ((1u64 << patterns.len()) - 1) != 0
+    sim.set_patterns(&pack(patterns, npis));
+    (sim.detect_lanes(fault) & LaneBlock::mask_lanes(patterns.len())).any()
 }
 
 /// One fault's PODEM evaluation at [`BACKTRACK_LIMIT`]: every target is
@@ -398,7 +386,7 @@ fn confirms(sim: &mut FaultSim<u64>, fault: &Fault, patterns: &[Pattern], npis: 
 /// aborted, never as undetectable.
 fn attempt_fault(
     podem: &mut Podem<'_>,
-    sim: &mut FaultSim<u64>,
+    sim: &mut FaultSim,
     tests: &mut TestSet,
     drop_buffer: &mut Vec<Pattern>,
     fault: &Fault,
@@ -452,7 +440,7 @@ struct SatTally {
 /// the simulator rejects leaves it `Aborted`.
 fn decide_by_sat(
     prover: &mut SatAtpg,
-    sim: &mut FaultSim<u64>,
+    sim: &mut FaultSim,
     tests: &mut TestSet,
     drop_buffer: &mut Vec<Pattern>,
     fault: &Fault,
@@ -495,11 +483,9 @@ fn run_shard(
     let seed = shard_seed(options.seed, id.index as u64);
     let mut statuses = vec![FaultStatus::Undetected; faults.len()];
     let mut tests = TestSet::new();
-    // Wide (256-lane) simulator for the batch random phase; a separate
-    // narrow (64-lane) one for the PODEM phase, whose confirm/drop calls
-    // only ever load a handful of patterns at a time.
-    let mut sim: FaultSim = FaultSim::with_arena(Arc::clone(arena));
-    let mut narrow_sim: FaultSim<u64> = FaultSim::with_arena(Arc::clone(arena));
+    // One simulator for the random phase and for the PODEM phase's
+    // confirm and drop calls.
+    let mut sim = FaultSim::with_arena(Arc::clone(arena));
     let npis = view.pis.len();
 
     // --- random phase ---------------------------------------------------------
@@ -581,7 +567,7 @@ fn run_shard(
         let backtracks_before = podem.backtracks();
         let decisions_before = podem.decisions();
         let (detected, aborted) =
-            attempt_fault(&mut podem, &mut narrow_sim, &mut tests, &mut drop_buffer, fault, npis);
+            attempt_fault(&mut podem, &mut sim, &mut tests, &mut drop_buffer, fault, npis);
         rsyn_observe::hist_add(
             "atpg.podem.backtracks_per_fault",
             podem.backtracks() - backtracks_before,
@@ -604,26 +590,18 @@ fn run_shard(
             let _zone = rsyn_observe::trace::zone("atpg.sat.fault", global);
             let _span = rsyn_observe::span("atpg.sat");
             let prover = prover.get_or_insert_with(|| SatAtpg::with_arena(Arc::clone(arena)));
-            decide_by_sat(
-                prover,
-                &mut narrow_sim,
-                &mut tests,
-                &mut drop_buffer,
-                fault,
-                npis,
-                &mut sat,
-            )
+            decide_by_sat(prover, &mut sim, &mut tests, &mut drop_buffer, fault, npis, &mut sat)
         };
 
         // Periodically fault-drop with the freshly generated patterns.
         let detected = statuses[fi] == FaultStatus::Detected;
         if drop_buffer.len() >= 64 || (detected && drop_buffer.len() >= 32) {
-            drop_faults(&mut narrow_sim, faults, &mut statuses, &drop_buffer, npis);
+            drop_faults(&mut sim, faults, &mut statuses, &drop_buffer, npis);
             drop_buffer.clear();
         }
     }
     if !drop_buffer.is_empty() {
-        drop_faults(&mut narrow_sim, faults, &mut statuses, &drop_buffer, npis);
+        drop_faults(&mut sim, faults, &mut statuses, &drop_buffer, npis);
     }
     podem.publish_phase_times();
     drop(podem_span);
@@ -660,42 +638,22 @@ fn lane_pattern(lanes: &[LaneBlock], lane: usize, npis: usize) -> Pattern {
     p
 }
 
+/// Marks Detected every Undetected fault that one of `patterns` detects, a
+/// transition fault only through a pattern pair inside one 64-lane word
+/// (the patterns fill the words of each block in order).
 fn drop_faults(
-    sim: &mut FaultSim<u64>,
+    sim: &mut FaultSim,
     faults: &[Fault],
     statuses: &mut [FaultStatus],
     patterns: &[Pattern],
     npis: usize,
 ) {
-    // Drop batches are small (the buffer flushes at 64 patterns), so this
-    // runs at the narrow width: patterns group into 64-pattern words
-    // exactly as in the historical loop, and a partially filled word costs
-    // one sweep instead of a four-word block.
     let _t = rsyn_observe::span_volatile("sim.drop");
-    for chunk in patterns.chunks(64) {
-        let mut lanes = vec![0u64; npis];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let mut w = 0u64;
-            for (k, p) in chunk.iter().enumerate() {
-                if p.get(i) {
-                    w |= 1 << k;
-                }
-            }
-            // Replicate the last pattern into the word's unused lanes so
-            // transition sequencing stays within the chunk.
-            if chunk.len() < 64 && chunk[chunk.len() - 1].get(i) {
-                for k in chunk.len()..64 {
-                    w |= 1 << k;
-                }
-            }
-            *lane = w;
-        }
-        sim.set_patterns(&lanes);
+    for chunk in patterns.chunks(LANES) {
+        sim.set_patterns(&pack(chunk, npis));
+        let valid = LaneBlock::mask_lanes(chunk.len());
         for (fi, fault) in faults.iter().enumerate() {
-            if statuses[fi] != FaultStatus::Undetected {
-                continue;
-            }
-            if sim.detect_lanes(fault) != 0 {
+            if statuses[fi] == FaultStatus::Undetected && (sim.detect_lanes(fault) & valid).any() {
                 statuses[fi] = FaultStatus::Detected;
             }
         }
@@ -1103,6 +1061,23 @@ mod tests {
         }
     }
 
+    /// A confirm counts only the lanes it loaded: the all-zero pattern in
+    /// the lanes after them detects `s0` stuck-at-1, the loaded one does
+    /// not.
+    #[test]
+    fn confirms_reads_only_the_loaded_lanes() {
+        let nl = build_circuit();
+        let view = nl.comb_view().unwrap();
+        let s0 = nl.find_net("s0").unwrap();
+        let fault = Fault::external(FaultKind::StuckAt { net: s0, value: true }, 0);
+        let npis = view.pis.len();
+        let mut sim = FaultSim::new(&nl, &view);
+        let mut a0 = Pattern::zeros(npis);
+        a0.set(view.pis.iter().position(|&p| p == nl.find_net("a0").unwrap()).unwrap(), true);
+        assert!(!confirms(&mut sim, &fault, &[a0], npis), "s0 = 1 hides stuck-at-1");
+        assert!(confirms(&mut sim, &fault, &[Pattern::zeros(npis)], npis));
+    }
+
     /// SAT reaches the same verdict as the engine's PODEM-and-SAT run for
     /// every fault kind, and the simulator confirms every SAT test.
     #[test]
@@ -1122,7 +1097,7 @@ mod tests {
         ]);
         let result = run_atpg(&nl, &view, &faults, &AtpgOptions::default());
         let mut prover = SatAtpg::new(&nl, &view);
-        let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
+        let mut sim = FaultSim::new(&nl, &view);
         for (fi, fault) in faults.iter().enumerate() {
             match prover.decide(fault) {
                 SatOutcome::Detected(test) => {
@@ -1302,6 +1277,85 @@ mod tests {
                 got.len(),
                 want.len()
             );
+        }
+
+        /// `drop_faults` marks Detected exactly the faults that one of the
+        /// patterns detects on its own or, for a transition fault, together
+        /// with its predecessor in the same 64-lane word: random netlists,
+        /// all four fault kinds, 1–300 dense random patterns (63, 64, 65,
+        /// 128 and 129 in a third of the cases), so the patterns end inside
+        /// a word, on a word boundary and past a block.
+        #[test]
+        fn drop_faults_marks_single_and_in_word_pair_detections(seed in 0u64..u64::MAX) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let nl = crate::podem::tests::random_netlist(seed, &mut next);
+            let view = nl.comb_view().unwrap();
+            let npis = view.pis.len();
+            let n = if next() % 3 == 0 {
+                [63, 64, 65, 128, 129][(next() % 5) as usize]
+            } else {
+                1 + (next() % 300) as usize
+            };
+            let patterns: Vec<Pattern> = (0..n)
+                .map(|_| Pattern::from_bools(&(0..npis).map(|_| next() % 2 == 0).collect::<Vec<_>>()))
+                .collect();
+
+            let mut faults = Vec::new();
+            for (net, _) in nl.nets() {
+                for value in [false, true] {
+                    faults.push(Fault::external(FaultKind::StuckAt { net, value }, 0));
+                    faults.push(Fault::external(FaultKind::Transition { net, rising: value }, 0));
+                }
+            }
+            let nets = nl.net_count() as u64;
+            for kind in [BridgeKind::WiredAnd, BridgeKind::WiredOr] {
+                for _ in 0..4 {
+                    let a = NetId::from_index((next() % nets) as usize);
+                    let b = NetId::from_index((next() % nets) as usize);
+                    faults.push(Fault::external(FaultKind::Bridge { a, b, kind }, 0));
+                }
+            }
+            for _ in 0..8 {
+                let gate = view.order[(next() % view.order.len() as u64) as usize];
+                let g = nl.gate(gate).unwrap();
+                let pattern = next() % (1 << g.inputs.len());
+                let output = (next() % g.outputs.len() as u64) as u8;
+                faults.push(Fault::internal(gate, vec![CellCondition { pattern, output }], 0));
+            }
+
+            let mut sim = FaultSim::new(&nl, &view);
+            let mut statuses = vec![FaultStatus::Undetected; faults.len()];
+            drop_faults(&mut sim, &faults, &mut statuses, &patterns, npis);
+
+            // One simulation per pattern: lane 1 holds it, lane 0 its
+            // in-word predecessor, or the pattern itself at a word's first
+            // lane (no transition launches from an unchanged pattern).
+            let mut want = vec![false; faults.len()];
+            for (k, p) in patterns.iter().enumerate() {
+                let before = if k % 64 == 0 { p } else { &patterns[k - 1] };
+                let lanes: Vec<LaneBlock> = (0..npis)
+                    .map(|i| LaneBlock::from_word(u64::from(before.get(i)) | u64::from(p.get(i)) << 1))
+                    .collect();
+                sim.set_patterns(&lanes);
+                for (w, fault) in want.iter_mut().zip(&faults) {
+                    *w |= sim.detect_lanes(fault).lane(1);
+                }
+            }
+            for (fi, fault) in faults.iter().enumerate() {
+                proptest::prop_assert_eq!(
+                    statuses[fi] == FaultStatus::Detected,
+                    want[fi],
+                    "n={} fault {:?}",
+                    n,
+                    fault.kind
+                );
+            }
         }
     }
 

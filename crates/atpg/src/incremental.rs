@@ -182,14 +182,15 @@ pub fn run_atpg_incremental(
         return run_atpg(nl, view, faults, options);
     }
 
-    // Carry every kind outside the window; collect the others, each once.
+    // Carry every kind outside the window. Of the others, the first fault
+    // of each kind is pending: Detected until the previous tests miss it.
     let classify = rsyn_observe::span_volatile("atpg.incremental.classify");
     let window = RemapWindow::of(nl, changed_gates);
     let carried = previous.statuses();
     let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-    let mut slot_of: KindMap<'_, usize> = KindMap::default();
-    // One fault per re-run kind, and (fault index, kind slot) per re-run fault.
-    let mut kinds: Vec<Fault> = Vec::new();
+    let mut pending = vec![FaultStatus::Undetected; faults.len()];
+    let mut first_of: KindMap<'_, usize> = KindMap::default();
+    // (fault index, index of its kind's first fault) per re-run fault.
     let mut rerun: Vec<(usize, usize)> = Vec::new();
     for (i, f) in faults.iter().enumerate() {
         if !window.touches(&f.kind) {
@@ -198,27 +199,26 @@ pub fn run_atpg_incremental(
                 continue;
             }
         }
-        let slot = *slot_of.entry(&f.kind).or_insert_with(|| {
-            kinds.push(f.clone());
-            kinds.len() - 1
-        });
-        rerun.push((i, slot));
+        let first = *first_of.entry(&f.kind).or_insert(i);
+        if first == i {
+            pending[i] = FaultStatus::Detected;
+        }
+        rerun.push((i, first));
     }
     drop(classify);
 
     // The previous tests first: every kind one of them detects is Detected.
-    let mut kind_statuses = vec![FaultStatus::Detected; kinds.len()];
     let missed = {
         let _reuse = rsyn_observe::span_volatile("atpg.incremental.reuse");
         let arena = Arc::new(SimArena::build(nl, view));
         let threads = options.effective_threads();
-        last_detections(&arena, view, &kinds, &kind_statuses, &previous.result.tests, threads).1
+        last_detections(&arena, view, faults, &pending, &previous.result.tests, threads).1
     };
     rsyn_observe::add_many(&[
         ("atpg.incremental.runs", 1),
         ("atpg.incremental.carried", (faults.len() - rerun.len()) as u64),
         ("atpg.incremental.rerun", rerun.len() as u64),
-        ("atpg.incremental.rerun_kinds", kinds.len() as u64),
+        ("atpg.incremental.rerun_kinds", first_of.len() as u64),
         ("atpg.incremental.engine_kinds", missed.len() as u64),
     ]);
     rsyn_observe::hist_add("atpg.incremental.rerun_per_call", rerun.len() as u64);
@@ -226,13 +226,13 @@ pub fn run_atpg_incremental(
     // The rest through the engine, uncompacted: compaction waits for
     // `verify_and_compact`.
     let engine_options = AtpgOptions { compact: false, ..*options };
-    let engine_faults: Vec<Fault> = missed.iter().map(|&k| kinds[k].clone()).collect();
+    let engine_faults: Vec<Fault> = missed.iter().map(|&i| faults[i].clone()).collect();
     let generated = run_atpg(nl, view, &engine_faults, &engine_options);
-    for (&k, &status) in missed.iter().zip(&generated.statuses) {
-        kind_statuses[k] = status;
+    for (&i, &status) in missed.iter().zip(&generated.statuses) {
+        pending[i] = status;
     }
-    for (i, slot) in rerun {
-        statuses[i] = kind_statuses[slot];
+    for (i, first) in rerun {
+        statuses[i] = pending[first];
     }
     let mut tests = previous.result.tests.clone();
     tests.extend(generated.tests.patterns().iter().cloned());

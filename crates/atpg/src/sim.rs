@@ -9,31 +9,27 @@
 //! allocation: gate inputs are gathered into a fixed stack array and the
 //! worklist vectors are recycled across calls.
 //!
-//! The simulator is generic over the lane width ([`SimWord`]): the batch
-//! phases (random patterns, compaction, coverage checks) run 256 patterns
-//! per call ([`LaneBlock`]), while call sites that only ever load a pattern
-//! or two (PODEM detection confirmation, fault dropping against freshly
-//! generated tests) run the one-word `u64` width and skip three quarters of
-//! the good-machine work. Each 64-lane word is an independent simulation
-//! (see the determinism contract in `rsyn_netlist::lanes`), so the widths
-//! are bit-interchangeable.
+//! Every call runs one [`LaneBlock`] of 256 patterns: the random phase,
+//! compaction and coverage checks fill it, while PODEM and SAT confirmation
+//! and fault dropping load a few patterns with
+//! [`pack`](crate::testset::pack) and mask the lanes they did not fill. Each
+//! 64-lane word is an independent simulation (see the determinism contract
+//! in `rsyn_netlist::lanes`).
 
 use std::sync::Arc;
 
 use rsyn_netlist::arena::SimArena;
 use rsyn_netlist::tt::MAX_TT_INPUTS;
-use rsyn_netlist::{CombView, LaneBlock, Netlist, SimWord};
+use rsyn_netlist::{CombView, LaneBlock, Netlist};
 
 use crate::fault::{BridgeKind, Fault, FaultKind};
 
-/// A reusable fault simulator bound to one netlist + view, generic over
-/// the lane width `W` (default: the 256-lane [`LaneBlock`]; use `u64` for
-/// call sites that simulate only a handful of patterns per call).
+/// A reusable 256-lane fault simulator bound to one netlist + view.
 #[derive(Debug)]
-pub struct FaultSim<W: SimWord = LaneBlock> {
+pub struct FaultSim {
     arena: Arc<SimArena>,
-    good: Vec<W>,
-    faulty: Vec<W>,
+    good: Vec<LaneBlock>,
+    faulty: Vec<LaneBlock>,
     net_stamp: Vec<u32>,
     op_stamp: Vec<u32>,
     epoch: u32,
@@ -41,7 +37,7 @@ pub struct FaultSim<W: SimWord = LaneBlock> {
     level_queue: Vec<Vec<u32>>,
 }
 
-impl<W: SimWord> FaultSim<W> {
+impl FaultSim {
     /// Creates a simulator, building a fresh arena for the view. Call
     /// [`FaultSim::set_patterns`] before simulating faults.
     pub fn new(nl: &Netlist, view: &CombView) -> Self {
@@ -55,8 +51,8 @@ impl<W: SimWord> FaultSim<W> {
         let levels = arena.level_count();
         Self {
             arena,
-            good: vec![W::ZERO; nets],
-            faulty: vec![W::ZERO; nets],
+            good: vec![LaneBlock::ZERO; nets],
+            faulty: vec![LaneBlock::ZERO; nets],
             net_stamp: vec![0; nets],
             op_stamp: vec![0; ops],
             epoch: 0,
@@ -85,14 +81,14 @@ impl<W: SimWord> FaultSim<W> {
     /// # Panics
     ///
     /// Panics if `lanes.len()` differs from the view PI count.
-    pub fn set_patterns(&mut self, lanes: &[W]) {
+    pub fn set_patterns(&mut self, lanes: &[LaneBlock]) {
         let arena = Arc::clone(&self.arena);
         arena.set_inputs(&mut self.good, lanes);
         arena.eval_all(&mut self.good);
     }
 
     #[inline]
-    fn faulty_value(&self, slot: u32) -> W {
+    fn faulty_value(&self, slot: u32) -> LaneBlock {
         if self.net_stamp[slot as usize] == self.epoch {
             self.faulty[slot as usize]
         } else {
@@ -100,7 +96,7 @@ impl<W: SimWord> FaultSim<W> {
         }
     }
 
-    fn write_faulty(&mut self, arena: &SimArena, slot: u32, value: W) {
+    fn write_faulty(&mut self, arena: &SimArena, slot: u32, value: LaneBlock) {
         let changed = self.faulty_value(slot) != value;
         self.net_stamp[slot as usize] = self.epoch;
         self.faulty[slot as usize] = value;
@@ -116,7 +112,7 @@ impl<W: SimWord> FaultSim<W> {
 
     /// Simulates one fault against the loaded patterns; returns the mask
     /// of lanes in which it is detected at any view PO.
-    pub fn detect_lanes(&mut self, fault: &Fault) -> W {
+    pub fn detect_lanes(&mut self, fault: &Fault) -> LaneBlock {
         let arena = Arc::clone(&self.arena);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -129,8 +125,8 @@ impl<W: SimWord> FaultSim<W> {
         // a site net re-driven by its own gate keeps the faulty value, so
         // the semantics are per-lane independent even for bridges whose
         // nets are topologically related.
-        let mut sa_site: Option<(u32, W)> = None;
-        let mut bridge_site: Option<(u32, u32, W)> = None;
+        let mut sa_site: Option<(u32, LaneBlock)> = None;
+        let mut bridge_site: Option<(u32, u32, LaneBlock)> = None;
         let mut ca_gate: Option<u32> = None;
         match &fault.kind {
             FaultKind::StuckAt { net, value } | FaultKind::Transition { net, rising: value } => {
@@ -139,7 +135,7 @@ impl<W: SimWord> FaultSim<W> {
                 // rise, i.e. behaves as stuck-at-0 on the launch pattern;
                 // slow-to-fall behaves as stuck-at-1.
                 let stuck = *value ^ matches!(fault.kind, FaultKind::Transition { .. });
-                let fv = W::splat(stuck);
+                let fv = LaneBlock::splat(stuck);
                 let slot = net.index() as u32;
                 sa_site = Some((slot, fv));
                 self.write_faulty(&arena, slot, fv);
@@ -159,7 +155,7 @@ impl<W: SimWord> FaultSim<W> {
             FaultKind::CellAware { gate, .. } => {
                 let ops = arena.gate_ops(gate.index());
                 if ops.is_empty() {
-                    return W::ZERO; // fault on a flop: not in the comb view
+                    return LaneBlock::ZERO; // fault on a flop: not in the comb view
                 }
                 ca_gate = Some(gate.index() as u32);
                 for k in ops {
@@ -173,7 +169,7 @@ impl<W: SimWord> FaultSim<W> {
         // processing level l sits at a level > l (its inputs are produced by
         // strictly lower levels), so each worklist is complete by the time
         // the sweep reaches it.
-        let mut ins = [W::ZERO; MAX_TT_INPUTS];
+        let mut ins = [LaneBlock::ZERO; MAX_TT_INPUTS];
         for lvl in 0..self.level_queue.len() {
             if self.level_queue[lvl].is_empty() {
                 continue;
@@ -191,12 +187,12 @@ impl<W: SimWord> FaultSim<W> {
                 // faulty-machine inputs match a condition pattern.
                 if ca_gate == Some(arena.op_gate(k)) {
                     if let FaultKind::CellAware { conditions, .. } = &fault.kind {
-                        let mut flip = W::ZERO;
+                        let mut flip = LaneBlock::ZERO;
                         for cond in conditions {
                             if cond.output != arena.op_out_pin(k) {
                                 continue;
                             }
-                            let mut act = W::ONES;
+                            let mut act = LaneBlock::ONES;
                             for (i, &iv) in ins.iter().enumerate() {
                                 let bit = (cond.pattern >> i) & 1 == 1;
                                 act &= if bit { iv } else { !iv };
@@ -226,7 +222,7 @@ impl<W: SimWord> FaultSim<W> {
         }
 
         // Observe.
-        let mut det = W::ZERO;
+        let mut det = LaneBlock::ZERO;
         for &po in arena.pos() {
             if self.net_stamp[po as usize] == self.epoch {
                 det |= self.faulty[po as usize] ^ self.good[po as usize];
@@ -239,7 +235,7 @@ impl<W: SimWord> FaultSim<W> {
         // lane 0 of every word has no predecessor.
         if let FaultKind::Transition { net, rising } = fault.kind {
             let prev = self.good[net.index()].shl1_words();
-            let init_ok = if rising { !prev } else { prev } & !W::word_lsbs();
+            let init_ok = if rising { !prev } else { prev } & !LaneBlock::word_lsbs();
             det &= init_ok;
         }
         det
@@ -425,9 +421,6 @@ mod tests {
         let mut wide = FaultSim::new(&nl, &view);
         wide.set_patterns(&[LaneBlock::from_words(a_words), LaneBlock::from_words(b_words)]);
         let mut narrow = FaultSim::new(&nl, &view);
-        // The u64 width (the confirm/drop path) must also reproduce each
-        // word — same kernel, one-word block.
-        let mut narrow64: FaultSim<u64> = FaultSim::new(&nl, &view);
         for f in &faults {
             let dw = wide.detect_lanes(f);
             for w in 0..4 {
@@ -437,8 +430,6 @@ mod tests {
                 ]);
                 let dn = narrow.detect_lanes(f);
                 assert_eq!(dw.word(w), dn.word(0), "fault {f:?} word {w}");
-                narrow64.set_patterns(&[a_words[w], b_words[w]]);
-                assert_eq!(dw.word(w), narrow64.detect_lanes(f), "fault {f:?} word {w} at u64");
             }
         }
     }

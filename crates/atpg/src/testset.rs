@@ -1,14 +1,15 @@
 //! Test patterns and test sets (bit-packed over the view's primary inputs).
 //!
-//! Simulation paths consume a test set through lane windows: 64 consecutive
-//! patterns packed into one `u64` per PI ([`TestSet::lanes`]), or up to four
-//! such windows packed into the words of a [`LaneBlock`]
-//! ([`TestSet::lane_blocks`]) so one 256-lane fault-simulation call covers
-//! four windows. [`window_offsets`] enumerates the stride-63 overlapping
-//! window starts that keep every consecutive pattern pair (transition
-//! initialisation + launch) inside some window.
+//! Simulation paths load patterns into [`LaneBlock`]s in one of two ways.
+//! [`pack`] puts a short list of patterns in consecutive lanes (PODEM and
+//! SAT confirmation, fault dropping). [`TestSet::lane_blocks`] packs up to
+//! four 64-pattern windows of a test set into the words of a block, so one
+//! 256-lane fault-simulation call covers four windows; [`window_offsets`]
+//! enumerates the stride-63 overlapping window starts that keep every
+//! consecutive pattern pair (transition initialisation + launch) inside
+//! some window.
 
-use rsyn_netlist::{LaneBlock, LANE_WORDS};
+use rsyn_netlist::{LaneBlock, LANES, LANE_WORDS};
 
 /// One test pattern: a boolean assignment to every view PI, bit-packed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,30 +114,10 @@ impl TestSet {
         self.patterns = out;
     }
 
-    /// Packs up to 64 patterns starting at `offset` into per-PI lane words
-    /// (`result[pi]` bit `k` = pattern `offset + k` value of `pi`). Missing
-    /// lanes repeat the last pattern.
-    pub fn lanes(&self, offset: usize, pi_count: usize) -> Vec<u64> {
-        let mut out = vec![0u64; pi_count];
-        if self.patterns.is_empty() {
-            return out;
-        }
-        for k in 0..64 {
-            let idx = (offset + k).min(self.patterns.len() - 1);
-            let p = &self.patterns[idx];
-            for (i, word) in out.iter_mut().enumerate() {
-                if p.get(i) {
-                    *word |= 1 << k;
-                }
-            }
-        }
-        out
-    }
-
     /// Packs up to [`LANE_WORDS`] 64-pattern windows into lane blocks: word
-    /// `j` of `result[pi]` is the window starting at `offsets[j]` (with the
-    /// same last-pattern replication as [`TestSet::lanes`]). Words beyond
-    /// `offsets.len()` are zero.
+    /// `j` of `result[pi]` is the window starting at `offsets[j]`, lane `k`
+    /// of it pattern `offsets[j] + k`. Lanes past the last pattern repeat
+    /// it, and words beyond `offsets.len()` are zero.
     ///
     /// # Panics
     ///
@@ -144,14 +125,40 @@ impl TestSet {
     pub fn lane_blocks(&self, offsets: &[usize], pi_count: usize) -> Vec<LaneBlock> {
         assert!(offsets.len() <= LANE_WORDS, "at most {LANE_WORDS} windows per block");
         let mut out = vec![LaneBlock::ZERO; pi_count];
+        let Some(last) = self.patterns.len().checked_sub(1) else { return out };
         for (j, &offset) in offsets.iter().enumerate() {
-            let words = self.lanes(offset, pi_count);
-            for (i, block) in out.iter_mut().enumerate() {
-                block.set_word(j, words[i]);
+            for k in 0..64 {
+                let p = &self.patterns[(offset + k).min(last)];
+                for (i, block) in out.iter_mut().enumerate() {
+                    if p.get(i) {
+                        block.set_lane(64 * j + k, true);
+                    }
+                }
             }
         }
         out
     }
+}
+
+/// Packs up to [`LANES`] patterns into one lane block per PI: lane `k`
+/// (word-major) of `result[pi]` is pattern `k`'s value of `pi`. Lanes from
+/// `patterns.len()` on hold the all-zero pattern; callers mask them with
+/// [`LaneBlock::mask_lanes`].
+///
+/// # Panics
+///
+/// Panics if more than [`LANES`] patterns are given.
+pub fn pack(patterns: &[Pattern], pi_count: usize) -> Vec<LaneBlock> {
+    assert!(patterns.len() <= LANES, "at most {LANES} patterns per block");
+    let mut out = vec![LaneBlock::ZERO; pi_count];
+    for (k, p) in patterns.iter().enumerate() {
+        for (i, block) in out.iter_mut().enumerate() {
+            if p.get(i) {
+                block.set_lane(k, true);
+            }
+        }
+    }
+    out
 }
 
 /// The stride-63 overlapping window starts covering a test set of `len`
@@ -215,29 +222,45 @@ mod tests {
         assert!(!p.get(63) && !p.get(128));
     }
 
+    /// Three PIs whose values differ from pattern to pattern.
+    fn numbered(n: usize) -> Vec<Pattern> {
+        (0..n).map(|k| Pattern::from_bools(&[k % 2 == 0, k % 3 == 0, k % 7 == 1])).collect()
+    }
+
     #[test]
-    fn lanes_pack_patterns() {
-        let mut ts = TestSet::new();
-        ts.push(Pattern::from_bools(&[true, false]));
-        ts.push(Pattern::from_bools(&[false, true]));
-        let lanes = ts.lanes(0, 2);
-        assert_eq!(lanes[0] & 0b11, 0b01, "pi0: pattern0=1 pattern1=0");
-        assert_eq!(lanes[1] & 0b11, 0b10, "pi1: pattern0=0 pattern1=1");
+    fn pack_puts_pattern_k_in_lane_k() {
+        for n in [0usize, 1, 2, 63, 64, 65, 200, 256] {
+            let patterns = numbered(n);
+            let blocks = pack(&patterns, 3);
+            assert_eq!(blocks.len(), 3);
+            for (pi, block) in blocks.iter().enumerate() {
+                for lane in 0..LANES {
+                    let want = patterns.get(lane).is_some_and(|p| p.get(pi));
+                    assert_eq!(block.lane(lane), want, "n={n} pi {pi} lane {lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 patterns per block")]
+    fn pack_rejects_more_than_a_block() {
+        pack(&numbered(LANES + 1), 3);
     }
 
     #[test]
     fn lane_blocks_pack_windows_into_words() {
-        let mut ts = TestSet::new();
-        for i in 0..100 {
-            ts.push(Pattern::from_bools(&[i % 2 == 0, i % 3 == 0]));
-        }
+        let ts: TestSet = numbered(100).into_iter().collect();
         let offsets = window_offsets(ts.len());
         assert_eq!(offsets, vec![0, 63]);
-        let blocks = ts.lane_blocks(&offsets, 2);
+        let blocks = ts.lane_blocks(&offsets, 3);
         for (j, &offset) in offsets.iter().enumerate() {
-            let words = ts.lanes(offset, 2);
-            for pi in 0..2 {
-                assert_eq!(blocks[pi].word(j), words[pi], "window {j} pi {pi}");
+            for k in 0..64 {
+                // Lanes past the last test repeat it.
+                let p = &ts.patterns()[(offset + k).min(99)];
+                for (pi, block) in blocks.iter().enumerate() {
+                    assert_eq!(block.lane(64 * j + k), p.get(pi), "window {j} lane {k} pi {pi}");
+                }
             }
         }
         // Words beyond the given offsets stay zero.

@@ -6,6 +6,7 @@ use rsyn_atpg::engine::{run_atpg, AtpgOptions};
 use rsyn_atpg::fault::{Fault, FaultKind, FaultStatus};
 use rsyn_atpg::podem::{Podem, PodemOutcome, Target};
 use rsyn_atpg::sim::FaultSim;
+use rsyn_atpg::testset::pack;
 use rsyn_atpg::value::{eval3, Tri};
 use rsyn_netlist::{LaneBlock, Library, NetId, Netlist, TruthTable};
 
@@ -101,9 +102,7 @@ proptest! {
             }
             for value in [false, true] {
                 if let PodemOutcome::Detected(p) = podem.run(&Target::StuckAt { net: id, value }) {
-                    let lanes: Vec<LaneBlock> =
-                        p.to_bools().iter().map(|&b| LaneBlock::from_word(u64::from(b))).collect();
-                    sim.set_patterns(&lanes);
+                    sim.set_patterns(&pack(&[p], view.pis.len()));
                     let f = Fault::external(FaultKind::StuckAt { net: id, value }, 0);
                     prop_assert!(sim.detect_lanes(&f).lane(0), "net {} sa{}", id, u8::from(value));
                     checked += 1;
@@ -131,8 +130,7 @@ proptest! {
             .iter()
             .map(|_| LaneBlock::from_words([next(), next(), next(), next()]))
             .collect();
-        let mut sim: rsyn_netlist::sim::ParallelSim<LaneBlock> =
-            rsyn_netlist::sim::ParallelSim::new(&nl, &view);
+        let mut sim = rsyn_netlist::sim::ParallelSim::new(&nl, &view);
         sim.simulate(&pi_vals);
         // Per-gate scalar reference: walk gates in creation order (inputs
         // always precede their consumers in `random_netlist`), chasing the

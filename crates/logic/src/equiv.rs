@@ -6,7 +6,7 @@
 //! procedure's tests use it, and downstream users can assert it after any
 //! netlist surgery.
 
-use rsyn_netlist::{sim::ParallelSim, CombView, Netlist};
+use rsyn_netlist::{sim::ParallelSim, CombView, LaneBlock, Netlist, LANES, LANE_WORDS};
 
 /// Outcome of an equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,32 +72,24 @@ fn find_mismatch_exhaustive(
     let mut sim_b = ParallelSim::new(b, vb);
     let mut base = 0u64;
     while base < total {
-        let lanes: Vec<u64> = (0..n)
+        // Lane k holds minterm base + k.
+        let lanes: Vec<LaneBlock> = (0..n)
             .map(|i| {
-                let mut w = 0u64;
-                for k in 0..64u64 {
-                    if ((base + k) >> i) & 1 == 1 {
-                        w |= 1 << k;
-                    }
+                let mut block = LaneBlock::ZERO;
+                for k in 0..LANES {
+                    block.set_lane(k, ((base + k as u64) >> i) & 1 == 1);
                 }
-                w
+                block
             })
             .collect();
         sim_a.simulate(&lanes);
         sim_b.simulate(&lanes);
-        let mut diff = 0u64;
-        for (pa, pb) in va.pos.iter().zip(&vb.pos) {
-            diff |= sim_a.value(*pa) ^ sim_b.value(*pb);
-        }
-        if base + 64 > total {
-            diff &= (1u64 << (total - base)) - 1;
-        }
-        if diff != 0 {
-            let lane = diff.trailing_zeros() as u64;
-            let m = base + lane;
+        let valid = LaneBlock::mask_lanes((total - base).min(LANES as u64) as usize);
+        if let Some(lane) = first_mismatch(&sim_a, va, &sim_b, vb, valid) {
+            let m = base + lane as u64;
             return Some((0..n).map(|i| (m >> i) & 1 == 1).collect());
         }
-        base += 64;
+        base += LANES as u64;
     }
     None
 }
@@ -120,21 +112,42 @@ fn find_mismatch_random(
         state ^= state << 17;
         state
     };
-    let words = vectors.div_ceil(64);
-    for _ in 0..words {
-        let lanes: Vec<u64> = (0..n).map(|_| next()).collect();
+    let mut remaining = vectors.div_ceil(64);
+    while remaining > 0 {
+        // Up to four 64-vector words per block, drawn word-major (one word
+        // per PI, then the next word), so the vectors and the first
+        // mismatching one do not depend on how many words share a block.
+        let nw = remaining.min(LANE_WORDS);
+        remaining -= nw;
+        let mut lanes = vec![LaneBlock::ZERO; n];
+        for j in 0..nw {
+            for lane in &mut lanes {
+                lane.set_word(j, next());
+            }
+        }
         sim_a.simulate(&lanes);
         sim_b.simulate(&lanes);
-        let mut diff = 0u64;
-        for (pa, pb) in va.pos.iter().zip(&vb.pos) {
-            diff |= sim_a.value(*pa) ^ sim_b.value(*pb);
-        }
-        if diff != 0 {
-            let lane = diff.trailing_zeros() as usize;
-            return Some((0..n).map(|i| (lanes[i] >> lane) & 1 == 1).collect());
+        if let Some(lane) = first_mismatch(&sim_a, va, &sim_b, vb, LaneBlock::mask_words(nw)) {
+            return Some(lanes.iter().map(|l| l.lane(lane)).collect());
         }
     }
     None
+}
+
+/// The lowest lane of `valid` in which some PO of `sim_a` differs from the
+/// PO of `sim_b` at the same position.
+fn first_mismatch(
+    sim_a: &ParallelSim,
+    va: &CombView,
+    sim_b: &ParallelSim,
+    vb: &CombView,
+    valid: LaneBlock,
+) -> Option<usize> {
+    let mut diff = LaneBlock::ZERO;
+    for (pa, pb) in va.pos.iter().zip(&vb.pos) {
+        diff |= sim_a.value(*pa) ^ sim_b.value(*pb);
+    }
+    (diff & valid).first_lane()
 }
 
 #[cfg(test)]

@@ -33,18 +33,15 @@
 //! primes are [`TruthTable::prime_implicants`], the routine the SAT
 //! prover's clauses come from.
 //!
-//! Evaluation is generic over [`SimWord`], so the same kernel runs 64
-//! patterns (`u64`) or 256 patterns ([`LaneBlock`]) per gate visit. The
-//! level structure is what fault simulation exploits: an op's inputs are
-//! produced only by strictly lower levels, so one ascending level sweep with
+//! Evaluation runs 256 patterns ([`LaneBlock`]) per gate visit. The level
+//! structure is what fault simulation exploits: an op's inputs are produced
+//! only by strictly lower levels, so one ascending level sweep with
 //! per-level worklists replaces a priority queue.
-//!
-//! [`LaneBlock`]: crate::lanes::LaneBlock
 
 use std::collections::HashMap;
 
 use crate::ids::NetId;
-use crate::lanes::SimWord;
+use crate::lanes::LaneBlock;
 use crate::netlist::{CombView, Driver, Netlist};
 use crate::tt::{Cube, TruthTable, MAX_TT_INPUTS};
 
@@ -342,15 +339,15 @@ impl SimArena {
     /// # Panics
     ///
     /// Panics if `pi_values.len()` differs from the number of view PIs.
-    pub fn set_inputs<W: SimWord>(&self, values: &mut Vec<W>, pi_values: &[W]) {
+    pub fn set_inputs(&self, values: &mut Vec<LaneBlock>, pi_values: &[LaneBlock]) {
         assert_eq!(pi_values.len(), self.pis.len(), "PI vector count mismatch");
         values.clear();
-        values.resize(self.net_count, W::ZERO);
+        values.resize(self.net_count, LaneBlock::ZERO);
         for (i, &slot) in self.pis.iter().enumerate() {
             values[slot as usize] = pi_values[i];
         }
         for &slot in &self.const_ones {
-            values[slot as usize] = W::ONES;
+            values[slot as usize] = LaneBlock::ONES;
         }
     }
 
@@ -359,9 +356,9 @@ impl SimArena {
     /// # Panics
     ///
     /// Panics if `values.len()` differs from [`SimArena::net_count`].
-    pub fn eval_all<W: SimWord>(&self, values: &mut [W]) {
+    pub fn eval_all(&self, values: &mut [LaneBlock]) {
         assert_eq!(values.len(), self.net_count, "value buffer length mismatch");
-        let mut ins = [W::ZERO; MAX_TT_INPUTS];
+        let mut ins = [LaneBlock::ZERO; MAX_TT_INPUTS];
         for k in 0..self.op_count() {
             let n = self.op_in_count[k] as usize;
             let base = self.op_in_base[k] as usize;
@@ -376,7 +373,7 @@ impl SimArena {
     /// a direct expression for one or two inputs, the op's compiled cover
     /// (see the [module docs](self)) for more.
     #[inline]
-    pub fn eval_op<W: SimWord>(&self, k: usize, ins: &[W]) -> W {
+    pub fn eval_op(&self, k: usize, ins: &[LaneBlock]) -> LaneBlock {
         if ins.len() < 3 {
             return eval_direct(self.op_tt[k], ins);
         }
@@ -402,21 +399,21 @@ impl SimArena {
 /// Evaluates a function of at most two inputs over a block of lanes, by
 /// one boolean expression per function.
 #[inline]
-fn eval_direct<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
+fn eval_direct(tt: TruthTable, ins: &[LaneBlock]) -> LaneBlock {
     debug_assert_eq!(ins.len(), tt.input_count());
     let bits = tt.bits();
     match ins.len() {
-        0 => W::splat(bits & 1 == 1),
+        0 => LaneBlock::splat(bits & 1 == 1),
         1 => match bits & 0b11 {
-            0b00 => W::ZERO,
+            0b00 => LaneBlock::ZERO,
             0b10 => ins[0],
             0b01 => !ins[0],
-            _ => W::ONES,
+            _ => LaneBlock::ONES,
         },
         _ => {
             let (a, b) = (ins[0], ins[1]);
             match bits & 0xF {
-                0x0 => W::ZERO,
+                0x0 => LaneBlock::ZERO,
                 0x8 => a & b,
                 0xE => a | b,
                 0x6 => a ^ b,
@@ -431,7 +428,7 @@ fn eval_direct<W: SimWord>(tt: TruthTable, ins: &[W]) -> W {
                 0x4 => !a & b,
                 0xB => a | !b,
                 0xD => !a | b,
-                _ => W::ONES,
+                _ => LaneBlock::ONES,
             }
         }
     }
@@ -454,10 +451,10 @@ fn compile(tt: TruthTable) -> (Vec<Cube>, bool) {
 /// The OR of the cubes' literal ANDs over `ins`, complemented when
 /// `complement` is set.
 #[inline]
-fn eval_cover<W: SimWord>(cubes: &[Cube], complement: bool, ins: &[W]) -> W {
-    let mut out = W::ZERO;
+fn eval_cover(cubes: &[Cube], complement: bool, ins: &[LaneBlock]) -> LaneBlock {
+    let mut out = LaneBlock::ZERO;
     for &(care, values) in cubes {
-        let mut term = W::ONES;
+        let mut term = LaneBlock::ONES;
         let mut rest = care;
         while rest != 0 {
             let i = rest.trailing_zeros() as usize;
@@ -476,7 +473,6 @@ fn eval_cover<W: SimWord>(cubes: &[Cube], complement: bool, ins: &[W]) -> W {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::LaneBlock;
     use crate::library::Library;
 
     fn sample() -> (Netlist, CombView) {
@@ -530,15 +526,16 @@ mod tests {
     fn eval_matches_reference_sim() {
         let (nl, view) = sample();
         let arena = SimArena::build(&nl, &view);
-        let mut values: Vec<u64> = Vec::new();
+        let mut values = Vec::new();
         // Exhaustive over the 3 real PIs in the low 8 lanes.
-        let pi_vals: Vec<u64> = vec![0b10101010, 0b11001100, 0b11110000];
+        let pi_vals: Vec<LaneBlock> =
+            [0b10101010, 0b11001100, 0b11110000].map(LaneBlock::from_word).to_vec();
         arena.set_inputs(&mut values, &pi_vals);
         arena.eval_all(&mut values);
         let mut reference = crate::sim::ParallelSim::new(&nl, &view);
         reference.simulate(&pi_vals);
         for (n, v) in values.iter().enumerate().take(nl.net_count()) {
-            assert_eq!(v & 0xFF, reference.values()[n] & 0xFF, "net slot {n}");
+            assert_eq!(v.word(0) & 0xFF, reference.values()[n].word(0) & 0xFF, "net slot {n}");
         }
     }
 
@@ -569,10 +566,11 @@ mod tests {
         for k in 0..arena.op_count() {
             let tt = arena.op_tt(k);
             let ins: Vec<u64> = (0..tt.input_count()).map(|_| lanes(&mut state)).collect();
+            let blocks: Vec<LaneBlock> = ins.iter().map(|&w| LaneBlock::from_word(w)).collect();
             let gate = nl.gate(crate::GateId::from_index(arena.op_gate(k) as usize)).unwrap();
             let cell = nl.lib().cell(gate.cell);
             assert_eq!(
-                arena.eval_op(k, &ins),
+                arena.eval_op(k, &blocks).word(0),
                 tt.eval_parallel(&ins),
                 "cell {} pin {}",
                 cell.name,
@@ -582,10 +580,10 @@ mod tests {
     }
 
     /// The compiled cover of every function of at most four inputs and of
-    /// 256 random five- and six-input ones equals the minterm reference at
-    /// both lane widths, and needs no more literals than the minterm form
-    /// of its side; the direct expressions cover every function of at most
-    /// two inputs.
+    /// 256 random five- and six-input ones equals the minterm reference in
+    /// every word of a block, and needs no more literals than the minterm
+    /// form of its side; the direct expressions cover every function of at
+    /// most two inputs.
     #[test]
     fn compiled_covers_match_eval_parallel() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -598,14 +596,13 @@ mod tests {
             let literals: u32 = cubes.iter().map(|c| c.0.count_ones()).sum();
             assert!(literals <= side.bits().count_ones() * n as u32, "{tt:?}");
             let blocks: Vec<LaneBlock> = words.iter().map(|&w| LaneBlock::from_words(w)).collect();
-            let wide = eval_cover(&cubes, complement, &blocks);
+            let cover = eval_cover(&cubes, complement, &blocks);
             for w in 0..4 {
                 let ins: Vec<u64> = words.iter().map(|x| x[w]).collect();
                 let reference = tt.eval_parallel(&ins);
-                assert_eq!(eval_cover(&cubes, complement, &ins), reference, "{tt:?}");
-                assert_eq!(wide.word(w), reference, "{tt:?} word {w}");
+                assert_eq!(cover.word(w), reference, "{tt:?} word {w}");
                 if n < 3 {
-                    assert_eq!(eval_direct(tt, &ins), reference, "{tt:?}");
+                    assert_eq!(eval_direct(tt, &blocks).word(w), reference, "{tt:?} word {w}");
                 }
             }
         };
@@ -625,9 +622,9 @@ mod tests {
         let (nl, view) = sample();
         let arena = SimArena::build(&nl, &view);
         assert_eq!(arena.const_ones().len(), 1);
-        let mut values: Vec<u64> = Vec::new();
-        arena.set_inputs(&mut values, &vec![0u64; view.pis.len()]);
+        let mut values = Vec::new();
+        arena.set_inputs(&mut values, &vec![LaneBlock::ZERO; view.pis.len()]);
         let c1 = nl.find_net("_const1").unwrap();
-        assert_eq!(values[c1.index()], u64::MAX);
+        assert_eq!(values[c1.index()], LaneBlock::ONES);
     }
 }

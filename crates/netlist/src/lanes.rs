@@ -1,11 +1,11 @@
 //! The 256-lane simulation word: a block of four independent 64-lane words.
 //!
-//! [`LaneBlock`] is the unit the bit-parallel simulation kernel operates
-//! on: 256 input vectors evaluated per gate visit, stored as `[u64; 4]` so
-//! the element-wise boolean operations autovectorize (one AVX2 `vpand` per
-//! op on x86-64) while staying plain portable Rust. An explicit SIMD
-//! backend can later replace the array without changing any call site —
-//! the public surface is the block, not the limbs.
+//! [`LaneBlock`] is the one unit every bit-parallel simulator operates on:
+//! 256 input vectors evaluated per gate visit, stored as `[u64; 4]` so the
+//! element-wise boolean operations autovectorize (one AVX2 `vpand` per op
+//! on x86-64) while staying plain portable Rust. A call site that loads
+//! fewer patterns masks the lanes it did not fill
+//! ([`LaneBlock::mask_lanes`]).
 //!
 //! # Determinism contract
 //!
@@ -255,210 +255,6 @@ impl Not for LaneBlock {
     }
 }
 
-/// A machine word the simulation kernel can evaluate gates over: one
-/// simulation lane per bit, boolean algebra element-wise.
-///
-/// Implemented for `u64` (the historical 64-lane word — the right width
-/// for call sites that simulate only a pattern or two, like PODEM
-/// detection confirmation) and [`LaneBlock`] (the 256-lane block the
-/// batch phases run on). The generic kernels in [`crate::arena`] and the
-/// fault simulator are written once against this trait; an explicit SIMD
-/// word can slot in later by adding an impl.
-///
-/// The word/lane accessors mirror [`LaneBlock`]'s inherent API under the
-/// same determinism contract: a word is `Self::WORDS` **independent**
-/// 64-lane words, lane `i` lives in word `i / 64` bit `i % 64`, and
-/// sequence semantics ([`SimWord::shl1_words`], [`SimWord::first_lane`])
-/// never cross a word boundary. `u64` is simply the one-word block.
-pub trait SimWord:
-    Copy
-    + PartialEq
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + Not<Output = Self>
-    + BitAndAssign
-    + BitOrAssign
-    + BitXorAssign
-{
-    /// Number of independent 64-bit words.
-    const WORDS: usize;
-    /// Number of simulation lanes (`64 * WORDS`).
-    const LANE_COUNT: usize;
-
-    /// All lanes 0.
-    const ZERO: Self;
-    /// All lanes 1.
-    const ONES: Self;
-
-    /// Broadcasts one boolean to every lane.
-    #[inline]
-    fn splat(v: bool) -> Self {
-        if v {
-            Self::ONES
-        } else {
-            Self::ZERO
-        }
-    }
-
-    /// 64-bit word `i`.
-    fn word(&self, i: usize) -> u64;
-    /// Overwrites 64-bit word `i`.
-    fn set_word(&mut self, i: usize, w: u64);
-    /// Value of lane `i` (word-major).
-    fn lane(&self, i: usize) -> bool;
-    /// Sets lane `i` (word-major).
-    fn set_lane(&mut self, i: usize, v: bool);
-    /// Index of the lowest set lane in word-major order, if any.
-    fn first_lane(&self) -> Option<usize>;
-    /// True if any lane is set.
-    fn any(&self) -> bool;
-    /// Shifts every word left by one independently (no carry across words).
-    fn shl1_words(&self) -> Self;
-    /// Mask with bit 0 of every word set.
-    fn word_lsbs() -> Self;
-    /// Mask with the low `n` lanes set (word-major).
-    fn mask_lanes(n: usize) -> Self;
-    /// Mask with the low `n` words fully set.
-    fn mask_words(n: usize) -> Self;
-}
-
-impl SimWord for u64 {
-    const WORDS: usize = 1;
-    const LANE_COUNT: usize = 64;
-    const ZERO: Self = 0;
-    const ONES: Self = u64::MAX;
-
-    #[inline]
-    fn word(&self, i: usize) -> u64 {
-        assert_eq!(i, 0, "u64 has a single word");
-        *self
-    }
-
-    #[inline]
-    fn set_word(&mut self, i: usize, w: u64) {
-        assert_eq!(i, 0, "u64 has a single word");
-        *self = w;
-    }
-
-    #[inline]
-    fn lane(&self, i: usize) -> bool {
-        assert!(i < 64, "lane {i} out of range");
-        (*self >> i) & 1 == 1
-    }
-
-    #[inline]
-    fn set_lane(&mut self, i: usize, v: bool) {
-        assert!(i < 64, "lane {i} out of range");
-        if v {
-            *self |= 1 << i;
-        } else {
-            *self &= !(1 << i);
-        }
-    }
-
-    #[inline]
-    fn first_lane(&self) -> Option<usize> {
-        if *self == 0 {
-            None
-        } else {
-            Some(self.trailing_zeros() as usize)
-        }
-    }
-
-    #[inline]
-    fn any(&self) -> bool {
-        *self != 0
-    }
-
-    #[inline]
-    fn shl1_words(&self) -> Self {
-        *self << 1
-    }
-
-    #[inline]
-    fn word_lsbs() -> Self {
-        1
-    }
-
-    #[inline]
-    fn mask_lanes(n: usize) -> Self {
-        assert!(n <= 64, "lane mask of {n} exceeds 64 lanes");
-        if n >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << n) - 1
-        }
-    }
-
-    #[inline]
-    fn mask_words(n: usize) -> Self {
-        assert!(n <= 1, "word mask of {n} exceeds 1 word");
-        if n == 1 {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-}
-
-impl SimWord for LaneBlock {
-    const WORDS: usize = LANE_WORDS;
-    const LANE_COUNT: usize = LANES;
-    const ZERO: Self = LaneBlock::ZERO;
-    const ONES: Self = LaneBlock::ONES;
-
-    #[inline]
-    fn word(&self, i: usize) -> u64 {
-        LaneBlock::word(self, i)
-    }
-
-    #[inline]
-    fn set_word(&mut self, i: usize, w: u64) {
-        LaneBlock::set_word(self, i, w);
-    }
-
-    #[inline]
-    fn lane(&self, i: usize) -> bool {
-        LaneBlock::lane(self, i)
-    }
-
-    #[inline]
-    fn set_lane(&mut self, i: usize, v: bool) {
-        LaneBlock::set_lane(self, i, v);
-    }
-
-    #[inline]
-    fn first_lane(&self) -> Option<usize> {
-        LaneBlock::first_lane(self)
-    }
-
-    #[inline]
-    fn any(&self) -> bool {
-        LaneBlock::any(self)
-    }
-
-    #[inline]
-    fn shl1_words(&self) -> Self {
-        LaneBlock::shl1_words(self)
-    }
-
-    #[inline]
-    fn word_lsbs() -> Self {
-        LaneBlock::word_lsbs()
-    }
-
-    #[inline]
-    fn mask_lanes(n: usize) -> Self {
-        LaneBlock::mask_lanes(n)
-    }
-
-    #[inline]
-    fn mask_words(n: usize) -> Self {
-        LaneBlock::mask_words(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,44 +317,5 @@ mod tests {
         assert_eq!((a | b).words(), &[0xFF, 0xFF, u64::MAX, u64::MAX]);
         assert_eq!((a ^ b).words(), &[0x0F, 0xF0, u64::MAX, u64::MAX]);
         assert_eq!((!LaneBlock::ZERO), LaneBlock::ONES);
-    }
-
-    #[test]
-    fn u64_simword_is_the_one_word_block() {
-        // Every SimWord accessor on u64 must agree with word 0 of a
-        // LaneBlock holding the same bits — the narrow width is just the
-        // one-word special case of the contract.
-        let w = 0xDEAD_BEEF_0BAD_F00Du64;
-        let b = LaneBlock::from_word(w);
-        assert_eq!(SimWord::word(&w, 0), b.word(0));
-        assert_eq!(SimWord::first_lane(&w), b.first_lane());
-        assert_eq!(SimWord::shl1_words(&w), b.shl1_words().word(0));
-        assert_eq!(<u64 as SimWord>::word_lsbs(), LaneBlock::word_lsbs().word(0));
-        for n in [0usize, 1, 5, 63, 64] {
-            assert_eq!(<u64 as SimWord>::mask_lanes(n), LaneBlock::mask_lanes(n).word(0), "n={n}");
-        }
-        assert_eq!(<u64 as SimWord>::mask_words(0), 0);
-        assert_eq!(<u64 as SimWord>::mask_words(1), u64::MAX);
-        for i in [0usize, 1, 17, 63] {
-            assert_eq!(SimWord::lane(&w, i), b.lane(i), "lane {i}");
-        }
-        let mut n = 0u64;
-        SimWord::set_lane(&mut n, 42, true);
-        let with_bit0 = n | 1;
-        SimWord::set_word(&mut n, 0, with_bit0);
-        assert_eq!(n, (1 << 42) | 1);
-        assert!(SimWord::any(&n) && !SimWord::any(&0u64));
-    }
-
-    #[test]
-    fn simword_is_shared_by_u64_and_block() {
-        fn majority<W: SimWord>(a: W, b: W, c: W) -> W {
-            (a & b) | (a & c) | (b & c)
-        }
-        assert_eq!(majority(0b0011u64, 0b0101, 0b1001), 0b0001);
-        let m =
-            majority(LaneBlock::splat(true), LaneBlock::splat(false), LaneBlock::from_word(0b1));
-        assert_eq!(m.word(0), 0b1);
-        assert_eq!(m.word(1), 0);
     }
 }

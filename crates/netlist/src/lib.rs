@@ -13,8 +13,8 @@
 //!   reports failures as positioned [`NetlistError::Parse`] values (line,
 //!   column, fragment) instead of panicking;
 //! * bit-parallel logic simulation ([`sim`]) over a flat levelized
-//!   struct-of-arrays arena ([`arena`]), 64 (`u64`) or 256
-//!   ([`lanes::LaneBlock`]) patterns per gate visit.
+//!   struct-of-arrays arena ([`arena`]), 256 patterns
+//!   ([`lanes::LaneBlock`]) per gate visit.
 //!
 //! Flow-reachable code paths in this crate are `unwrap`-free
 //! (`clippy::unwrap_used` is enforced outside tests).
@@ -58,7 +58,7 @@ pub use arena::SimArena;
 pub use canon::{library_hash, CanonicalView};
 pub use cell::{Cell, CellClass, CellOutput, SpNet, Transistor};
 pub use ids::{CellId, GateId, NetId};
-pub use lanes::{LaneBlock, SimWord, LANES, LANE_WORDS};
+pub use lanes::{LaneBlock, LANES, LANE_WORDS};
 pub use library::Library;
 pub use netlist::{CombView, Driver, Gate, Net, Netlist};
 pub use stats::NetlistStats;

@@ -1,11 +1,9 @@
-//! Bit-parallel logic simulation (64 or 256 lanes per call).
+//! Bit-parallel logic simulation (256 lanes per call).
 //!
 //! [`ParallelSim`] evaluates the combinational view of a netlist for one
-//! word of input vectors at once — `u64` for the historical 64-lane paths,
-//! [`LaneBlock`](crate::lanes::LaneBlock) for the 256-lane hot paths. It is
-//! used for good-machine simulation during ATPG's random phase, for
-//! switching-activity estimation in the power model, and as a reference
-//! model in tests.
+//! [`LaneBlock`] of input vectors at once. It is used for equivalence
+//! checking, for switching-activity estimation in the power model, and as a
+//! reference model in tests.
 //!
 //! The simulator is a thin stateful wrapper over [`SimArena`]: the arena is
 //! built once in [`ParallelSim::new`] (or shared via
@@ -16,20 +14,17 @@ use std::sync::Arc;
 
 use crate::arena::SimArena;
 use crate::ids::NetId;
-use crate::lanes::SimWord;
+use crate::lanes::LaneBlock;
 use crate::netlist::{CombView, Netlist};
 
 /// A reusable bit-parallel simulator for one netlist + view.
-///
-/// The lane width is the type parameter `W` (default `u64`, 64 lanes);
-/// instantiate with [`LaneBlock`](crate::lanes::LaneBlock) for 256 lanes.
 #[derive(Debug)]
-pub struct ParallelSim<W: SimWord = u64> {
+pub struct ParallelSim {
     arena: Arc<SimArena>,
-    values: Vec<W>,
+    values: Vec<LaneBlock>,
 }
 
-impl<W: SimWord> ParallelSim<W> {
+impl ParallelSim {
     /// Creates a simulator, building a fresh [`SimArena`] for the view.
     pub fn new(nl: &Netlist, view: &CombView) -> Self {
         Self::with_arena(Arc::new(SimArena::build(nl, view)))
@@ -37,7 +32,7 @@ impl<W: SimWord> ParallelSim<W> {
 
     /// Creates a simulator over an existing (possibly shared) arena.
     pub fn with_arena(arena: Arc<SimArena>) -> Self {
-        let values = vec![W::ZERO; arena.net_count()];
+        let values = vec![LaneBlock::ZERO; arena.net_count()];
         Self { arena, values }
     }
 
@@ -47,14 +42,14 @@ impl<W: SimWord> ParallelSim<W> {
         &self.arena
     }
 
-    /// Simulates one word of vectors: `pi_values[i]` holds the lane values
+    /// Simulates one block of vectors: `pi_values[i]` holds the lane values
     /// of view PI `i`. After the call every net value is available through
     /// [`ParallelSim::value`].
     ///
     /// # Panics
     ///
     /// Panics if `pi_values.len()` differs from the number of view PIs.
-    pub fn simulate(&mut self, pi_values: &[W]) {
+    pub fn simulate(&mut self, pi_values: &[LaneBlock]) {
         self.arena.set_inputs(&mut self.values, pi_values);
         self.arena.eval_all(&mut self.values);
     }
@@ -63,34 +58,34 @@ impl<W: SimWord> ParallelSim<W> {
     ///
     /// [`simulate`]: ParallelSim::simulate
     #[inline]
-    pub fn value(&self, net: NetId) -> W {
+    pub fn value(&self, net: NetId) -> LaneBlock {
         self.values[net.index()]
     }
 
     /// The values of all view primary outputs, in view order.
-    pub fn output_values(&self) -> Vec<W> {
+    pub fn output_values(&self) -> Vec<LaneBlock> {
         self.arena.pos().iter().map(|&po| self.values[po as usize]).collect()
     }
 
     /// Immutable access to the full value array (indexed by `NetId`).
-    pub fn values(&self) -> &[W] {
+    pub fn values(&self) -> &[LaneBlock] {
         &self.values
     }
 }
 
 /// Convenience single-vector simulation: returns the value of every view PO
-/// for one input assignment (`pis[i]` is the value of `view.pis[i]`).
+/// for one input assignment (`pis[i]` is the value of `view.pis[i]`), read
+/// from lane 0.
 pub fn simulate_one(nl: &Netlist, view: &CombView, pis: &[bool]) -> Vec<bool> {
-    let lanes: Vec<u64> = pis.iter().map(|&b| if b { 1 } else { 0 }).collect();
+    let lanes: Vec<LaneBlock> = pis.iter().map(|&b| LaneBlock::splat(b)).collect();
     let mut sim = ParallelSim::new(nl, view);
     sim.simulate(&lanes);
-    view.pos.iter().map(|&po| sim.value(po) & 1 == 1).collect()
+    view.pos.iter().map(|&po| sim.value(po).lane(0)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::LaneBlock;
     use crate::library::Library;
 
     fn xor_netlist() -> Netlist {
@@ -125,9 +120,9 @@ mod tests {
         // lane i: a = bit i of 0b0101..., b = bit i of 0b0011...
         let a = 0x5555_5555_5555_5555u64;
         let b = 0x3333_3333_3333_3333u64;
-        sim.simulate(&[a, b]);
+        sim.simulate(&[LaneBlock::from_word(a), LaneBlock::from_word(b)]);
         let y = nl.find_net("y").unwrap();
-        assert_eq!(sim.value(y), a ^ b);
+        assert_eq!(sim.value(y), LaneBlock::from_word(a ^ b));
     }
 
     #[test]
@@ -142,10 +137,10 @@ mod tests {
         nl.mark_output(y);
         let view = nl.comb_view().unwrap();
         let mut sim = ParallelSim::new(&nl, &view);
-        sim.simulate(&[0b10]);
+        sim.simulate(&[LaneBlock::from_word(0b10)]);
         let y = nl.find_net("y").unwrap();
         // y = !(a & 1) = !a
-        assert_eq!(sim.value(y) & 0b11, 0b01);
+        assert_eq!(sim.value(y).word(0) & 0b11, 0b01);
     }
 
     #[test]
@@ -179,13 +174,13 @@ mod tests {
         let view = nl.comb_view().unwrap();
         let words_a = [0x5555u64, 0xFFFF_0000, 0, u64::MAX];
         let words_b = [0x3333u64, 0xFF00_FF00, u64::MAX, 0xDEAD_BEEF];
-        let mut wide: ParallelSim<LaneBlock> = ParallelSim::new(&nl, &view);
+        let mut wide = ParallelSim::new(&nl, &view);
         wide.simulate(&[LaneBlock::from_words(words_a), LaneBlock::from_words(words_b)]);
         let y = nl.find_net("y").unwrap();
         let mut narrow = ParallelSim::new(&nl, &view);
         for w in 0..4 {
-            narrow.simulate(&[words_a[w], words_b[w]]);
-            assert_eq!(wide.value(y).word(w), narrow.value(y), "word {w}");
+            narrow.simulate(&[LaneBlock::from_word(words_a[w]), LaneBlock::from_word(words_b[w])]);
+            assert_eq!(wide.value(y).word(w), narrow.value(y).word(0), "word {w}");
         }
     }
 
@@ -194,12 +189,13 @@ mod tests {
         let nl = xor_netlist();
         let view = nl.comb_view().unwrap();
         let arena = Arc::new(crate::arena::SimArena::build(&nl, &view));
-        let mut s1: ParallelSim = ParallelSim::with_arena(Arc::clone(&arena));
-        let mut s2: ParallelSim = ParallelSim::with_arena(arena);
-        s1.simulate(&[0b01, 0b01]);
-        s2.simulate(&[0b01, 0b11]);
+        let mut s1 = ParallelSim::with_arena(Arc::clone(&arena));
+        let mut s2 = ParallelSim::with_arena(arena);
+        let lanes = |a, b| [LaneBlock::from_word(a), LaneBlock::from_word(b)];
+        s1.simulate(&lanes(0b01, 0b01));
+        s2.simulate(&lanes(0b01, 0b11));
         let y = nl.find_net("y").unwrap();
-        assert_eq!(s1.value(y) & 0b11, 0b00);
-        assert_eq!(s2.value(y) & 0b11, 0b10);
+        assert_eq!(s1.value(y).word(0) & 0b11, 0b00);
+        assert_eq!(s2.value(y).word(0) & 0b11, 0b10);
     }
 }

@@ -50,7 +50,7 @@ fn xorshift(state: &mut u64) -> u64 {
 pub fn estimate(nl: &Netlist, view: &CombView, layout: &Layout, seed: u64) -> PowerReport {
     let mut state = seed | 1;
     let mut toggles = vec![0u64; nl.net_count()];
-    let mut sim: ParallelSim<LaneBlock> = ParallelSim::new(nl, view);
+    let mut sim = ParallelSim::new(nl, view);
     let mut total_transitions = 0u64;
     let mut remaining = ACTIVITY_WORDS;
     while remaining > 0 {

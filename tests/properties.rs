@@ -165,6 +165,7 @@ proptest! {
     #[test]
     fn sat_matches_exhaustive(seed in 0u64..32) {
         use rsyn::atpg::fault::{BridgeKind, CellCondition};
+        use rsyn::atpg::testset::pack;
         use rsyn::atpg::{exhaustive_detectable, FaultSim, SatAtpg, SatOutcome};
         let mut next = xorshift(seed ^ 0x5A7);
         let (nl, nets, gate_ids) = random_circuit(&mut next, &["FAX1", "AOI22X1"]);
@@ -208,19 +209,15 @@ proptest! {
             }
         }
         let mut prover = SatAtpg::new(&nl, &view);
-        let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
+        let mut sim = FaultSim::new(&nl, &view);
         for (fi, fault) in faults.iter().enumerate() {
             let truth = exhaustive_detectable(&nl, &view, fault).expect("8 PIs");
             match prover.decide(fault) {
                 SatOutcome::Detected(test) => {
                     prop_assert!(truth, "fault {} {:?}: SAT test for an undetectable fault", fi, fault.kind);
-                    let lanes: Vec<u64> = (0..view.pis.len())
-                        .map(|i| test.iter().enumerate().fold(0, |w, (k, p)| w | u64::from(p.get(i)) << k))
-                        .collect();
-                    sim.set_patterns(&lanes);
-                    let last = 1u64 << (test.len() - 1);
+                    sim.set_patterns(&pack(&test, view.pis.len()));
                     prop_assert!(
-                        sim.detect_lanes(fault) & last != 0,
+                        sim.detect_lanes(fault).lane(test.len() - 1),
                         "fault {} {:?}: the simulator rejects the SAT test", fi, fault.kind
                     );
                 }

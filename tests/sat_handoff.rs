@@ -4,22 +4,20 @@
 //! trace zones name exactly those faults, and the SAT prover decides each
 //! one.
 
+use rsyn::atpg::testset::pack;
 use rsyn::atpg::{run_atpg, Fault, FaultSim, FaultStatus, Pattern, SatAtpg, SatOutcome};
 use rsyn::circuits::build_benchmark_with;
 use rsyn::core::flow::FlowContext;
 use rsyn::dfm::extract_faults;
-use rsyn::netlist::Library;
+use rsyn::netlist::{LaneBlock, Library};
 use rsyn::observe::trace;
 use rsyn::pdesign::physical_design;
 
 /// Whether `test` (one pattern, or a transition fault's initialisation
 /// and launch patterns) detects `fault` in the fault simulator.
-fn confirms(sim: &mut FaultSim<u64>, fault: &Fault, test: &[Pattern], npis: usize) -> bool {
-    let lanes: Vec<u64> = (0..npis)
-        .map(|i| test.iter().enumerate().fold(0, |w, (k, p)| w | (u64::from(p.get(i)) << k)))
-        .collect();
-    sim.set_patterns(&lanes);
-    sim.detect_lanes(fault) & ((1 << test.len()) - 1) != 0
+fn confirms(sim: &mut FaultSim, fault: &Fault, test: &[Pattern], npis: usize) -> bool {
+    sim.set_patterns(&pack(test, npis));
+    (sim.detect_lanes(fault) & LaneBlock::mask_lanes(test.len())).any()
 }
 
 #[test]
@@ -51,7 +49,7 @@ fn faults_podem_gives_up_on_are_decided_by_sat() {
     assert_eq!(sat_spans, sat_calls, "one atpg.sat span per SAT call");
 
     let mut prover = SatAtpg::new(&nl, &view);
-    let mut sim: FaultSim<u64> = FaultSim::new(&nl, &view);
+    let mut sim = FaultSim::new(&nl, &view);
     for fi in zones {
         let fault = &faults[fi];
         match prover.decide(fault) {
